@@ -19,7 +19,7 @@ from .paths import (DistanceModel, ShortestPathTree, apsp,
                     dag_to_distance_model, radius_r_width,
                     scattered_maximal_subset, sssp, zero_one_bfs)
 from .rect import (DynamicPointSet, InclusionForest, LaminarityError, Rect,
-                   complement_partition, inclusion_forest)
+                   complement_partition, inclusion_forest, laminar_forest)
 from .sddegen import (CapExceeded, SdConfig, WidthReport, preset_symdiff,
                       preset_twinwidth, sd_sequence_greedy,
                       sd_sequence_randomized, validate_sequence)
@@ -41,9 +41,9 @@ __all__ = [
     "cseq_replay", "cseq_shorten", "cseq_to_stm", "dag_to_distance_model",
     "dag_to_graph", "decode_bruteforce", "default_edit_log", "graphs_equal",
     "ibp_matvec", "ibp_to_dag", "ibp_to_graph", "ibp_to_positive_model",
-    "inclusion_forest", "insert_edit", "preset_symdiff", "preset_twinwidth",
-    "radius_r_width", "remove_loops", "scattered_maximal_subset",
-    "sd_sequence_greedy", "sd_sequence_randomized", "sdseq_to_stm", "sssp",
-    "stm_to_ibp", "stm_to_rects", "symmetric_difference", "validate",
-    "validate_sequence", "zero_one_bfs",
+    "inclusion_forest", "insert_edit", "laminar_forest", "preset_symdiff",
+    "preset_twinwidth", "radius_r_width", "remove_loops",
+    "scattered_maximal_subset", "sd_sequence_greedy", "sd_sequence_randomized",
+    "sdseq_to_stm", "sssp", "stm_to_ibp", "stm_to_rects",
+    "symmetric_difference", "validate", "validate_sequence", "zero_one_bfs",
 ]

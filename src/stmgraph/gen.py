@@ -7,11 +7,12 @@ give identical instances.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right, insort
 
 from .convert import (ConstructionSequence, MERGE, RESOLVE_NEG, RESOLVE_POS,
                       SdDegenSequence)
 from .graph import Graph, InputError
-from .stm import SignedTreeModel, _pairs_cross
+from .stm import SignedTreeModel
 
 
 def random_full_tree(n: int, rng: random.Random) -> dict[int, tuple[int, int]]:
@@ -39,6 +40,13 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
     Pair candidates are uniform node pairs; crossing or non-transversal
     candidates are rejected, so fewer than ``num_pairs`` pairs may result on
     crowded trees.
+
+    Two transversal pairs cross iff the first endpoint of one is strictly
+    above the first endpoint of the other and its second endpoint strictly
+    below the other's second endpoint (see ``stm.validate``).  So a
+    candidate is tested by walking the strict ancestors of each endpoint and
+    looking, among the partners they already have on that side, for one
+    strictly below the candidate's other endpoint: O(depth log p) each.
     """
     if n < 1:
         raise InputError("need at least one leaf")
@@ -49,6 +57,23 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
     accepted: list[tuple[int, int]] = []
     taken: set[tuple[int, int]] = set()
     signs: list[int] = []
+    # (node, side) -> sorted (lo, -hi) leaf intervals of the accepted pairs'
+    # other endpoints, for pairs holding the node as endpoint ``side``
+    partners: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def crosses(pair: tuple[int, int]) -> bool:
+        for side in (0, 1):
+            lo, hi = base.leaf_interval(pair[1 - side])
+            a = base.parent[pair[side]]
+            while a:
+                keys = partners.get((a, side), ())
+                # first key after (lo, -hi) is strictly inside [lo, hi] if any is
+                i = bisect_right(keys, (lo, -hi))
+                if i < len(keys) and keys[i][0] <= hi:
+                    return True
+                a = base.parent[a]
+        return False
+
     budget = tries_per_pair * num_pairs
     while len(accepted) < num_pairs and budget > 0:
         budget -= 1
@@ -61,8 +86,11 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
         pair = base.canonical_pair(x, y)
         if pair in taken:
             continue
-        if any(_pairs_cross(base, pair, q) for q in accepted):
+        if crosses(pair):
             continue
+        for side in (0, 1):
+            lo, hi = base.leaf_interval(pair[1 - side])
+            insort(partners.setdefault((pair[side], side), []), (lo, -hi))
         taken.add(pair)
         accepted.append(pair)
         signs.append(rng.choice((-1, 1)))

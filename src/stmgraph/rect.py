@@ -8,13 +8,21 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .graph import InputError
 
 
 class LaminarityError(ValueError):
-    """Raised when an input rectangle family is found not to be laminar."""
+    """Raised when an input rectangle family is found not to be laminar.
+
+    ``indices`` holds the input positions of two rectangles that witness it.
+    """
+
+    def __init__(self, message: str, indices: tuple[int, int]):
+        super().__init__(message)
+        self.indices = indices
 
 
 @dataclass(frozen=True)
@@ -136,29 +144,22 @@ class InclusionForest:
         return "\n".join(lines)
 
 
-def inclusion_forest(rects: Iterable[Rect], check_laminar: bool = False) -> InclusionForest:
+def inclusion_forest(rects: Iterable[Rect]) -> InclusionForest:
     """Compute the inclusion forest of a laminar rectangle family.
 
     Processes rectangles by increasing area, maintaining a dynamic point set
     of one representative corner per not-yet-parented rectangle; each round's
     range query reports exactly the children of the current rectangle.
 
-    ``check_laminar`` adds a quadratic up-front laminarity check (debug use);
-    without it, non-laminar inputs are still detected whenever a reported
-    representative's rectangle is not contained in the querying rectangle.
+    Non-laminar inputs are detected whenever a reported representative's
+    rectangle is not contained in the querying rectangle; ``laminar_forest``
+    completes the check.
     """
     rlist = list(rects)
-    if check_laminar:
-        for i in range(len(rlist)):
-            for j in range(i + 1, len(rlist)):
-                a, b = rlist[i], rlist[j]
-                if not (a.disjoint(b) or a.contains(b) or b.contains(a)):
-                    raise LaminarityError(f"rectangles {a.key()} and {b.key()} properly overlap")
-
     order = sorted(range(len(rlist)), key=lambda i: (rlist[i].area,) + rlist[i].key())
     for a, b in zip(order, order[1:]):
         if rlist[a].key() == rlist[b].key():
-            raise LaminarityError(f"duplicate rectangle {rlist[a].key()}")
+            raise LaminarityError(f"duplicate rectangle {rlist[a].key()}", (a, b))
 
     parent: list[Optional[int]] = [None] * len(rlist)
     points = DynamicPointSet()
@@ -170,7 +171,8 @@ def inclusion_forest(rects: Iterable[Rect], check_laminar: bool = False) -> Incl
             j = owner[pt]
             if not r.contains(rlist[j]):
                 raise LaminarityError(
-                    f"rectangle {rlist[j].key()} overlaps {r.key()} without containment")
+                    f"rectangle {rlist[j].key()} overlaps {r.key()} without containment",
+                    (j, i))
             parent[j] = i
             reported[j] += 1
             assert reported[j] == 1, "representative point reported twice"
@@ -182,6 +184,52 @@ def inclusion_forest(rects: Iterable[Rect], check_laminar: bool = False) -> Incl
         points.insert(rep)
         owner[rep] = i
     return InclusionForest(rlist, parent)
+
+
+def laminar_forest(rects: Iterable[Rect]) -> InclusionForest:
+    """Inclusion forest of ``rects``; LaminarityError unless they are laminar.
+
+    ``inclusion_forest`` checks that every child lies inside its parent.  A
+    forest whose children are contained in their parents and whose siblings
+    are pairwise disjoint is laminar: two rectangles that are not ancestor
+    and descendant lie inside two distinct siblings (children of their lowest
+    common ancestor, or two roots), so they are disjoint.  One sweep per
+    sibling group finishes the check with O(m log m) comparisons over all
+    groups.
+
+    Siblings never contain one another (the larger would have claimed the
+    smaller as its child), so any two that meet properly overlap; they are
+    the witness the error carries.
+    """
+    forest = inclusion_forest(rects)
+    for group in (forest.roots, *forest.children):
+        if len(group) > 1:
+            _check_disjoint(forest.rects, group)
+    return forest
+
+
+def _check_disjoint(rects: list[Rect], group: list[int]) -> None:
+    """Raise LaminarityError if two rectangles of ``group`` meet.
+
+    Sweep by x1, keeping the y-intervals of the rectangles still open at the
+    sweep line sorted by y1.  While no two have met, these intervals are
+    pairwise disjoint, so a new one meets some open interval iff it meets
+    its predecessor or its successor in y order.
+    """
+    active: list[tuple[int, int, int]] = []  # (y1, y2, index), sorted
+    closing: list[tuple[int, tuple[int, int, int]]] = []  # heap of (x2, entry)
+    for i in sorted(group, key=lambda k: rects[k].x1):
+        r = rects[i]
+        while closing and closing[0][0] < r.x1:
+            active.pop(bisect_left(active, heappop(closing)[1]))
+        entry = (r.y1, r.y2, i)
+        k = bisect_left(active, entry)
+        for y1, y2, j in active[max(k - 1, 0):k + 1]:
+            if y1 <= r.y2 and r.y1 <= y2:
+                raise LaminarityError(
+                    f"rectangles {rects[j].key()} and {r.key()} properly overlap", (j, i))
+        active.insert(k, entry)
+        heappush(closing, (r.x2, entry))
 
 
 def _free_intervals(y1: int, y2: int, blocks: list[tuple[int, int]]) -> list[tuple[int, int]]:

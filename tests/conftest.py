@@ -13,6 +13,11 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+def properly_overlap(a, b):
+    """Rectangles meet and neither contains the other."""
+    return not (a.disjoint(b) or a.contains(b) or b.contains(a))
+
+
 # Worked micro-example used across the suite: decodes to the path 1-2-3.
 # Tree: root 5 over {leaf 2, node 4}, node 4 over leaves {1,3}.
 

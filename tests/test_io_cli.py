@@ -184,3 +184,17 @@ class TestCli:
         f.write_text("4\n5 1 2\n6 3 4\n7 5 6\nB 1 6\nB 3 5\n")
         assert main(["validate", "stm", str(f)]) == 1
         assert main(["decode", str(f)]) == 1
+
+    @pytest.mark.parametrize("model, named", [
+        ("4\n5 1 2\n6 3 4\n7 5 6\nB 1 6\nB 3 5\n", ["(1,6)", "(5,3)", "cross"]),
+        ("2\n3 1 2\nB 3 1\n", ["(3,1)", "not transversal"]),
+    ])
+    def test_matmul_invalid_model_exit1(self, tmp_path, capsys, model, named):
+        f = tmp_path / "x.stm"
+        f.write_text(model)
+        n = int(model.split()[0])
+        mat_f = tmp_path / "m.mat"
+        mat_f.write_text(fio.format_matrix([[0] * n for _ in range(n)]))
+        assert main(["matmul", str(f), str(mat_f)]) == 1
+        err = capsys.readouterr().err
+        assert all(s in err for s in named), err

@@ -105,6 +105,14 @@ class TestAdjacencyMatmul:
             N = [[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]
             got = adjacency_matmul(g, order, N, ibp, check=True)
             assert got == dense_matmul_oracle(g, order, N), seed
+            # unchecked, the product needs only the partition
+            assert adjacency_matmul(None, order, N, ibp) == got, seed
+
+    def test_check_needs_graph(self, p3_model):
+        eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+        with pytest.raises(InputError):
+            adjacency_matmul(None, LinearOrder.identity(3), eye,
+                             stm_to_ibp(p3_model), check=True)
 
     def test_chained_product(self):
         rng = random.Random(11)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stmgraph import (DynamicPointSet, InputError, LaminarityError, Rect,
-                      complement_partition, inclusion_forest)
+                      complement_partition, inclusion_forest, laminar_forest)
+
+from conftest import properly_overlap
 
 
 def brute_forest_parents(rects):
@@ -29,7 +31,7 @@ def random_laminar(rng, grid=64, target=60):
         x1 = rng.randint(1, grid)
         y1 = rng.randint(1, grid)
         r = Rect(x1, rng.randint(x1, grid), y1, rng.randint(y1, grid))
-        ok = all(r.disjoint(s) or r.contains(s) or s.contains(r) for s in out)
+        ok = not any(properly_overlap(r, s) for s in out)
         if ok and all(r.key() != s.key() for s in out):
             out.append(r)
     return out
@@ -97,9 +99,33 @@ class TestInclusionForest:
             inclusion_forest([Rect(1, 2, 3, 4), Rect(1, 2, 3, 4)])
 
     def test_non_laminar_detected(self):
+        # [1,6]^2 contains both overlapping squares, so only the sibling
+        # sweep of laminar_forest sees the overlap
         rects = [Rect(1, 4, 1, 4), Rect(3, 6, 3, 6), Rect(1, 6, 1, 6)]
-        with pytest.raises(LaminarityError):
-            inclusion_forest(rects, check_laminar=True)
+        assert inclusion_forest(rects).parent == [2, 2, None]
+        with pytest.raises(LaminarityError) as info:
+            laminar_forest(rects)
+        assert sorted(info.value.indices) == [0, 1]
+
+    def test_laminar_forest_matches_quadratic_check(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            rects = random_laminar(rng, grid=24, target=rng.randint(1, 30))
+            # one random extra rectangle makes about half the families non-laminar
+            x1, y1 = rng.randint(1, 24), rng.randint(1, 24)
+            extra = Rect(x1, rng.randint(x1, 24), y1, rng.randint(y1, 24))
+            if all(extra.key() != r.key() for r in rects):
+                rects.insert(rng.randrange(len(rects) + 1), extra)
+            bad = any(properly_overlap(a, b)
+                      for i, a in enumerate(rects) for b in rects[i + 1:])
+            try:
+                f = laminar_forest(rects)
+            except LaminarityError as e:
+                i, j = e.indices
+                assert bad and properly_overlap(rects[i], rects[j]), seed
+            else:
+                assert not bad, seed
+                assert f.parent == brute_forest_parents(rects), seed
 
     def test_matches_bruteforce(self):
         for seed in range(50):

@@ -1,14 +1,97 @@
+import itertools
 import random
+import re
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
-                      clean_same_sign, decode_bruteforce, default_edit_log,
-                      graphs_equal, insert_edit, remove_loops, validate)
-from stmgraph.gen import random_stm
+                      ValidationReport, clean_same_sign, decode_bruteforce,
+                      default_edit_log, graphs_equal, insert_edit,
+                      remove_loops, validate)
+from stmgraph.gen import random_stm, random_stm_sparse
 from stmgraph.stm import NEGATIVE, POSITIVE, pair_rects
 
-from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B
+from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, properly_overlap
+
+
+def pairs_cross(stm, e1, e2):
+    """Oracle: some endpoint of each pair is strictly above some endpoint of
+    the other."""
+    def strictly_above(a, e):
+        return any(stm.is_ancestor(a, b) and a != b for b in e)
+
+    return (any(strictly_above(a, e2) for a in e1)
+            and any(strictly_above(b, e1) for b in e2))
+
+
+def validate_oracle(stm, strict=True):
+    """Quadratic reference for ``validate``: every pair of pairs is tested
+    with ``pairs_cross``, and every crossing is listed."""
+    v = []
+    num_nodes = 2 * stm.n - 1
+    for t in range(stm.n + 1, num_nodes + 1):
+        if t not in stm.children:
+            v.append(("tree", f"internal node {t} has no children"))
+    for p in sorted(stm.pairs_a & stm.pairs_b):
+        v.append(("overlap", f"pair {p} is both positive and negative"))
+    pairs = list(stm.pairs_signed())
+    for x, y, _ in pairs:
+        if x == y:
+            if strict:
+                v.append(("loop", f"pair ({x},{y}) is a loop"))
+        elif stm.is_ancestor(x, y) or stm.is_ancestor(y, x):
+            v.append(("transversal", f"pair ({x},{y}) is not transversal"))
+    for i in range(len(pairs)):
+        x1, y1, _ = pairs[i]
+        for x2, y2, _ in pairs[i + 1:]:
+            if pairs_cross(stm, (x1, y1), (x2, y2)):
+                v.append(("crossing", f"pairs ({x1},{y1}) and ({x2},{y2}) cross"))
+    return ValidationReport(ok=not v, violations=v)
+
+
+def is_transversal(stm, pair):
+    x, y = pair
+    return not (stm.is_ancestor(x, y) or stm.is_ancestor(y, x))
+
+
+def named_pairs(message):
+    return [(int(x), int(y)) for x, y in re.findall(r"\((\d+),(\d+)\)", message)]
+
+
+@st.composite
+def perturbed_models(draw):
+    """A valid random model plus injected crossing, non-transversal,
+    duplicate-sign, loop and uniform random pairs."""
+    n = draw(st.integers(1, 24))
+    model = random_stm(n, draw(st.integers(0, 3 * n)), seed=draw(st.integers(0, 1 << 16)))
+    pairs = [set(model.pairs_a), set(model.pairs_b)]
+    node = st.integers(1, 2 * n - 1)
+    for kind in draw(st.lists(st.sampled_from(
+            ("crossing", "non-transversal", "duplicate", "loop", "uniform")), max_size=4)):
+        side = draw(st.integers(0, 1))
+        if kind == "crossing":
+            # a child of one endpoint with the parent of the other crosses
+            # the pair whenever it is transversal
+            internal = [(x, y) for x, y in pairs[0] | pairs[1] if x in model.children]
+            if internal:
+                x, y = draw(st.sampled_from(sorted(internal)))
+                pair = (draw(st.sampled_from(model.children[x])), model.parent[y] or y)
+                pairs[side].add(pair)
+        elif kind == "non-transversal":
+            t = draw(node)
+            if model.parent[t]:
+                pairs[side].add((model.parent[t], t))
+        elif kind == "duplicate":
+            if pairs[1 - side]:
+                pairs[side].add(draw(st.sampled_from(sorted(pairs[1 - side]))))
+        elif kind == "loop":
+            t = draw(node)
+            pairs[side].add((t, t))
+        else:
+            pairs[side].add((draw(node), draw(node)))
+    return model.with_pairs(*pairs)
 
 
 def random_loopy(n, seed):
@@ -78,6 +161,33 @@ class TestValidate:
         model = SignedTreeModel(2, {3: (1, 2)}, pairs_a=[(1, 2)], pairs_b=[(1, 2)])
         assert any(k == "overlap" for k, _ in validate(model).violations)
 
+    @settings(max_examples=600, deadline=None)
+    @given(perturbed_models(), st.booleans())
+    def test_matches_quadratic_oracle(self, model, strict):
+        report = validate(model, strict=strict)
+        oracle = validate_oracle(model, strict=strict)
+        assert report.ok == oracle.ok
+        assert ([v for v in report.violations if v[0] != "crossing"]
+                == [v for v in oracle.violations if v[0] != "crossing"])
+        crossings = [m for k, m in report.violations if k == "crossing"]
+        assert len(crossings) <= 1
+        # crossings that involve a non-transversal pair are not reported
+        # separately: that pair is a violation already
+        transversal_crossing = any(
+            all(is_transversal(model, e) for e in named_pairs(m))
+            for k, m in oracle.violations if k == "crossing")
+        assert bool(crossings) == transversal_crossing
+        if crossings:
+            e1, e2 = named_pairs(crossings[0])
+            assert pairs_cross(model, e1, e2)
+
+    def test_scaling(self):
+        model = random_stm_sparse(4096, 16384, seed=0)
+        start = time.perf_counter()
+        assert validate(model).ok
+        # the quadratic check takes minutes here
+        assert time.perf_counter() - start < 30
+
 
 class TestDecode:
     def test_fig1_caption(self, fig1_model):
@@ -105,12 +215,23 @@ class TestDecode:
             decode_bruteforce(model)
 
     def test_rect_laminarity(self):
+        # a valid model's rectangles are laminar; with random pairs added,
+        # transversal pairs cross iff their rectangles properly overlap
+        crossing = 0
         for seed in range(50):
+            rng = random.Random(seed)
             model = random_stm(16, 40, seed=seed)
-            rects = pair_rects(model)
-            for i, a in enumerate(rects):
-                for b in rects[i + 1:]:
-                    assert a.disjoint(b) or a.contains(b) or b.contains(a)
+            for a, b in itertools.combinations(pair_rects(model), 2):
+                assert not properly_overlap(a, b), seed
+            extra = {model.canonical_pair(rng.randrange(1, 31), rng.randrange(1, 31))
+                     for _ in range(20)}
+            model = model.with_pairs(model.pairs_a, model.pairs_b | extra)
+            rects = [r for r in pair_rects(model) if is_transversal(model, r.payload[0])]
+            for a, b in itertools.combinations(rects, 2):
+                cross = pairs_cross(model, a.payload[0], b.payload[0])
+                assert properly_overlap(a, b) == cross, seed
+                crossing += cross
+        assert crossing > 0
 
 
 class TestRemoveLoops:
