@@ -24,7 +24,7 @@ def bench_pipeline(ns: Iterable[int] = (1 << 10, 1 << 11, 1 << 12, 1 << 13),
                    pairs_per_n: int = 4, seed: int = 0,
                    out=None) -> list[dict]:
     """Sparse random models at each scale: convert, build the distance model,
-    run one SSSP and one matvec, and log times plus op counters."""
+    run one SSSP on it and one matvec, and log times plus op counters."""
     records = []
     xs = []
     ys = []
@@ -38,7 +38,7 @@ def bench_pipeline(ns: Iterable[int] = (1 << 10, 1 << 11, 1 << 12, 1 << 13),
         dm = dag_to_distance_model(dag)
         t3 = time.perf_counter()
         counters: dict = {}
-        sssp(dag, 1, counters=counters)
+        sssp(dm, 1, counters=counters)
         t4 = time.perf_counter()
         mm: dict = {}
         ibp_matvec(ibp, list(range(n)), counters=mm)
@@ -55,9 +55,7 @@ def bench_pipeline(ns: Iterable[int] = (1 << 10, 1 << 11, 1 << 12, 1 << 13),
         ys.append(counters["ops"])
         if out is not None:
             print(_record(stage="pipeline", **rec), file=out)
-    # least-squares slope of sssp ops against p*log2(n), through the origin
-    denom = sum(x * x for x in xs)
-    slope = sum(x * y for x, y in zip(xs, ys)) / denom if denom else 0.0
+    slope, _ = fit_through_origin(xs, ys)  # sssp ops against p*log2(n)
     if out is not None:
         print(_record(stage="fit", metric="sssp_ops_per_plogn", slope=round(slope, 3)),
               file=out)

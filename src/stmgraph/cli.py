@@ -11,13 +11,13 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as fio
-from .convert import (IntervalBicliquePartition, SequenceError, cseq_replay,
-                      cseq_shorten, cseq_to_stm, ibp_to_dag, ibp_to_graph,
-                      ibp_to_positive_model, sdseq_to_stm, stm_to_ibp)
+from .convert import (SequenceError, cseq_replay, cseq_shorten, cseq_to_stm,
+                      ibp_to_dag, ibp_to_graph, ibp_to_positive_model,
+                      sdseq_to_stm, stm_to_ibp)
 from .gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
 from .graph import Graph, LinearOrder, graphs_equal
 from .matmul import adjacency_matmul
-from .paths import apsp, dag_to_distance_model, scattered_maximal_subset, sssp
+from .paths import _as_distance_model, apsp, scattered_maximal_subset, sssp
 from .sddegen import (CapExceeded, SdConfig, preset_symdiff, preset_twinwidth,
                       sd_sequence_randomized, validate_sequence)
 from .stm import InvalidModelError, decode_bruteforce, validate
@@ -239,10 +239,7 @@ def cmd_matmul(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    rep = _load_rep(args.file, args.kind)
-    dag = rep if args.kind == "dag" else ibp_to_dag(
-        rep if isinstance(rep, IntervalBicliquePartition) else stm_to_ibp(rep))
-    dm = dag_to_distance_model(dag)
+    dm = _as_distance_model(_load_rep(args.file, args.kind))
     X = ([int(x) for x in args.x.split(",")] if args.x
          else list(range(1, dm.n + 1)))
     S = scattered_maximal_subset(dm, X, args.c, args.r)

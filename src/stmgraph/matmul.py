@@ -3,13 +3,17 @@
 The kernel multiplies the adjacency matrix (in the partition's order) by a
 vector using only group additions and subtractions: prefix sums of the input,
 one range update per symmetrized biclique, and a final prefix sum of the
-difference vector.
+difference vector.  For wrapping 64-bit integers it runs as a few numpy int64
+array calls, on one vector or on a block of columns at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .convert import IntervalBicliquePartition
 from .graph import Graph, InputError, LinearOrder
@@ -40,6 +44,48 @@ INT64_GROUP = AdditiveGroup(
     zero=0,
 )
 
+# Columns per int64 kernel call in adjacency_matmul: enough to amortize the
+# per-call work, few enough that the kernel's temporaries (at most two
+# |B| x _BLOCK int64 arrays at a time) stay small beside the n x n output.
+_BLOCK = 16
+
+
+def _int64_array(x) -> np.ndarray:
+    """``x`` (a vector or a block of rows) as int64, every entry reduced into
+    the 64-bit group exactly as INT64_GROUP reduces it."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biu":
+        # ints outside int64 come back as object or (when mixed) lossy float
+        # arrays, so wrap the originals; a non-integer entry raises TypeError
+        flat = chain.from_iterable(x) if a.ndim == 2 else x
+        a = np.array([_wrap(v) for v in flat], dtype=np.int64).reshape(a.shape)
+    return a.astype(np.int64, copy=False)  # from uint64 this wraps, as _wrap does
+
+
+def _int64_matvec(ibp: IntervalBicliquePartition, x, counters: Optional[dict]):
+    """The kernel in numpy int64 arithmetic, whose wrap-around is that of
+    INT64_GROUP; ``x`` is one vector or an (n, k) block of columns."""
+    n = ibp.n
+    xs = _int64_array(x)
+    quads = np.fromiter(chain.from_iterable(ibp.bicliques), dtype=np.intp,
+                        count=4 * len(ibp.bicliques)).reshape(-1, 4)
+    prefix = np.zeros((n + 1,) + xs.shape[1:], dtype=np.int64)
+    np.cumsum(xs, axis=0, out=prefix[1:])
+    diff = np.zeros((n + 2,) + xs.shape[1:], dtype=np.int64)
+    a, b, c, d = quads.T
+    # the two orientations of each biclique in turn, which halves the
+    # temporaries against stacking them: (a,b,c,d), then (c,d,a,b)
+    for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):
+        xbar = prefix[b2]  # a copy: fancy indexing
+        xbar -= prefix[b1 - 1]
+        np.add.at(diff, a1, xbar)
+        np.subtract.at(diff, a2 + 1, xbar)  # row n+1 (a2 = n) is never read
+    out = np.cumsum(diff[1:n + 1], axis=0)
+    if counters is not None:
+        # the count the Python loop in ibp_matvec makes on the same input
+        counters["ops"] = 2 * n + 4 * len(quads) + int(np.count_nonzero(quads[:, 1::2] < n))
+    return out if xs.ndim == 2 else out.tolist()
+
 
 def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
                group: AdditiveGroup = INT64_GROUP,
@@ -50,10 +96,16 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
     Prefix sums of x; per symmetrized biclique (a1,a2,b1,b2) add
     xbar = X_<=b2 - X_<=b1-1 at D[a1] and subtract it at D[a2+1]; prefix-sum
     D.  ``counters``, if given, receives the group-op count under "ops".
+
+    Under INT64_GROUP the steps run as numpy int64 array calls; ``x`` may
+    then also be an (n, k) block of columns, and the result is an (n, k)
+    int64 array.  Any other group runs them as a Python loop.
     """
     n = ibp.n
     if len(x) != n:
         raise InputError(f"vector length {len(x)} does not match n={n}")
+    if group is INT64_GROUP:
+        return _int64_matvec(ibp, x, counters)
     add, sub, zero = group.add, group.sub, group.zero
     ops = 0
     prefix = [zero] * (n + 1)  # prefix[i] = sum of x[0..i-1]
@@ -101,8 +153,10 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
                      ibp: IntervalBicliquePartition,
                      group: AdditiveGroup = INT64_GROUP,
                      check: bool = False) -> list[list]:
-    """adj(g) in the caller's ``order`` times ``n_matrix``, column by column:
-    permute into the partition's order, run the matvec kernel, permute back.
+    """adj(g) in the caller's ``order`` times ``n_matrix``: permute into the
+    partition's order, run the matvec kernel, permute back.  Under
+    INT64_GROUP the kernel takes blocks of columns; other groups go one
+    column at a time.
 
     ``check`` verifies once that the partition decodes to g.  Without it the
     product is computed from the partition alone, and g may be None, so the
@@ -120,14 +174,19 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
         raise InputError("partition does not decode to the given graph")
     # vertex at kernel position q sits at caller position order.pos(vertex)
     caller_pos = [order.pos(ibp.order.at(q)) for q in range(1, n + 1)]
+    rows = [n_matrix[p - 1] for p in caller_pos]
     out = [[group.zero] * n for _ in range(n)]
-    col = [group.zero] * n
-    for j in range(n):
-        for q in range(n):
-            col[q] = n_matrix[caller_pos[q] - 1][j]
-        res = ibp_matvec(ibp, col, group)
-        for q in range(n):
-            out[caller_pos[q] - 1][j] = res[q]
+    dest = [out[p - 1] for p in caller_pos]
+    if group is INT64_GROUP:
+        for j in range(0, n, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            res = ibp_matvec(ibp, [row[cols] for row in rows])
+            for row, vals in zip(dest, res.tolist()):
+                row[cols] = vals
+    else:
+        for j in range(n):
+            for row, v in zip(dest, ibp_matvec(ibp, [row[j] for row in rows], group)):
+                row[j] = v
     return out
 
 

@@ -1,12 +1,37 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmgraph import (INT64_GROUP, AdditiveGroup, InputError, LinearOrder,
                       adjacency_matmul, decode_bruteforce, ibp_matvec,
                       stm_to_ibp)
 from stmgraph.gen import random_stm
-from stmgraph.matmul import dense_matmul_oracle, dense_matvec_oracle
+from stmgraph.matmul import _BLOCK, dense_matmul_oracle, dense_matvec_oracle
+
+# INT64_GROUP's operations under another identity, which takes the generic
+# Python path instead of the numpy int64 kernel
+GENERIC_INT64 = AdditiveGroup(INT64_GROUP.add, INT64_GROUP.sub, INT64_GROUP.zero)
+
+# Entry ranges the int64 kernel converts differently: int64 itself, uint64
+# (wrapped by astype), mixed signs past 2**63 (numpy infers float64) and
+# integers wider than 64 bits (object arrays).
+RANGES = [(-2 ** 63, 2 ** 63), (2 ** 63, 2 ** 64), (-2 ** 64, 2 ** 64), (-2 ** 90, 2 ** 90)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A partition (no bicliques, n = 1 and n past two column blocks
+    included), a random caller order, and a seeded rng for the entries."""
+    n = draw(st.one_of(st.integers(1, 2 * _BLOCK + 5),
+                       st.sampled_from([_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1])))
+    pairs = draw(st.one_of(st.just(0), st.integers(0, 3 * n)))
+    model = random_stm(n, pairs, seed=draw(st.integers(0, 1 << 16)))
+    order = LinearOrder.from_vertex_sequence(draw(st.permutations(range(1, n + 1))))
+    lo, hi = draw(st.sampled_from(RANGES))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    return model, order, lambda: rng.randrange(lo, hi)
 
 
 class TestGroup:
@@ -69,6 +94,29 @@ class TestIbpMatvec:
             ibp_matvec(ibp, [1] * n, counters=counters)
             assert counters["ops"] <= 8 * (n + len(ibp.bicliques)), seed
 
+    def test_wrapping_entries(self, p3_model):
+        ibp = stm_to_ibp(p3_model)
+        # numpy infers float64 for this mix; the kernel must not lose bits
+        x = [-1, 2 ** 63 + 1, 2 ** 64 + 3]
+        assert ibp_matvec(ibp, x) == ibp_matvec(ibp, x, GENERIC_INT64)
+        with pytest.raises(TypeError):
+            ibp_matvec(ibp, [1.5, 0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_int64_kernel_matches_generic(self, case):
+        model, _, entry = case
+        ibp = stm_to_ibp(model)
+        x = [entry() for _ in range(model.n)]
+        fast, slow = {}, {}
+        got = ibp_matvec(ibp, x, counters=fast)
+        assert got == ibp_matvec(ibp, x, GENERIC_INT64, counters=slow)
+        assert fast == slow
+        assert got == dense_matvec_oracle(decode_bruteforce(model), ibp.order, x)
+        block = ibp_matvec(ibp, [[v, 0] for v in x])
+        assert block.dtype == np.int64 and block.shape == (model.n, 2)
+        assert block[:, 0].tolist() == got and not block[:, 1].any()
+
     def test_custom_group(self, p3_model):
         # tuples of ints under componentwise addition
         grp = AdditiveGroup(add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
@@ -107,6 +155,17 @@ class TestAdjacencyMatmul:
             assert got == dense_matmul_oracle(g, order, N), seed
             # unchecked, the product needs only the partition
             assert adjacency_matmul(None, order, N, ibp) == got, seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_int64_blocks_match_generic(self, case):
+        model, order, entry = case
+        n = model.n
+        ibp = stm_to_ibp(model)
+        N = [[entry() for _ in range(n)] for _ in range(n)]
+        got = adjacency_matmul(None, order, N, ibp)
+        assert got == adjacency_matmul(None, order, N, ibp, group=GENERIC_INT64)
+        assert got == dense_matmul_oracle(decode_bruteforce(model), order, N)
 
     def test_check_needs_graph(self, p3_model):
         eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]

@@ -2,6 +2,7 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmgraph import (DistanceModel, InputError, apsp,
                       bfs_sssp_oracle, dag_to_distance_model,
@@ -36,6 +37,20 @@ def dijkstra_oracle(dm: DistanceModel, source: int) -> list[int]:
                 dist[v] = d + w
                 heapq.heappush(pq, (d + w, v))
     return dist
+
+
+@st.composite
+def raw_models(draw):
+    """Raw 0-1 models: shared vertices 1..n among nodes 1..num_nodes, random
+    edges plus one weight-0 cycle; nodes no edge enters are unreachable."""
+    n = draw(st.integers(1, 12))
+    num_nodes = n + draw(st.integers(0, 12))
+    node = st.integers(1, num_nodes)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 1)),
+                          max_size=3 * num_nodes))
+    cycle = draw(st.lists(node, max_size=5, unique=True))
+    edges += [(u, v, 0) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    return DistanceModel(n, num_nodes, edges)
 
 
 class TestDistanceModel:
@@ -137,6 +152,19 @@ class TestSssp:
 class TestApsp:
     def test_p3(self, p3_model):
         assert apsp(p3_model) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+    def test_single_vertex(self):
+        assert apsp(DistanceModel(1, 1, [])) == [[0]]
+        assert apsp(DistanceModel(1, 3, [(1, 2, 0), (2, 3, 0), (3, 1, 1)])) == [[0]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_models())
+    def test_matches_per_source_bfs(self, dm):
+        want = []
+        for s in range(1, dm.n + 1):
+            res = zero_one_bfs(dm, s)
+            want.append([d if d < res.INF else dm.n for d in res.dist[1:dm.n + 1]])
+        assert apsp(dm) == want
 
     def test_edgeless(self):
         model = random_stm(4, 0, seed=0)
