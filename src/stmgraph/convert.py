@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import Graph, InputError, LinearOrder
-from .rect import Rect, complement_partition, inclusion_forest
-from .stm import SignedTreeModel, clean_same_sign, pair_rects, remove_loops
+from .rect import Rect, complement_partition
+from .stm import (SignedTreeModel, _checked_forest, clean_same_sign, pair_rects,
+                  remove_loops)
 
 INF_STEP = float("inf")
 
@@ -177,22 +178,25 @@ def stm_to_rects(stm: SignedTreeModel) -> tuple[list[Rect], LinearOrder]:
 def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
     """Convert a signed tree model into an interval biclique partition.
 
-    Clean to alternating signs, build the rectangle inclusion forest, and for
-    each positive rectangle emit the complement partition of its negative
-    children.  Negative roots emit nothing; positive rectangles without
-    children emit themselves.  At most 3|A| + |B| bicliques (post-cleaning).
+    Clean to alternating signs on the model's rectangle inclusion forest,
+    and for each positive rectangle of the cleaned forest emit the
+    complement partition of its negative children.  Negative roots emit
+    nothing; positive rectangles without children emit themselves.  At most
+    3|A| + |B| bicliques (post-cleaning).  The forest is built once:
+    ``clean_same_sign`` hands the cleaned model its spliced forest.
+
+    Raises InvalidModelError with the messages of ``validate(stm)`` on an
+    invalid model; loops are violations there, so run remove_loops first.
     """
-    cleaned = clean_same_sign(stm)
-    rects, order = stm_to_rects(cleaned)
-    forest = inclusion_forest(rects)
+    rects, forest, _ = _checked_forest(clean_same_sign(stm))
     bicliques: list[tuple[int, int, int, int]] = []
     for i, r in enumerate(rects):
-        if r.payload[1] < 0:
-            continue
-        holes = [rects[c] for c in forest.children[i]]
-        for piece in complement_partition(r, holes):
-            bicliques.append((piece.x1, piece.x2, piece.y1, piece.y2))
-    return IntervalBicliquePartition(order, bicliques)
+        if r.payload[1] > 0:
+            holes = [rects[c] for c in forest.children[i]]
+            for piece in complement_partition(r, holes):
+                bicliques.append((piece.x1, piece.x2, piece.y1, piece.y2))
+    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order),
+                                     bicliques)
 
 
 def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:

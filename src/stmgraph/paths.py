@@ -31,7 +31,7 @@ class DistanceModel:
     internal ids; bottom-copy internals are shifted past them.
     """
 
-    __slots__ = ("n", "num_nodes", "adj", "_radj", "num_edges")
+    __slots__ = ("n", "num_nodes", "adj", "num_edges")
 
     def __init__(self, n: int, num_nodes: int, edges: Iterable[tuple[int, int, int]]):
         self.n = n
@@ -45,20 +45,10 @@ class DistanceModel:
             m += 1
         self.adj = adj
         self.num_edges = m
-        self._radj: Optional[list[list[tuple[int, int]]]] = None
 
     @property
     def size(self) -> int:
         return self.num_nodes + self.num_edges
-
-    def reverse_adj(self) -> list[list[tuple[int, int]]]:
-        if self._radj is None:
-            radj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes + 1)]
-            for x, lst in enumerate(self.adj):
-                for y, w in lst:
-                    radj[y].append((x, w))
-            self._radj = radj
-        return self._radj
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,11 @@ def sssp(rep: Representation, source: int,
          counters: Optional[dict] = None) -> ShortestPathTree:
     """Shortest-path tree from ``source`` on any representation in the
     pipeline.  ``counters``, if given, receives the relaxation count and
-    model size under keys "ops" and "model_size"."""
+    model size under keys "ops" and "model_size".
+
+    An invalid signed tree model raises InvalidModelError from
+    ``stm_to_ibp``; a partition, DAG or distance model is trusted as built.
+    """
     dm = _as_distance_model(rep)
     res = zero_one_bfs(dm, source)
     if counters is not None:
@@ -181,6 +175,9 @@ def apsp(rep: Representation) -> list[list[int]]:
     edges by a worklist (correct on any model, zero-weight cycles included),
     each shared vertex's new bits are written into the matrix, and the
     weight-1 edges are crossed from the nodes that gained bits only.
+
+    Like ``sssp``, rejects an invalid signed tree model with
+    InvalidModelError.
     """
     dm = _as_distance_model(rep)
     n, adj = dm.n, dm.adj
@@ -235,8 +232,14 @@ def scattered_maximal_subset(dm: DistanceModel, X: Iterable[int], c: int, r: int
     """Greedy maximal r-scattered subset of X of size at most c.
 
     Repeatedly take the smallest remaining id and remove everything within
-    graph distance r of it, found by radius-bounded forward and backward BFS
-    on the distance model.
+    graph distance r of it, found by one radius-bounded BFS from it on the
+    distance model.
+
+    Precondition: distances between shared vertices are symmetric in ``dm``,
+    so the search from the pick also gives the distances into it.  Every
+    ``dag_to_distance_model`` output is: each compressed edge {x,y} gives
+    both bottom(x)->top(y) and bottom(y)->top(x), and the two copies carry
+    the DAG's edges in opposite directions.
     """
     if c < 1 or r < 1:
         raise InputError("c and r must be at least 1")
@@ -248,11 +251,8 @@ def scattered_maximal_subset(dm: DistanceModel, X: Iterable[int], c: int, r: int
     while rest and len(out) < c:
         x = rest[0]
         out.append(x)
-        fwd = _zero_one_bfs(dm.adj, dm.n, dm.num_nodes, x, r)
-        bwd = _zero_one_bfs(dm.reverse_adj(), dm.n, dm.num_nodes, x, r)
-        near = {v for v in rest
-                if min(fwd.dist[v], bwd.dist[v]) <= r}
-        rest = [v for v in rest if v not in near and v != x]
+        dist = _zero_one_bfs(dm.adj, dm.n, dm.num_nodes, x, r).dist
+        rest = [v for v in rest if dist[v] > r]
     return out
 
 

@@ -11,12 +11,12 @@ positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .graph import Graph, InputError
-from .rect import LaminarityError, Rect, inclusion_forest, laminar_forest
+from .rect import InclusionForest, LaminarityError, Rect, laminar_forest
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -61,7 +61,7 @@ class SignedTreeModel:
     """Immutable signed tree model.  All edit operations return new models."""
 
     __slots__ = ("n", "children", "parent", "root", "pairs_a", "pairs_b",
-                 "_tin", "_tout", "leaf_order", "leaf_pos", "_lo", "_hi")
+                 "_tin", "_tout", "leaf_order", "leaf_pos", "_lo", "_hi", "_checked")
 
     def __init__(self, n: int,
                  children: Mapping[int, tuple[int, int]],
@@ -138,6 +138,7 @@ class SignedTreeModel:
 
         self.pairs_a = canon(pairs_a)
         self.pairs_b = canon(pairs_b)
+        self._checked = None  # set by clean_same_sign, see _checked_forest
 
     # -- structure queries ------------------------------------------------
 
@@ -219,6 +220,23 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     transversal, a loop crosses nothing, and a non-transversal pair is a
     violation already.
     """
+    v = [e for e in _checked_forest(stm)[2] if strict or e[0] != "loop"]
+    return ValidationReport(ok=not v, violations=v)
+
+
+def _checked_forest(stm: SignedTreeModel
+                    ) -> tuple[list[Rect], Optional[InclusionForest], list[tuple[str, str]]]:
+    """The rectangles of the transversal pairs, each pair once with payload
+    ``(pair, sign)`` in ``pairs_signed`` order, their laminar forest (None
+    if they cross), and ``validate``'s strict-mode violations, all from one
+    pass.  On a valid model the rectangles are ``pair_rects(stm)``.
+
+    A model made by ``clean_same_sign`` carries these, derived from its
+    input's; for any other model they are built here and not kept, so a
+    long-lived model does not hold its rectangles.
+    """
+    if stm._checked is not None:
+        return stm._checked
     v: list[tuple[str, str]] = []
     num_nodes = 2 * stm.n - 1
     for t in range(stm.n + 1, num_nodes + 1):
@@ -227,26 +245,25 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     overlap = stm.pairs_a & stm.pairs_b
     for p in sorted(overlap):
         v.append(("overlap", f"pair {p} is both positive and negative"))
-    rects: dict[Pair, Rect] = {}  # transversal pairs, each once
-    for x, y, _ in stm.pairs_signed():
+    rects: list[Rect] = []
+    for x, y, sign in stm.pairs_signed():
         if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
             v.append(("range", f"pair ({x},{y}) references unknown nodes"))
             continue
         if x == y:
-            if strict:
-                v.append(("loop", f"pair ({x},{y}) is a loop"))
+            v.append(("loop", f"pair ({x},{y}) is a loop"))
             continue
         if stm.is_ancestor(x, y) or stm.is_ancestor(y, x):
             v.append(("transversal", f"pair ({x},{y}) is not transversal"))
-        elif (x, y) not in rects:
-            rects[(x, y)] = Rect(*stm.leaf_interval(x), *stm.leaf_interval(y))
+        elif sign < 0 or (x, y) not in overlap:  # both-sign pair: once, as negative
+            rects.append(Rect(*stm.leaf_interval(x), *stm.leaf_interval(y),
+                              payload=((x, y), sign)))
     try:
-        laminar_forest(rects.values())
+        return rects, laminar_forest(rects), v
     except LaminarityError as e:
-        pairs = list(rects)
-        (x1, y1), (x2, y2) = (pairs[i] for i in sorted(e.indices))
+        (x1, y1), (x2, y2) = (rects[i].payload[0] for i in sorted(e.indices))
         v.append(("crossing", f"pairs ({x1},{y1}) and ({x2},{y2}) cross"))
-    return ValidationReport(ok=not v, violations=v)
+    return rects, None, v
 
 
 def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
@@ -312,18 +329,34 @@ def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
 def clean_same_sign(stm: SignedTreeModel) -> SignedTreeModel:
     """Drop every pair whose parent in the rectangle inclusion forest has the
     same sign; afterwards signs strictly alternate along the forest and the
-    decoded graph is unchanged."""
-    rects = pair_rects(stm)
-    forest = inclusion_forest(rects)
-    pairs_a = set(stm.pairs_a)
-    pairs_b = set(stm.pairs_b)
-    for i, p in enumerate(forest.parent):
-        if p is None:
-            continue
-        pair, s = rects[i].payload
-        if s == rects[p].payload[1]:
-            (pairs_a if s < 0 else pairs_b).discard(pair)
-    return stm.with_pairs(pairs_a, pairs_b)
+    decoded graph is unchanged.
+
+    Raises InvalidModelError with the messages of ``validate(stm)`` on an
+    invalid model.  The cleaned model keeps the forest of this one with the
+    dropped rectangles spliced out (their children move up to the nearest
+    kept ancestor, the smallest kept rectangle containing them), so its own
+    forest is never built again.
+    """
+    rects, forest, v = _checked_forest(stm)
+    if v:
+        raise InvalidModelError("; ".join(m for _, m in v))
+    kept_above = list(range(len(rects)))  # nearest kept ancestor-or-self
+    stack = list(forest.roots)
+    while stack:
+        i = stack.pop()
+        p = forest.parent[i]
+        if p is not None and rects[p].payload[1] == rects[i].payload[1]:
+            kept_above[i] = kept_above[p]
+        stack.extend(forest.children[i])
+    kept = [i for i, k in enumerate(kept_above) if k == i]
+    new_id = {i: j for j, i in enumerate(kept)}
+    parent = [None if p is None else new_id[kept_above[p]]
+              for p in (forest.parent[i] for i in kept)]
+    kept_rects = [rects[i] for i in kept]
+    cleaned = stm.with_pairs([r.payload[0] for r in kept_rects if r.payload[1] < 0],
+                             [r.payload[0] for r in kept_rects if r.payload[1] > 0])
+    cleaned._checked = (kept_rects, InclusionForest(kept_rects, parent), [])
+    return cleaned
 
 
 def default_edit_log(stm: SignedTreeModel) -> EditLog:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from stmgraph import SignedTreeModel
+from stmgraph.gen import random_stm
 
 # Filled in by test_acceptance.py; echoed after the run so the per-criterion
 # verdict lines survive pytest's output capture.
@@ -16,6 +18,40 @@ def pytest_terminal_summary(terminalreporter):
 def properly_overlap(a, b):
     """Rectangles meet and neither contains the other."""
     return not (a.disjoint(b) or a.contains(b) or b.contains(a))
+
+
+@st.composite
+def perturbed_models(draw):
+    """A valid random model plus injected crossing, non-transversal,
+    duplicate-sign, loop and uniform random pairs."""
+    n = draw(st.integers(1, 24))
+    model = random_stm(n, draw(st.integers(0, 3 * n)), seed=draw(st.integers(0, 1 << 16)))
+    pairs = [set(model.pairs_a), set(model.pairs_b)]
+    node = st.integers(1, 2 * n - 1)
+    for kind in draw(st.lists(st.sampled_from(
+            ("crossing", "non-transversal", "duplicate", "loop", "uniform")), max_size=4)):
+        side = draw(st.integers(0, 1))
+        if kind == "crossing":
+            # a child of one endpoint with the parent of the other crosses
+            # the pair whenever it is transversal
+            internal = [(x, y) for x, y in pairs[0] | pairs[1] if x in model.children]
+            if internal:
+                x, y = draw(st.sampled_from(sorted(internal)))
+                pair = (draw(st.sampled_from(model.children[x])), model.parent[y] or y)
+                pairs[side].add(pair)
+        elif kind == "non-transversal":
+            t = draw(node)
+            if model.parent[t]:
+                pairs[side].add((model.parent[t], t))
+        elif kind == "duplicate":
+            if pairs[1 - side]:
+                pairs[side].add(draw(st.sampled_from(sorted(pairs[1 - side]))))
+        elif kind == "loop":
+            t = draw(node)
+            pairs[side].add((t, t))
+        else:
+            pairs[side].add((draw(node), draw(node)))
+    return model.with_pairs(*pairs)
 
 
 # Worked micro-example used across the suite: decodes to the path 1-2-3.

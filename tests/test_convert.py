@@ -1,18 +1,57 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
 
 from stmgraph import (ConstructionSequence, Graph, InputError,
-                      PartitionViolation, SdDegenSequence, SequenceError,
-                      clean_same_sign, cover_set, cseq_replay, cseq_shorten,
-                      cseq_to_stm, dag_to_graph, decode_bruteforce,
-                      graphs_equal, ibp_to_dag, ibp_to_graph,
-                      ibp_to_positive_model, radius_r_width, sdseq_to_stm,
+                      InvalidModelError, PartitionViolation, SdDegenSequence,
+                      SequenceError, clean_same_sign, complement_partition,
+                      cover_set, cseq_replay, cseq_shorten, cseq_to_stm,
+                      dag_to_graph, decode_bruteforce, graphs_equal,
+                      ibp_to_dag, ibp_to_graph, ibp_to_positive_model,
+                      inclusion_forest, radius_r_width, sdseq_to_stm,
                       stm_to_ibp, stm_to_rects, validate)
+from stmgraph import io as fio
 from stmgraph.convert import BalancedTree, IntervalBicliquePartition
 from stmgraph.graph import LinearOrder
-from stmgraph.gen import planted_sdseq, random_cseq, random_stm
+from stmgraph.stm import pair_rects
+from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
+
+from conftest import perturbed_models
+
+
+def stm_to_ibp_oracle(stm):
+    """The composition ``stm_to_ibp`` replaced: clean the model into a new
+    one on a fresh inclusion forest, build its rectangles and inclusion
+    forest again, and let each positive rectangle emit the complement of its
+    (negative) children."""
+    rects = pair_rects(stm)
+    parent = inclusion_forest(rects).parent
+    drop = {rects[i].payload[0] for i, p in enumerate(parent)
+            if p is not None and rects[p].payload[1] == rects[i].payload[1]}
+    rects, order = stm_to_rects(stm.with_pairs(stm.pairs_a - drop, stm.pairs_b - drop))
+    forest = inclusion_forest(rects)
+    bicliques = []
+    for i, r in enumerate(rects):
+        if r.payload[1] > 0:
+            holes = [rects[c] for c in forest.children[i]]
+            bicliques += [(p.x1, p.x2, p.y1, p.y2) for p in complement_partition(r, holes)]
+    return IntervalBicliquePartition(order, bicliques)
+
+
+def seed_family_models():
+    """Random models, models built from planted sd-sequences, and sparse
+    random models up to the benchmark's n = 16384."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 64)
+        yield random_stm(n, rng.randint(0, 4 * n), seed=seed)
+    for seed in range(20):
+        yield sdseq_to_stm(*planted_sdseq(64, seed % 5, seed=seed))
+    for n in (256, 1024, 16384):
+        yield random_stm_sparse(n, 4 * n, seed=0)
 
 
 class TestStmToRects:
@@ -59,6 +98,36 @@ class TestStmToIbp:
             model = random_stm(n, rng.randint(0, 4 * n), seed=seed)
             ibp = stm_to_ibp(model)
             assert graphs_equal(ibp_to_graph(ibp), decode_bruteforce(model)), seed
+
+    def test_matches_clean_then_rebuild_oracle(self):
+        dropped = 0
+        for model in seed_family_models():
+            assert fio.format_ibp(stm_to_ibp(model)) == fio.format_ibp(stm_to_ibp_oracle(model))
+            dropped += model.num_pairs - clean_same_sign(model).num_pairs
+        # the families exercise the pairs that cleaning drops
+        assert dropped > 0
+
+    def test_one_forest_per_conversion(self, monkeypatch):
+        # the cleaned model carries its forest instead of building a second
+        import stmgraph.rect
+        calls = []
+        build = stmgraph.rect.inclusion_forest
+        monkeypatch.setattr(stmgraph.rect, "inclusion_forest",
+                            lambda rects: calls.append(1) or build(rects))
+        stm_to_ibp(random_stm(64, 200, seed=3))
+        assert len(calls) == 1
+
+    @settings(max_examples=600, deadline=None)
+    @given(perturbed_models())
+    def test_rejects_what_validate_rejects(self, model):
+        report = validate(model)
+        if report.ok:
+            assert fio.format_ibp(stm_to_ibp(model)) == fio.format_ibp(stm_to_ibp_oracle(model))
+            return
+        with pytest.raises(InvalidModelError) as e:
+            stm_to_ibp(model)
+        assert str(e.value) == "; ".join(report.messages())
+        assert re.search(r"\(\d+, ?\d+\)", str(e.value))
 
     def test_biclique_count_bound(self):
         for seed in range(100):

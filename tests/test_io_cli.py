@@ -188,6 +188,8 @@ class TestCli:
     @pytest.mark.parametrize("model, named", [
         ("4\n5 1 2\n6 3 4\n7 5 6\nB 1 6\nB 3 5\n", ["(1,6)", "(5,3)", "cross"]),
         ("2\n3 1 2\nB 3 1\n", ["(3,1)", "not transversal"]),
+        ("2\n3 1 2\nB 3 3\n", ["(3,3)", "loop"]),
+        ("2\n3 1 2\nA 1 2\nB 1 2\n", ["(1, 2)", "both positive and negative"]),
     ])
     def test_matmul_invalid_model_exit1(self, tmp_path, capsys, model, named):
         f = tmp_path / "x.stm"

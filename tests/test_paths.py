@@ -11,7 +11,7 @@ from stmgraph import (DistanceModel, InputError, apsp,
                       zero_one_bfs)
 from stmgraph.gen import random_stm
 from stmgraph.graph import LinearOrder
-from stmgraph.convert import IntervalBicliquePartition
+from stmgraph.convert import DagCompression, IntervalBicliquePartition
 
 
 def model_of_path(n):
@@ -53,6 +53,29 @@ def raw_models(draw):
     return DistanceModel(n, num_nodes, edges)
 
 
+@st.composite
+def compressions(draw):
+    """DAG compressions: ``ibp_to_dag`` of random interval bicliques (not
+    necessarily a partition) over a random order, or raw DAGs with random
+    compressed edges."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        order = LinearOrder.from_vertex_sequence(draw(st.permutations(range(1, n + 1))))
+        quads = []
+        for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+            b = draw(st.integers(1, n - 1))
+            c = draw(st.integers(b + 1, n))
+            quads.append((draw(st.integers(1, b)), b, c, draw(st.integers(c, n))))
+        return ibp_to_dag(IntervalBicliquePartition(order, quads))
+    num_nodes = n + draw(st.integers(0, 8))
+    edges = []
+    for x in range(n + 1, num_nodes + 1):
+        edges += [(x, y) for y in draw(st.sets(st.integers(1, x - 1), max_size=3))]
+    node = st.integers(1, num_nodes)
+    compressed = draw(st.lists(st.tuples(node, node), max_size=8))
+    return DagCompression(n, num_nodes, edges, compressed)
+
+
 class TestDistanceModel:
     def test_single_edge(self):
         dm = model_of_path(2)
@@ -77,6 +100,16 @@ class TestDistanceModel:
                 got = [res.dist[v] if res.dist[v] < res.INF else n
                        for v in range(1, n + 1)]
                 assert got == want, (seed, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(compressions())
+    def test_shared_distances_symmetric(self, dc):
+        # the one-search scatter relies on this
+        dm = dag_to_distance_model(dc)
+        dist = [None] + [zero_one_bfs(dm, s).dist for s in range(1, dc.n + 1)]
+        for u in range(1, dc.n + 1):
+            for v in range(1, dc.n + 1):
+                assert dist[u][v] == dist[v][u], (u, v)
 
 
 class TestZeroOneBfs:

@@ -11,9 +11,10 @@ from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
                       default_edit_log, graphs_equal, insert_edit,
                       remove_loops, validate)
 from stmgraph.gen import random_stm, random_stm_sparse
-from stmgraph.stm import NEGATIVE, POSITIVE, pair_rects
+from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest, pair_rects
 
-from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, properly_overlap
+from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, perturbed_models,
+                      properly_overlap)
 
 
 def pairs_cross(stm, e1, e2):
@@ -58,40 +59,6 @@ def is_transversal(stm, pair):
 
 def named_pairs(message):
     return [(int(x), int(y)) for x, y in re.findall(r"\((\d+),(\d+)\)", message)]
-
-
-@st.composite
-def perturbed_models(draw):
-    """A valid random model plus injected crossing, non-transversal,
-    duplicate-sign, loop and uniform random pairs."""
-    n = draw(st.integers(1, 24))
-    model = random_stm(n, draw(st.integers(0, 3 * n)), seed=draw(st.integers(0, 1 << 16)))
-    pairs = [set(model.pairs_a), set(model.pairs_b)]
-    node = st.integers(1, 2 * n - 1)
-    for kind in draw(st.lists(st.sampled_from(
-            ("crossing", "non-transversal", "duplicate", "loop", "uniform")), max_size=4)):
-        side = draw(st.integers(0, 1))
-        if kind == "crossing":
-            # a child of one endpoint with the parent of the other crosses
-            # the pair whenever it is transversal
-            internal = [(x, y) for x, y in pairs[0] | pairs[1] if x in model.children]
-            if internal:
-                x, y = draw(st.sampled_from(sorted(internal)))
-                pair = (draw(st.sampled_from(model.children[x])), model.parent[y] or y)
-                pairs[side].add(pair)
-        elif kind == "non-transversal":
-            t = draw(node)
-            if model.parent[t]:
-                pairs[side].add((model.parent[t], t))
-        elif kind == "duplicate":
-            if pairs[1 - side]:
-                pairs[side].add(draw(st.sampled_from(sorted(pairs[1 - side]))))
-        elif kind == "loop":
-            t = draw(node)
-            pairs[side].add((t, t))
-        else:
-            pairs[side].add((draw(node), draw(node)))
-    return model.with_pairs(*pairs)
 
 
 def random_loopy(n, seed):
@@ -282,6 +249,22 @@ class TestCleanSameSign:
             for i, p in enumerate(forest.parent):
                 if p is not None:
                     assert rects[i].payload[1] != rects[p].payload[1], seed
+
+    def test_carried_forest_matches_rebuilt(self):
+        # the cleaned model keeps the spliced forest instead of building one
+        from stmgraph.rect import laminar_forest
+        for seed in range(200):
+            model = random_stm(random.Random(seed).randint(1, 40),
+                               random.Random(seed + 1).randint(0, 120), seed=seed)
+            rects, forest, violations = _checked_forest(clean_same_sign(model))
+            assert violations == []
+            assert [r.payload for r in rects] == [r.payload for r in pair_rects(clean_same_sign(model))]
+            assert forest.parent == laminar_forest(rects).parent, seed
+
+    def test_invalid_model_rejected(self, p3_model):
+        looped = p3_model.with_pairs(p3_model.pairs_a | {(1, 1)}, p3_model.pairs_b)
+        with pytest.raises(InvalidModelError, match=r"pair \(1,1\) is a loop"):
+            clean_same_sign(looped)
 
 
 class TestInsertEdit:
