@@ -18,8 +18,8 @@ from .matmul import INT64_GROUP, AdditiveGroup, adjacency_matmul, ibp_matvec
 from .paths import (DistanceModel, ShortestPathTree, apsp,
                     dag_to_distance_model, radius_r_width,
                     scattered_maximal_subset, sssp, zero_one_bfs)
-from .rect import (DynamicPointSet, InclusionForest, LaminarityError, Rect,
-                   complement_partition, inclusion_forest, laminar_forest)
+from .rect import (InclusionForest, LaminarityError, Rect, complement_partition,
+                   inclusion_forest)
 from .sddegen import (CapExceeded, SdConfig, WidthReport, preset_symdiff,
                       preset_twinwidth, sd_sequence_greedy,
                       sd_sequence_randomized, validate_sequence)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveGroup", "CapExceeded", "ConstructionSequence", "DagCompression",
-    "DistanceModel", "DynamicPointSet", "EditLog", "Graph", "INT64_GROUP",
+    "DistanceModel", "EditLog", "Graph", "INT64_GROUP",
     "InclusionForest", "InputError", "IntervalBicliquePartition",
     "InvalidModelError", "LaminarityError", "LinearOrder",
     "PartitionViolation", "Rect", "SdConfig", "SdDegenSequence",
@@ -41,7 +41,7 @@ __all__ = [
     "cseq_replay", "cseq_shorten", "cseq_to_stm", "dag_to_distance_model",
     "dag_to_graph", "decode_bruteforce", "default_edit_log", "graphs_equal",
     "ibp_matvec", "ibp_to_dag", "ibp_to_graph", "ibp_to_positive_model",
-    "inclusion_forest", "insert_edit", "laminar_forest", "preset_symdiff",
+    "inclusion_forest", "insert_edit", "preset_symdiff",
     "preset_twinwidth", "radius_r_width", "remove_loops",
     "scattered_maximal_subset", "sd_sequence_greedy", "sd_sequence_randomized",
     "sdseq_to_stm", "sssp", "stm_to_ibp", "stm_to_rects",

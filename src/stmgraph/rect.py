@@ -6,7 +6,7 @@ Rectangles are inclusive integer boxes [x1,x2] x [y1,y2] on the grid.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable, Optional
@@ -44,9 +44,6 @@ class Rect:
     def area(self) -> int:
         return (self.x2 - self.x1 + 1) * (self.y2 - self.y1 + 1)
 
-    def contains_point(self, x: int, y: int) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
     def contains(self, other: "Rect") -> bool:
         return (self.x1 <= other.x1 and other.x2 <= self.x2
                 and self.y1 <= other.y1 and other.y2 <= self.y2)
@@ -54,61 +51,6 @@ class Rect:
     def disjoint(self, other: "Rect") -> bool:
         return (self.x2 < other.x1 or other.x2 < self.x1
                 or self.y2 < other.y1 or other.y2 < self.y1)
-
-
-class DynamicPointSet:
-    """Dynamic 2D point set with insert, delete, and rectangle reporting.
-
-    Sorted x-keys with per-x sorted y-lists; a simple substitute for the
-    O(log) range-reporting structures the inclusion-forest algorithm assumes.
-    Single-owner mutable; do not share across threads.
-    """
-
-    def __init__(self):
-        self._xs: list[int] = []
-        self._ys: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._ys.values())
-
-    def insert(self, pt: tuple[int, int]) -> None:
-        x, y = pt
-        ys = self._ys.get(x)
-        if ys is None:
-            insort(self._xs, x)
-            self._ys[x] = [y]
-            return
-        i = bisect_left(ys, y)
-        if i < len(ys) and ys[i] == y:
-            return
-        ys.insert(i, y)
-
-    def delete(self, pt: tuple[int, int]) -> None:
-        """Delete a point; deleting an absent point is a no-op."""
-        x, y = pt
-        ys = self._ys.get(x)
-        if ys is None:
-            return
-        i = bisect_left(ys, y)
-        if i >= len(ys) or ys[i] != y:
-            return
-        ys.pop(i)
-        if not ys:
-            del self._ys[x]
-            self._xs.pop(bisect_left(self._xs, x))
-
-    def report(self, rect: Rect) -> list[tuple[int, int]]:
-        """All live points inside ``rect``."""
-        out = []
-        lo = bisect_left(self._xs, rect.x1)
-        hi = bisect_right(self._xs, rect.x2)
-        for x in self._xs[lo:hi]:
-            ys = self._ys[x]
-            a = bisect_left(ys, rect.y1)
-            b = bisect_right(ys, rect.y2)
-            for y in ys[a:b]:
-                out.append((x, y))
-        return out
 
 
 class InclusionForest:
@@ -129,107 +71,74 @@ class InclusionForest:
             else:
                 self.children[p].append(i)
 
-    def dump(self) -> str:
-        """Indented text rendering, for test diffs."""
-        lines: list[str] = []
-
-        def rec(i: int, depth: int) -> None:
-            r = self.rects[i]
-            lines.append("  " * depth + f"[{r.x1},{r.x2}]x[{r.y1},{r.y2}]")
-            for c in sorted(self.children[i], key=lambda j: self.rects[j].key()):
-                rec(c, depth + 1)
-
-        for root in sorted(self.roots, key=lambda j: self.rects[j].key()):
-            rec(root, 0)
-        return "\n".join(lines)
-
 
 def inclusion_forest(rects: Iterable[Rect]) -> InclusionForest:
-    """Compute the inclusion forest of a laminar rectangle family.
-
-    Processes rectangles by increasing area, maintaining a dynamic point set
-    of one representative corner per not-yet-parented rectangle; each round's
-    range query reports exactly the children of the current rectangle.
-
-    Non-laminar inputs are detected whenever a reported representative's
-    rectangle is not contained in the querying rectangle; ``laminar_forest``
-    completes the check.
-    """
-    rlist = list(rects)
-    order = sorted(range(len(rlist)), key=lambda i: (rlist[i].area,) + rlist[i].key())
-    for a, b in zip(order, order[1:]):
-        if rlist[a].key() == rlist[b].key():
-            raise LaminarityError(f"duplicate rectangle {rlist[a].key()}", (a, b))
-
-    parent: list[Optional[int]] = [None] * len(rlist)
-    points = DynamicPointSet()
-    owner: dict[tuple[int, int], int] = {}
-    reported = [0] * len(rlist)
-    for i in order:
-        r = rlist[i]
-        for pt in points.report(r):
-            j = owner[pt]
-            if not r.contains(rlist[j]):
-                raise LaminarityError(
-                    f"rectangle {rlist[j].key()} overlaps {r.key()} without containment",
-                    (j, i))
-            parent[j] = i
-            reported[j] += 1
-            assert reported[j] == 1, "representative point reported twice"
-            points.delete(pt)
-            del owner[pt]
-        rep = (r.x1, r.y1)
-        # rep lies inside r, so any previous owner of rep was just reported and removed
-        assert rep not in owner
-        points.insert(rep)
-        owner[rep] = i
-    return InclusionForest(rlist, parent)
-
-
-def laminar_forest(rects: Iterable[Rect]) -> InclusionForest:
     """Inclusion forest of ``rects``; LaminarityError unless they are laminar.
 
-    ``inclusion_forest`` checks that every child lies inside its parent.  A
-    forest whose children are contained in their parents and whose siblings
-    are pairwise disjoint is laminar: two rectangles that are not ancestor
-    and descendant lie inside two distinct siblings (children of their lowest
-    common ancestor, or two roots), so they are disjoint.  One sweep per
-    sibling group finishes the check with O(m log m) comparisons over all
-    groups.
+    One sweep builds the forest and checks laminarity with O(m log m)
+    comparisons; each insertion into the sorted list below also shifts the
+    list's tail, a memmove over at most the active set.  The sweep takes
+    the rectangles in (x1, -x2, y1, -y2) order, which puts every rectangle
+    after those that contain it and duplicates next to each other.  The
+    active rectangles are the swept ones whose x2 is not left of the
+    current x1.  Only they can meet the current rectangle
+    r = [x1,x2] x [a,b], and all of them meet its column x1.  An active
+    rectangle with y range [c,d] keeps two boundaries in one sorted list:
+    an open (2c-1, +t) and a close (2d+1, -t), where t is its rank in the
+    sweep.
 
-    Siblings never contain one another (the larger would have claimed the
-    smaller as its child), so any two that meet properly overlap; they are
-    the witness the error carries.
+    While nothing has raised, the swept rectangles are laminar, so two
+    active ones whose y ranges meet are nested.  A boundary inside
+    [2a, 2b] has c in (a, b] or d in [a, b).  Its rectangle then meets r,
+    does not contain r (its y range misses part of [a,b]), and is not
+    inside r (it would need r's x range, c = a and d = b by the order).
+    The two properly overlap, and they are the witness.  With no boundary
+    there, every active rectangle that meets r spans [a,b] in y.  These
+    links form a chain by containment, and the boundary just below 2a
+    names the smallest link Q:
+    - an open names its own rectangle: its close lies above 2b, and every
+      other link opens lower, or at the same place earlier in the sweep,
+      so it contains this one;
+    - a close names the parent of its rectangle R: every link opens below
+      R's close (opens sort after closes at one position), so it meets R
+      and contains it, and so contains R's parent; that parent is active,
+      and its close sorts after R's, so it spans [a,b] and is a link.
+    Q contains r if Q's x2 reaches r's; then Q is r's parent, since every
+    rectangle containing r is a link.  Otherwise Q and r properly
+    overlap.  So the first rectangle swept that is a duplicate of, or
+    properly overlaps, an earlier one raises.
     """
-    forest = inclusion_forest(rects)
-    for group in (forest.roots, *forest.children):
-        if len(group) > 1:
-            _check_disjoint(forest.rects, group)
-    return forest
-
-
-def _check_disjoint(rects: list[Rect], group: list[int]) -> None:
-    """Raise LaminarityError if two rectangles of ``group`` meet.
-
-    Sweep by x1, keeping the y-intervals of the rectangles still open at the
-    sweep line sorted by y1.  While no two have met, these intervals are
-    pairwise disjoint, so a new one meets some open interval iff it meets
-    its predecessor or its successor in y order.
-    """
-    active: list[tuple[int, int, int]] = []  # (y1, y2, index), sorted
-    closing: list[tuple[int, tuple[int, int, int]]] = []  # heap of (x2, entry)
-    for i in sorted(group, key=lambda k: rects[k].x1):
-        r = rects[i]
-        while closing and closing[0][0] < r.x1:
-            active.pop(bisect_left(active, heappop(closing)[1]))
-        entry = (r.y1, r.y2, i)
-        k = bisect_left(active, entry)
-        for y1, y2, j in active[max(k - 1, 0):k + 1]:
-            if y1 <= r.y2 and r.y1 <= y2:
-                raise LaminarityError(
-                    f"rectangles {rects[j].key()} and {r.key()} properly overlap", (j, i))
-        active.insert(k, entry)
-        heappush(closing, (r.x2, entry))
+    rlist = list(rects)
+    keys = [r.key() for r in rlist]
+    order = sorted(range(len(rlist)),
+                   key=lambda i: (keys[i][0], -keys[i][1], keys[i][2], -keys[i][3]))
+    parent: list[Optional[int]] = [None] * len(rlist)
+    bounds: list[tuple[int, int, int]] = []  # (position, +-rank, index), sorted
+    closing: list[tuple[int, int, int]] = []  # heap of (x2, rank, index)
+    prev = None
+    for t, i in enumerate(order, start=1):
+        x1, x2, a, b = keys[i]
+        if prev is not None and keys[prev] == keys[i]:
+            raise LaminarityError(f"duplicate rectangle {keys[i]}", (prev, i))
+        prev = i
+        while closing and closing[0][0] < x1:
+            _, s, j = heappop(closing)
+            del bounds[bisect_left(bounds, (2 * keys[j][2] - 1, s, j))]
+            del bounds[bisect_left(bounds, (2 * keys[j][3] + 1, -s, j))]
+        k = bisect_left(bounds, (2 * a,))
+        witness = bounds[k][2] if k < len(bounds) and bounds[k][0] <= 2 * b else None
+        if witness is None and k:
+            _, s, j = bounds[k - 1]
+            q = parent[i] = j if s > 0 else parent[j]
+            if q is not None and keys[q][1] < x2:
+                witness = q
+        if witness is not None:
+            raise LaminarityError(
+                f"rectangles {keys[witness]} and {keys[i]} properly overlap", (witness, i))
+        insort(bounds, (2 * a - 1, t, i))
+        insort(bounds, (2 * b + 1, -t, i))
+        heappush(closing, (x2, t, i))
+    return InclusionForest(rlist, parent)
 
 
 def _free_intervals(y1: int, y2: int, blocks: list[tuple[int, int]]) -> list[tuple[int, int]]:

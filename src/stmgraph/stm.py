@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .graph import Graph, InputError
-from .rect import InclusionForest, LaminarityError, Rect, laminar_forest
+from . import rect
+from .rect import InclusionForest, LaminarityError, Rect
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -203,22 +204,23 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     In strict mode loops {t,t} are violations; non-strict mode permits them
     (pre-cleaning inputs for loop removal).
 
-    The crossing check is ``laminar_forest`` on the pair rectangles, so it
-    takes O(p log p) instead of O(p^2): two transversal pairs cross iff their
-    rectangles properly overlap (meet, and neither contains the other), so
-    the pairs are non-crossing iff their rectangles are laminar.  Proof:
-    leaf intervals of tree nodes are laminar, and a node is strictly above
-    another iff its interval strictly contains the other's.  The x interval
-    of a transversal pair lies left of its y interval.  In two crossing
-    pairs, an x endpoint is never strictly above the other pair's y endpoint
-    (nor a y endpoint above an x endpoint): with the other relation a
-    crossing needs, that would nest one pair's two intervals one inside the
-    other, or put some y interval left of its own x interval.  Hence pairs
-    cross iff one's x interval strictly contains the other's and the other's
-    y interval strictly contains the first's, which is proper overlap.  Loops
-    and non-transversal pairs are left out: in a model whose other pairs are
-    transversal, a loop crosses nothing, and a non-transversal pair is a
-    violation already.
+    The crossing check is ``inclusion_forest`` on the pair rectangles: one
+    sweep builds their forest and checks laminarity with O(p log p)
+    comparisons, instead of O(p^2) pair tests.  Two transversal pairs cross
+    iff their rectangles properly overlap (meet, and neither contains the
+    other), so the pairs are non-crossing iff their rectangles are laminar.
+    Proof: leaf intervals of tree nodes are laminar, and a node is strictly
+    above another iff its interval strictly contains the other's.  The x
+    interval of a transversal pair lies left of its y interval.  In two
+    crossing pairs, an x endpoint is never strictly above the other pair's y
+    endpoint (nor a y endpoint above an x endpoint): with the other relation
+    a crossing needs, that would nest one pair's two intervals one inside
+    the other, or put some y interval left of its own x interval.  Hence
+    pairs cross iff one's x interval strictly contains the other's and the
+    other's y interval strictly contains the first's, which is proper
+    overlap.  Loops and non-transversal pairs are left out: in a model whose
+    other pairs are transversal, a loop crosses nothing, and a
+    non-transversal pair is a violation already.
     """
     v = [e for e in _checked_forest(stm)[2] if strict or e[0] != "loop"]
     return ValidationReport(ok=not v, violations=v)
@@ -227,9 +229,10 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
 def _checked_forest(stm: SignedTreeModel
                     ) -> tuple[list[Rect], Optional[InclusionForest], list[tuple[str, str]]]:
     """The rectangles of the transversal pairs, each pair once with payload
-    ``(pair, sign)`` in ``pairs_signed`` order, their laminar forest (None
-    if they cross), and ``validate``'s strict-mode violations, all from one
-    pass.  On a valid model the rectangles are ``pair_rects(stm)``.
+    ``(pair, sign)`` in ``pairs_signed`` order, their inclusion forest (None
+    if they cross; one ``inclusion_forest`` sweep builds and checks it), and
+    ``validate``'s strict-mode violations, all from one pass.  On a valid
+    model the rectangles are ``pair_rects(stm)``.
 
     A model made by ``clean_same_sign`` carries these, derived from its
     input's; for any other model they are built here and not kept, so a
@@ -259,7 +262,7 @@ def _checked_forest(stm: SignedTreeModel
             rects.append(Rect(*stm.leaf_interval(x), *stm.leaf_interval(y),
                               payload=((x, y), sign)))
     try:
-        return rects, laminar_forest(rects), v
+        return rects, rect.inclusion_forest(rects), v
     except LaminarityError as e:
         (x1, y1), (x2, y2) = (rects[i].payload[0] for i in sorted(e.indices))
         v.append(("crossing", f"pairs ({x1},{y1}) and ({x2},{y2}) cross"))

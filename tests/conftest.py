@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -18,6 +20,22 @@ def pytest_terminal_summary(terminalreporter):
 def properly_overlap(a, b):
     """Rectangles meet and neither contains the other."""
     return not (a.disjoint(b) or a.contains(b) or b.contains(a))
+
+
+def caterpillar_stm(n, num_pairs, seed=0):
+    """A model on the caterpillar tree: internal node n+k joins the spine
+    node below it (leaf 1 for k = 1) and leaf k+1, so the tree has depth
+    n-1.  The pairs are the n-1 sibling pairs plus random leaf pairs, with
+    random signs; neither kind can cross anything."""
+    rng = random.Random(seed)
+    children = {n + k: (n + k - 1 if k > 1 else 1, k + 1) for k in range(1, n)}
+    pairs = set(children.values())
+    while len(pairs) < num_pairs:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        pairs.add((u, v))
+    signs = {p: rng.random() < 0.5 for p in sorted(pairs)}
+    return SignedTreeModel(n, children, [p for p, s in signs.items() if not s],
+                           [p for p, s in signs.items() if s])
 
 
 @st.composite

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
                       ValidationReport, clean_same_sign, decode_bruteforce,
                       default_edit_log, graphs_equal, insert_edit,
-                      remove_loops, validate)
+                      remove_loops, stm_to_ibp, validate)
 from stmgraph.gen import random_stm, random_stm_sparse
 from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest, pair_rects
 
-from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, perturbed_models,
-                      properly_overlap)
+from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, caterpillar_stm,
+                      perturbed_models, properly_overlap)
 
 
 def pairs_cross(stm, e1, e2):
@@ -155,6 +155,18 @@ class TestValidate:
         # the quadratic check takes minutes here
         assert time.perf_counter() - start < 30
 
+    def test_caterpillar_scaling(self):
+        # a tree of depth n-1, whose sibling pair rectangles span up to n
+        # columns; a column walk per rectangle is quadratic here
+        n = 1 << 14
+        model = caterpillar_stm(n, 4 * n, seed=0)
+        start = time.perf_counter()
+        assert validate(model).ok
+        assert time.perf_counter() - start < 5
+        start = time.perf_counter()
+        stm_to_ibp(model)
+        assert time.perf_counter() - start < 5
+
 
 class TestDecode:
     def test_fig1_caption(self, fig1_model):
@@ -252,14 +264,14 @@ class TestCleanSameSign:
 
     def test_carried_forest_matches_rebuilt(self):
         # the cleaned model keeps the spliced forest instead of building one
-        from stmgraph.rect import laminar_forest
+        from stmgraph.rect import inclusion_forest
         for seed in range(200):
             model = random_stm(random.Random(seed).randint(1, 40),
                                random.Random(seed + 1).randint(0, 120), seed=seed)
             rects, forest, violations = _checked_forest(clean_same_sign(model))
             assert violations == []
             assert [r.payload for r in rects] == [r.payload for r in pair_rects(clean_same_sign(model))]
-            assert forest.parent == laminar_forest(rects).parent, seed
+            assert forest.parent == inclusion_forest(rects).parent, seed
 
     def test_invalid_model_rejected(self, p3_model):
         looped = p3_model.with_pairs(p3_model.pairs_a | {(1, 1)}, p3_model.pairs_b)
