@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse error.
+``main`` is the one place that maps exceptions to them: ``CliError`` carries
+its code, ``FormatError`` is 2, and every other ``ValueError`` is 1.  Every
+``.stm`` input goes through ``_load_ibp``, where ``stm_to_ibp`` is the one
+check of the model.
 """
 
 from __future__ import annotations
@@ -11,16 +15,16 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as fio
-from .convert import (SequenceError, cseq_replay, cseq_shorten, cseq_to_stm,
-                      ibp_to_dag, ibp_to_graph, ibp_to_positive_model,
-                      sdseq_to_stm, stm_to_ibp)
+from .convert import (cseq_replay, cseq_shorten, cseq_to_stm, ibp_to_dag,
+                      ibp_to_graph, ibp_to_positive_model, sdseq_to_stm,
+                      stm_to_ibp)
 from .gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
 from .graph import Graph, LinearOrder, graphs_equal
 from .matmul import adjacency_matmul
 from .paths import _as_distance_model, apsp, scattered_maximal_subset, sssp
 from .sddegen import (CapExceeded, SdConfig, preset_symdiff, preset_twinwidth,
                       sd_sequence_randomized, validate_sequence)
-from .stm import decode_bruteforce, validate
+from .stm import InvalidModelError, remove_loops, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -50,27 +54,34 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse(parser, text, *args, **kwargs):
+def _load_ibp(path: str, loops_ok: bool = False, matrix: str | None = None):
+    """The interval biclique partition of the .stm file at ``path``.
+
+    The file is parsed without the crossing check, and ``stm_to_ibp`` is the
+    one check of the model; its error is prefixed with the line of the first
+    pair it names.  ``loops_ok`` removes loop pairs first (non-strict
+    semantics, as in ``decode``).  If ``matrix`` names a matrix file, it is
+    read and parsed after the model and before the check, and
+    ``(ibp, rows)`` is returned.
+    """
+    text = _read(path)
+    model = fio.parse_stm(text, check_crossing=False)
+    rows = None if matrix is None else fio.parse_matrix(_read(matrix))
     try:
-        return parser(text, *args, **kwargs)
-    except fio.CrossingPairError as e:
-        # a validity defect, not a syntax defect
-        raise CliError(str(e), EXIT_INVALID) from None
-    except fio.FormatError as e:
-        raise CliError(str(e), EXIT_IO) from None
-
-
-def _load_stm(path: str, check_crossing: bool = True):
-    return _parse(fio.parse_stm, _read(path), check_crossing=check_crossing)
+        ibp = stm_to_ibp(remove_loops(model) if loops_ok else model)
+    except InvalidModelError as e:
+        raise CliError(f"line {fio.stm_pair_line(text, str(e))}: {e}",
+                       EXIT_INVALID) from None
+    return ibp if matrix is None else (ibp, rows)
 
 
 def _load_rep(path: str, kind: str):
     if kind == "stm":
-        return _load_stm(path)
+        return _load_ibp(path)
     if kind == "ibp":
-        return _parse(fio.parse_ibp, _read(path))
+        return fio.parse_ibp(_read(path))
     if kind == "dag":
-        return _parse(fio.parse_dag, _read(path))
+        return fio.parse_dag(_read(path))
     raise CliError(f"unknown representation kind {kind}", EXIT_IO)
 
 
@@ -78,45 +89,31 @@ def cmd_validate(args) -> int:
     text = _read(args.file)
     decoded: Graph | None = None
     if args.kind == "stm":
-        model = _parse(fio.parse_stm, text, check_crossing=False)
+        model = fio.parse_stm(text, check_crossing=False)
         report = validate(model, strict=not args.loops_ok)
         if not report.ok:
             for msg in report.messages():
                 print(msg, file=sys.stderr)
             return EXIT_INVALID
         if args.against:
-            # strict or not, the report above covers decode's own check
-            decoded = decode_bruteforce(model, validated=True)
+            # the report above covers every check the decode makes
+            decoded = ibp_to_graph(stm_to_ibp(remove_loops(model)))
     elif args.kind == "ibp":
-        ibp = _parse(fio.parse_ibp, text)
-        try:
-            decoded = ibp_to_graph(ibp)
-        except ValueError as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        decoded = ibp_to_graph(fio.parse_ibp(text))
     elif args.kind == "cseq":
         if args.n is None:
             raise CliError("validating a cseq requires --n", EXIT_IO)
-        seq = _parse(fio.parse_cseq, text, args.n)
-        try:
-            decoded = cseq_replay(seq)
-        except SequenceError as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        decoded = cseq_replay(fio.parse_cseq(text, args.n))
     elif args.kind == "sdseq":
         if not args.against:
             raise CliError("validating an sdseq requires --against GRAPH", EXIT_IO)
-        seq = _parse(fio.parse_sdseq, text)
-        g = _parse(fio.parse_graph, _read(args.against))
-        try:
-            report = validate_sequence(g, seq)
-        except SequenceError as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        seq = fio.parse_sdseq(text)
+        g = fio.parse_graph(_read(args.against))
+        report = validate_sequence(g, seq)
         print(f"width={report.width}")
         return EXIT_OK
     if args.against and decoded is not None:
-        target = _parse(fio.parse_graph, _read(args.against))
+        target = fio.parse_graph(_read(args.against))
         if not graphs_equal(decoded, target):
             print("decoded graph differs from the reference graph", file=sys.stderr)
             return EXIT_INVALID
@@ -125,46 +122,35 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    model = _load_stm(args.file)
-    _write(fio.format_graph(decode_bruteforce(model)), args.out)
+    graph = ibp_to_graph(_load_ibp(args.file, loops_ok=True))
+    _write(fio.format_graph(graph), args.out)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
     mode = args.mode
-    text = _read(args.file)
     if mode == "stm-ibp":
-        out = fio.format_ibp(stm_to_ibp(_parse(fio.parse_stm, text)))
-    elif mode == "ibp-dag":
-        out = fio.format_dag(ibp_to_dag(_parse(fio.parse_ibp, text)))
+        _write(fio.format_ibp(_load_ibp(args.file)), args.out)
+        return EXIT_OK
+    text = _read(args.file)
+    if mode == "ibp-dag":
+        out = fio.format_dag(ibp_to_dag(fio.parse_ibp(text)))
     elif mode == "ibp-ptm":
-        out = fio.format_stm(ibp_to_positive_model(_parse(fio.parse_ibp, text)))
+        out = fio.format_stm(ibp_to_positive_model(fio.parse_ibp(text)))
     elif mode == "sdseq-stm":
         if not args.graph:
             raise CliError("sdseq-stm requires --graph", EXIT_IO)
-        g = _parse(fio.parse_graph, _read(args.graph))
-        seq = _parse(fio.parse_sdseq, text)
-        try:
-            out = fio.format_stm(sdseq_to_stm(g, seq))
-        except (SequenceError, ValueError) as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        g = fio.parse_graph(_read(args.graph))
+        seq = fio.parse_sdseq(text)
+        out = fio.format_stm(sdseq_to_stm(g, seq))
     elif mode == "cseq-stm":
         if args.n is None:
             raise CliError("cseq-stm requires --n", EXIT_IO)
-        try:
-            out = fio.format_stm(cseq_to_stm(_parse(fio.parse_cseq, text, args.n)))
-        except SequenceError as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        out = fio.format_stm(cseq_to_stm(fio.parse_cseq(text, args.n)))
     elif mode == "cseq-shorten":
         if args.n is None:
             raise CliError("cseq-shorten requires --n", EXIT_IO)
-        try:
-            out = fio.format_cseq(cseq_shorten(_parse(fio.parse_cseq, text, args.n)))
-        except SequenceError as e:
-            print(e, file=sys.stderr)
-            return EXIT_INVALID
+        out = fio.format_cseq(cseq_shorten(fio.parse_cseq(text, args.n)))
     else:
         raise CliError(f"unknown conversion {mode}", EXIT_IO)
     _write(out, args.out)
@@ -202,7 +188,7 @@ def _preset_config(spec: str, n: int, seed: int) -> SdConfig:
 
 
 def cmd_sdseq(args) -> int:
-    g = _parse(fio.parse_graph, _read(args.file))
+    g = fio.parse_graph(_read(args.file))
     if args.preset:
         base = _preset_config(args.preset, g.n, args.seed)
     elif None not in (args.g, args.gamma, args.p, args.cap):
@@ -227,10 +213,7 @@ def cmd_sdseq(args) -> int:
 
 
 def cmd_matmul(args) -> int:
-    # no parse-time check: stm_to_ibp validates the model
-    model = _load_stm(args.file, check_crossing=False)
-    rows = _parse(fio.parse_matrix, _read(args.matrix))
-    ibp = stm_to_ibp(model)
+    ibp, rows = _load_ibp(args.file, matrix=args.matrix)
     out = adjacency_matmul(None, LinearOrder.identity(ibp.n), rows, ibp)
     _write(fio.format_matrix(out), args.out)
     return EXIT_OK
@@ -364,9 +347,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(e, file=sys.stderr)
         return e.code
-    except fio.CrossingPairError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INVALID
     except fio.FormatError as e:
         print(e, file=sys.stderr)
         return EXIT_IO

@@ -95,7 +95,6 @@ def parse_stm(text: str, check_crossing: bool = True) -> SignedTreeModel:
         children[t] = (l, r)
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
-    pair_line: dict[tuple[int, int], int] = {}
     for i in range(n, len(lines)):
         if not lines[i]:
             continue
@@ -104,20 +103,29 @@ def parse_stm(text: str, check_crossing: bool = True) -> SignedTreeModel:
             raise FormatError(i + 1, f"expected 'A x y' or 'B x y', got {lines[i]!r}")
         x, y = _ints(" ".join(parts[1:]), i + 1, 2)
         (pairs_a if parts[0] == "A" else pairs_b).append((x, y))
-        pair_line.setdefault((min(x, y), max(x, y)), i + 1)
     try:
         model = SignedTreeModel(n, children, pairs_a, pairs_b)
     except ValueError as e:
         raise FormatError(1, str(e)) from None
     if check_crossing:
-        report = validate(model, strict=False)
-        for kind, msg in report.violations:
+        for kind, msg in validate(model, strict=False).violations:
             if kind == "crossing":
-                endpoints = re.findall(r"\((\d+),(\d+)\)", msg)
-                lineno = min((pair_line.get((min(int(x), int(y)), max(int(x), int(y))), 1)
-                              for x, y in endpoints), default=1)
-                raise CrossingPairError(lineno, msg)
+                raise CrossingPairError(stm_pair_line(text, msg), msg)
     return model
+
+
+def stm_pair_line(text: str, message: str) -> int:
+    """The 1-based line of the first "A x y" / "B x y" line of the parsed
+    .stm ``text`` whose pair, in either order, is named in ``message`` as
+    "(x,y)" or "(x, y)"; 1 if none is.  Only error paths call this."""
+    named = {tuple(sorted(map(int, p)))
+             for p in re.findall(r"\((\d+),\s*(\d+)\)", message)}
+    for i, line in enumerate(_lines(text), start=1):
+        parts = line.split()
+        if (len(parts) == 3 and parts[0] in ("A", "B")
+                and tuple(sorted(map(int, parts[1:]))) in named):
+            return i
+    return 1
 
 
 def format_stm(stm: SignedTreeModel) -> str:

@@ -305,10 +305,15 @@ def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
     the sign of the nearest ancestor-or-self loop, if any; then all loops are
     dropped.  The added pairs form a matching on sibling pairs (at most n-1),
     and the decoded graph is unchanged.
+
+    Raises InvalidModelError, with ``validate``'s message, on a loop that is
+    both positive and negative: it has no sign to hand down.
     """
     loop_sign: dict[int, int] = {}
     for x, y, s in stm.pairs_signed():
         if x == y:
+            if x in loop_sign:
+                raise InvalidModelError(f"pair {(x, y)} is both positive and negative")
             loop_sign[x] = s
     pairs_a = {p for p in stm.pairs_a if p[0] != p[1]}
     pairs_b = {p for p in stm.pairs_b if p[0] != p[1]}

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from stmgraph import SignedTreeModel
+from stmgraph import SignedTreeModel, validate
 from stmgraph.gen import random_stm
 
 # Filled in by test_acceptance.py; echoed after the run so the per-criterion
@@ -36,6 +36,24 @@ def caterpillar_stm(n, num_pairs, seed=0):
     signs = {p: rng.random() < 0.5 for p in sorted(pairs)}
     return SignedTreeModel(n, children, [p for p, s in signs.items() if not s],
                            [p for p, s in signs.items() if s])
+
+
+def random_loopy(n, seed):
+    """Random model that may contain loops (non-strict validity)."""
+    rng = random.Random(seed ^ 0x5EED)
+    model = random_stm(n, rng.randint(0, 3 * n), seed=seed)
+    pairs_a = set(model.pairs_a)
+    pairs_b = set(model.pairs_b)
+    for _ in range(rng.randint(1, 4)):
+        t = rng.randrange(1, 2 * n)
+        # a loop is safe unless its node carries a non-loop pair or would
+        # cross one; rejection keeps the sample valid
+        cand_a = pairs_a | {(t, t)}
+        cand = model.with_pairs(cand_a, pairs_b - {(t, t)})
+        if validate(cand, strict=False).ok:
+            pairs_a = cand_a
+            pairs_b = pairs_b - {(t, t)}
+    return model.with_pairs(pairs_a, pairs_b)
 
 
 @st.composite

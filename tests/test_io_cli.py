@@ -1,12 +1,17 @@
 import random
+import sys
 
 import pytest
 
+import stmgraph.rect
 from stmgraph import io as fio
-from stmgraph import (SdDegenSequence, cseq_replay,
-                      decode_bruteforce, graphs_equal, ibp_to_dag, stm_to_ibp)
+from stmgraph import (SdDegenSequence, cseq_replay, decode_bruteforce,
+                      graphs_equal, ibp_to_dag, remove_loops, sdseq_to_stm,
+                      stm_to_ibp)
 from stmgraph.cli import main
-from stmgraph.gen import erdos_renyi, random_cseq, random_stm
+from stmgraph.gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
+
+from conftest import random_loopy
 
 
 class TestRoundTrips:
@@ -200,3 +205,103 @@ class TestCli:
         assert main(["matmul", str(f), str(mat_f)]) == 1
         err = capsys.readouterr().err
         assert all(s in err for s in named), err
+
+
+# Each model has one defect, whose pair is on the given line; a valid decoy
+# pair comes first, so that the first pair line is not the answer by luck.
+INVALID_STM = {
+    "crossing": ("4\n5 1 2\n6 3 4\n7 5 6\nB 1 2\nB 1 6\nB 3 5\n", 6),
+    "non-transversal": ("3\n4 1 2\n5 4 3\nA 1 2\nB 4 1\n", 5),
+    "two-signed loop": ("2\n3 1 2\nB 1 2\nA 3 3\nB 3 3\n", 4),
+}
+# every command that reads a .stm file, with {stm} and {mat} to fill in
+STM_COMMANDS = {
+    "decode": ["decode", "{stm}"],
+    "convert stm-ibp": ["convert", "stm-ibp", "{stm}"],
+    "sssp": ["sssp", "{stm}", "--source", "1"],
+    "apsp": ["apsp", "{stm}"],
+    "scatter": ["scatter", "{stm}", "--c", "1", "--r", "1"],
+    "matmul": ["matmul", "{stm}", "{mat}"],
+}
+
+
+def stm_argv(tmp_path, command, text):
+    """Write ``text`` as a .stm file and a zero n x n matrix beside it, and
+    return the command's arguments on them."""
+    stm_f, mat_f = tmp_path / "m.stm", tmp_path / "m.mat"
+    stm_f.write_text(text)
+    n = int(text.split()[0])
+    mat_f.write_text(fio.format_matrix([[0] * n for _ in range(n)]))
+    return [a.format(stm=stm_f, mat=mat_f) for a in STM_COMMANDS[command]]
+
+
+class TestCliLoadPath:
+    """Every .stm command parses once, checks the model once through
+    ``stm_to_ibp`` and never runs the brute-force decoder."""
+
+    @pytest.mark.parametrize("defect", sorted(INVALID_STM))
+    @pytest.mark.parametrize("command", sorted(STM_COMMANDS))
+    def test_invalid_model_line_numbered(self, tmp_path, capsys, command, defect):
+        text, line = INVALID_STM[defect]
+        assert main(stm_argv(tmp_path, command, text)) == 1
+        assert capsys.readouterr().err.startswith(f"line {line}: ")
+
+    @pytest.fixture
+    def forest_builds(self, monkeypatch):
+        calls = []
+        build = stmgraph.rect.inclusion_forest
+
+        def counted(rects):
+            calls.append(len(rects))
+            return build(rects)
+
+        monkeypatch.setattr(stmgraph.rect, "inclusion_forest", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", sorted(STM_COMMANDS))
+    def test_one_forest_per_command(self, tmp_path, capsys, fig1_model,
+                                    forest_builds, command):
+        assert main(stm_argv(tmp_path, command, fio.format_stm(fig1_model))) == 0
+        assert len(forest_builds) == 1
+
+    def test_validate_against_builds_two_forests(self, tmp_path, capsys, fig1_model,
+                                                 forest_builds):
+        stm_f, g_f = tmp_path / "m.stm", tmp_path / "m.graph"
+        stm_f.write_text(fio.format_stm(fig1_model))
+        g_f.write_text(fio.format_graph(decode_bruteforce(fig1_model)))
+        forest_builds.clear()
+        assert main(["validate", "stm", str(stm_f), "--against", str(g_f)]) == 0
+        assert len(forest_builds) == 2  # validate's report, then the decode
+
+    def test_no_bruteforce_decode(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode_bruteforce called")
+
+        for mod in [m for k, m in sorted(sys.modules.items())
+                    if k == "stmgraph" or k.startswith("stmgraph.")]:
+            for attr, val in list(vars(mod).items()):
+                if val is decode_bruteforce:
+                    monkeypatch.setattr(mod, attr, refuse)
+        model = random_loopy(12, 3)
+        g_f = tmp_path / "m.graph"
+        g_f.write_text(fio.format_graph(decode_bruteforce(model)))
+        for command in STM_COMMANDS:
+            argv = stm_argv(tmp_path, command, fio.format_stm(remove_loops(model)))
+            assert main(argv) == 0, command
+        loopy = tmp_path / "loopy.stm"
+        loopy.write_text(fio.format_stm(model))
+        assert main(["decode", str(loopy)]) == 0
+        assert main(["validate", "stm", str(loopy), "--loops-ok",
+                     "--against", str(g_f)]) == 0
+
+    def test_decode_matches_bruteforce(self, tmp_path, capsys):
+        models = [random_loopy(random.Random(seed).randint(2, 20), seed)
+                  for seed in range(30)]
+        for seed in range(4):
+            g, seq = planted_sdseq(24, 2, seed=seed)
+            models.append(sdseq_to_stm(g, seq))
+        f = tmp_path / "m.stm"
+        for model in models:
+            f.write_text(fio.format_stm(model))
+            assert main(["decode", str(f)]) == 0
+            assert capsys.readouterr().out == fio.format_graph(decode_bruteforce(model))

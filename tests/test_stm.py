@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
                       ValidationReport, clean_same_sign, decode_bruteforce,
-                      default_edit_log, graphs_equal, insert_edit,
+                      default_edit_log, graphs_equal, ibp_to_graph, insert_edit,
                       remove_loops, stm_to_ibp, validate)
 from stmgraph.gen import random_stm, random_stm_sparse
 from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest, pair_rects
 
 from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, caterpillar_stm,
-                      perturbed_models, properly_overlap)
+                      perturbed_models, properly_overlap, random_loopy)
 
 
 def pairs_cross(stm, e1, e2):
@@ -59,24 +59,6 @@ def is_transversal(stm, pair):
 
 def named_pairs(message):
     return [(int(x), int(y)) for x, y in re.findall(r"\((\d+),(\d+)\)", message)]
-
-
-def random_loopy(n, seed):
-    """Random model that may contain loops (non-strict validity)."""
-    rng = random.Random(seed ^ 0x5EED)
-    model = random_stm(n, rng.randint(0, 3 * n), seed=seed)
-    pairs_a = set(model.pairs_a)
-    pairs_b = set(model.pairs_b)
-    for _ in range(rng.randint(1, 4)):
-        t = rng.randrange(1, 2 * n)
-        # a loop is safe unless its node carries a non-loop pair or would
-        # cross one; rejection keeps the sample valid
-        cand_a = pairs_a | {(t, t)}
-        cand = model.with_pairs(cand_a, pairs_b - {(t, t)})
-        if validate(cand, strict=False).ok:
-            pairs_a = cand_a
-            pairs_b = pairs_b - {(t, t)}
-    return model.with_pairs(pairs_a, pairs_b)
 
 
 class TestConstruction:
@@ -235,6 +217,39 @@ class TestRemoveLoops:
             out = remove_loops(model)
             loops = sum(1 for x, y, _ in model.pairs_signed() if x == y)
             assert out.num_pairs <= model.num_pairs - loops + model.n
+
+    def test_two_signed_loop_rejected(self):
+        # the loop has no sign to hand down; validate rejects the model too
+        model = SignedTreeModel(2, {3: (1, 2)}, pairs_a=[(3, 3)], pairs_b=[(3, 3)])
+        assert not validate(model, strict=False).ok
+        with pytest.raises(InvalidModelError,
+                           match=re.escape("pair (3, 3) is both positive and negative")):
+            remove_loops(model)
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_models(), st.data())
+    def test_ibp_decode_matches_validate(self, model, data):
+        """The CLI's decode path: ``stm_to_ibp(remove_loops(m))`` rejects
+        exactly the models ``validate(m, strict=False)`` rejects, and
+        otherwise its graph is the brute-force decode."""
+        loops = data.draw(st.lists(st.tuples(st.integers(1, 2 * model.n - 1),
+                                             st.sampled_from(("A", "B", "AB"))),
+                                   max_size=3))
+        pairs_a, pairs_b = set(model.pairs_a), set(model.pairs_b)
+        for t, signs in loops:
+            if "A" in signs:
+                pairs_a.add((t, t))
+            if "B" in signs:
+                pairs_b.add((t, t))
+        model = model.with_pairs(pairs_a, pairs_b)
+        rejected = not validate(model, strict=False).ok
+        try:
+            decoded = ibp_to_graph(stm_to_ibp(remove_loops(model)))
+        except InvalidModelError:
+            assert rejected
+            return
+        assert not rejected
+        assert graphs_equal(decoded, decode_bruteforce(model))
 
 
 class TestCleanSameSign:
