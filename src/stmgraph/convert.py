@@ -9,7 +9,7 @@ construction-sequence shortening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph import Graph, InputError, LinearOrder
 from .rect import Rect, complement_partition
@@ -219,86 +219,75 @@ def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
 # Balanced tree, cover sets, IBP -> DAG / positive model
 # ---------------------------------------------------------------------------
 
-class BalancedTree:
-    """Canonical balanced binary tree over positions 1..n (left half rounded
-    up), internal nodes numbered post-order n+1..2n-1 so the root is 2n-1.
+def _descend(n: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """Walk the canonical balanced tree over positions 1..n from the root,
+    yielding ``(lo, hi, r)`` for each node reached, parents first and left
+    subtrees before right ones.
 
-    ``leaf_id(p)`` names the leaf node for position p (default: p itself).
+    The node over [lo, hi] splits at (lo + hi) // 2, so its left half is
+    rounded up.  A leaf's id is its position; an internal node that the
+    root reaches by r right turns has the post-order id n + hi - 1 - r, so
+    internal ids run n+1..2n-1 and the root is 2n-1.
+
+    Given 1 <= a <= b <= n, the walk reaches only nodes that meet [a, b] and
+    goes no deeper than the nodes inside it: those are the cover set of
+    [a, b], left to right, after O(log n) steps.  Given a > b, it reaches
+    every node.
     """
+    whole = a > b
+    stack = [(1, n, 0)]
+    while stack:
+        lo, hi, r = stack.pop()
+        yield lo, hi, r
+        if lo == hi or (a <= lo and hi <= b):
+            continue
+        mid = (lo + hi) // 2
+        if whole or mid < b:
+            stack.append((mid + 1, hi, r + 1))
+        if whole or a <= mid:
+            stack.append((lo, mid, r))
 
-    __slots__ = ("n", "root", "children", "interval", "height")
 
-    def __init__(self, n: int, leaf_id=None):
-        if n < 1:
-            raise InputError("balanced tree needs at least one leaf")
-        self.n = n
-        leaf_id = leaf_id or (lambda p: p)
-        self.children: dict[int, tuple[int, int]] = {}
-        self.interval: dict[int, tuple[int, int]] = {}
-        counter = n  # next internal id - 1
+def _cover(n: int, a: int, b: int, at: Callable[[int], int]) -> list[int]:
+    """Cover set of [a, b]; leaf ids are ``at(position)``."""
+    return [n + hi - 1 - r if lo < hi else at(lo)
+            for lo, hi, r in _descend(n, a, b) if a <= lo and hi <= b]
 
-        def build(a: int, b: int) -> int:
-            nonlocal counter
-            if a == b:
-                t = leaf_id(a)
-                self.interval[t] = (a, a)
-                return t
-            mid = a + (b - a + 2) // 2 - 1
-            left = build(a, mid)
-            right = build(mid + 1, b)
-            counter += 1
-            self.children[counter] = (left, right)
-            self.interval[counter] = (a, b)
-            return counter
 
-        self.root = build(1, n)
-        self.height = (n - 1).bit_length()  # ceil(log2 n)
-
-    def cover_set(self, a: int, b: int) -> list[int]:
-        """Disjoint canonical nodes whose leaf intervals partition [a,b];
-        at most 2*ceil(log2 n) of them, found along the two root paths."""
-        if not 1 <= a <= b <= self.n:
-            raise InputError(f"interval [{a},{b}] out of [1,{self.n}]")
-        out: list[int] = []
-
-        def rec(t: int) -> None:
-            lo, hi = self.interval[t]
-            if a <= lo and hi <= b:
-                out.append(t)
-                return
-            if hi < a or b < lo:
-                return
-            l, r = self.children[t]
-            rec(l)
-            rec(r)
-
-        rec(self.root)
-        return out
+def _skeleton(n: int, at: Callable[[int], int]) -> list[tuple[int, int]]:
+    """Children of the internal nodes n+1..2n-1, in id order; leaf ids are
+    ``at(position)``."""
+    children = [(0, 0)] * (n - 1)
+    for lo, hi, r in _descend(n, 1, 0):
+        if lo < hi:
+            mid = (lo + hi) // 2
+            children[hi - 2 - r] = (n + mid - 1 - r if lo < mid else at(lo),
+                                    n + hi - 2 - r if mid + 1 < hi else at(hi))
+    return children
 
 
 def cover_set(n: int, a: int, b: int) -> list[int]:
-    """Cover set of [a,b] in the canonical balanced tree over 1..n."""
-    return BalancedTree(n).cover_set(a, b)
+    """Disjoint canonical nodes whose leaf intervals partition [a,b], left
+    to right: at most 2*ceil(log2 n) of them, found in O(log n) steps."""
+    if not 1 <= a <= b <= n:
+        raise InputError(f"interval [{a},{b}] out of [1,{n}]")
+    return _cover(n, a, b, lambda p: p)
 
 
 def ibp_to_dag(ibp: IntervalBicliquePartition) -> DagCompression:
-    """DAG compression: balanced-tree skeleton plus, per biclique I x J, two
-    new nodes over cover_set(I) and cover_set(J) joined by a compressed edge.
+    """DAG compression: balanced-tree skeleton (leaves are the vertices at
+    their positions) plus, per biclique I x J, two new nodes over
+    cover_set(I) and cover_set(J) joined by a compressed edge.
     """
-    n = ibp.n
-    tree = BalancedTree(n, leaf_id=ibp.order.at)
-    edges = [(t, c) for t, (l, r) in tree.children.items() for c in (l, r)]
+    n, at = ibp.n, ibp.order.at
+    edges = [(t, c) for t, pair in enumerate(_skeleton(n, at), n + 1) for c in pair]
     compressed = []
-    next_id = 2 * n - 1 if n > 1 else 1
+    next_id = 2 * n - 1
     for a, b, c, d in ibp.bicliques:
-        si = tree.cover_set(a, b)
-        sj = tree.cover_set(c, d)
-        next_id += 1
-        vi = next_id
-        next_id += 1
-        vj = next_id
-        edges.extend((vi, t) for t in si)
-        edges.extend((vj, t) for t in sj)
+        vi, vj = next_id + 1, next_id + 2
+        next_id = vj
+        edges.extend((vi, t) for t in _cover(n, a, b, at))
+        edges.extend((vj, t) for t in _cover(n, c, d, at))
         compressed.append((vi, vj))
     return DagCompression(n, next_id, edges, compressed)
 
@@ -350,16 +339,12 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
     """Positive tree model on the balanced tree: per biclique, all pairs of
     cover-set nodes become positive transversal pairs (at most
     4*ceil(log n)^2 per biclique; never crossing, by edge-disjointness)."""
-    n = ibp.n
-    tree = BalancedTree(n, leaf_id=ibp.order.at)
+    n, at = ibp.n, ibp.order.at
     pairs_b: set[tuple[int, int]] = set()
     for a, b, c, d in ibp.bicliques:
-        si = tree.cover_set(a, b)
-        sj = tree.cover_set(c, d)
-        for s in si:
-            for t in sj:
-                pairs_b.add((s, t))
-    return SignedTreeModel(n, tree.children, (), pairs_b)
+        sj = _cover(n, c, d, at)
+        pairs_b.update((s, t) for s in _cover(n, a, b, at) for t in sj)
+    return SignedTreeModel(n, dict(enumerate(_skeleton(n, at), n + 1)), (), pairs_b)
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +386,32 @@ def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
 
 
 def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
-    """Append merges (smallest live part ids first) until one part remains."""
+    """Check each op as it is walked, then append merges (smallest live part
+    ids first) until one part remains.
+
+    Raises SequenceError, with ``cseq_replay``'s messages, on an op over a
+    part that is not alive, a merge of a part with itself, or an unknown
+    op kind.
+    """
     alive = set(range(1, seq.n + 1))
     next_id = seq.n
-    for kind, i, j in seq.ops:
+    for step, (kind, i, j) in enumerate(seq.ops, start=1):
+        if i not in alive or j not in alive:
+            raise SequenceError(f"step {step}: part {i if i not in alive else j} is not alive")
         if kind == MERGE:
+            if i == j:
+                raise SequenceError(f"step {step}: cannot merge a part with itself")
             next_id += 1
-            alive.discard(i)
-            alive.discard(j)
+            alive -= {i, j}
             alive.add(next_id)
+        elif kind not in (RESOLVE_POS, RESOLVE_NEG):
+            raise SequenceError(f"step {step}: unknown op kind {kind!r}")
     extra = []
-    live = sorted(alive)
-    while len(live) > 1:
-        i, j = live[0], live[1]
+    live = sorted(alive)  # a new part's id tops every live one: appending keeps the order
+    for k in range(0, 2 * len(live) - 2, 2):
         next_id += 1
-        extra.append((MERGE, i, j))
-        live = sorted(set(live[2:]) | {next_id})
+        extra.append((MERGE, live[k], live[k + 1]))
+        live.append(next_id)
     return ConstructionSequence(seq.n, seq.ops + tuple(extra))
 
 
@@ -456,24 +451,20 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
 def cseq_to_stm(seq: ConstructionSequence) -> SignedTreeModel:
     """Merges become parents, resolves become transversal pairs of matching
     sign (self-resolves become loops, removed afterwards); later resolves on
-    an already-paired node pair are no-ops.  At most n + p pairs."""
+    an already-paired node pair are no-ops.  At most n + p pairs.
+
+    Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
+    """
     seq = _cseq_complete(seq)
     n = seq.n
-    alive = set(range(1, n + 1))
     children: dict[int, tuple[int, int]] = {}
     paired: set[tuple[int, int]] = set()
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
     next_id = n
-    for step, (kind, i, j) in enumerate(seq.ops, start=1):
-        if i not in alive or j not in alive:
-            raise SequenceError(f"step {step}: part {i if i not in alive else j} is not alive")
+    for kind, i, j in seq.ops:
         if kind == MERGE:
-            if i == j:
-                raise SequenceError(f"step {step}: cannot merge a part with itself")
             next_id += 1
-            alive -= {i, j}
-            alive.add(next_id)
             children[next_id] = (i, j)
         else:
             key = (min(i, j), max(i, j))
@@ -485,11 +476,14 @@ def cseq_to_stm(seq: ConstructionSequence) -> SignedTreeModel:
     return remove_loops(model)
 
 
-def cseq_shorten(seq: ConstructionSequence, r: int = 1) -> ConstructionSequence:
+def cseq_shorten(seq: ConstructionSequence) -> ConstructionSequence:
     """Postpone each resolve to just before the merge destroying one of its
     parts and drop duplicate resolves on identical part pairs; the output
     constructs the same graph with length at most (2d+1)n for radius-r
-    width d, without increasing the width."""
+    width d, without increasing the width.
+
+    Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
+    """
     seq = _cseq_complete(seq)
     n = seq.n
     merges = [(i, j) for kind, i, j in seq.ops if kind == MERGE]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -71,14 +71,15 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
     def bottom(t: int) -> int:
         return t if t <= n else nn + (t - n)
 
-    edges: list[tuple[int, int, int]] = []
-    for x, y in dc.edges:
-        edges.append((x, y, 0))
-        edges.append((bottom(y), bottom(x), 0))
-    for x, y in dc.compressed:
-        edges.append((bottom(x), y, 1))
-        edges.append((bottom(y), x, 1))
-    return DistanceModel(n, nn + (nn - n), edges)
+    def edges() -> Iterator[tuple[int, int, int]]:
+        for x, y in dc.edges:
+            yield x, y, 0
+            yield bottom(y), bottom(x), 0
+        for x, y in dc.compressed:
+            yield bottom(x), y, 1
+            yield bottom(y), x, 1
+
+    return DistanceModel(n, nn + (nn - n), edges())
 
 
 @dataclass

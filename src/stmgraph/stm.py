@@ -304,7 +304,8 @@ def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
     Each internal node whose children lack a transversal pair gets one with
     the sign of the nearest ancestor-or-self loop, if any; then all loops are
     dropped.  The added pairs form a matching on sibling pairs (at most n-1),
-    and the decoded graph is unchanged.
+    and the decoded graph is unchanged.  A model without loops is returned
+    as it is.
 
     Raises InvalidModelError, with ``validate``'s message, on a loop that is
     both positive and negative: it has no sign to hand down.
@@ -315,10 +316,10 @@ def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
             if x in loop_sign:
                 raise InvalidModelError(f"pair {(x, y)} is both positive and negative")
             loop_sign[x] = s
+    if not loop_sign:
+        return stm
     pairs_a = {p for p in stm.pairs_a if p[0] != p[1]}
     pairs_b = {p for p in stm.pairs_b if p[0] != p[1]}
-    if not loop_sign:
-        return stm.with_pairs(pairs_a, pairs_b)
     stack: list[tuple[int, int]] = [(stm.root, 0)]  # (node, sign carried from nearest loop)
     while stack:
         t, carried = stack.pop()

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 
 from stmgraph import (ConstructionSequence, Graph, InputError,
                       InvalidModelError, PartitionViolation, SdDegenSequence,
-                      SequenceError, clean_same_sign, complement_partition,
-                      cover_set, cseq_replay, cseq_shorten, cseq_to_stm,
-                      dag_to_graph, decode_bruteforce, graphs_equal,
-                      ibp_to_dag, ibp_to_graph, ibp_to_positive_model,
-                      inclusion_forest, radius_r_width, sdseq_to_stm,
-                      stm_to_ibp, stm_to_rects, validate)
+                      SequenceError, SignedTreeModel, clean_same_sign,
+                      complement_partition, cover_set, cseq_replay,
+                      cseq_shorten, cseq_to_stm, dag_to_graph,
+                      decode_bruteforce, graphs_equal, ibp_to_dag,
+                      ibp_to_graph, ibp_to_positive_model, inclusion_forest,
+                      radius_r_width, sdseq_to_stm, stm_to_ibp, stm_to_rects,
+                      validate)
 from stmgraph import io as fio
-from stmgraph.convert import BalancedTree, IntervalBicliquePartition
+from stmgraph.convert import (DagCompression, IntervalBicliquePartition, _descend,
+                              _skeleton)
 from stmgraph.graph import LinearOrder
 from stmgraph.stm import pair_rects
 from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
@@ -39,6 +41,82 @@ def stm_to_ibp_oracle(stm):
             holes = [rects[c] for c in forest.children[i]]
             bicliques += [(p.x1, p.x2, p.y1, p.y2) for p in complement_partition(r, holes)]
     return IntervalBicliquePartition(order, bicliques)
+
+
+class BalancedTree:
+    """The recursive, dict-backed canonical balanced tree that ``_descend``
+    replaced (oracle): internal nodes numbered post-order n+1..2n-1 as they
+    are built, ``leaf_id(p)`` naming the leaf at position p."""
+
+    def __init__(self, n, leaf_id=None):
+        self.n = n
+        leaf_id = leaf_id or (lambda p: p)
+        self.children = {}
+        self.interval = {}
+        counter = n
+
+        def build(a, b):
+            nonlocal counter
+            if a == b:
+                t = leaf_id(a)
+                self.interval[t] = (a, a)
+                return t
+            mid = a + (b - a + 2) // 2 - 1
+            left = build(a, mid)
+            right = build(mid + 1, b)
+            counter += 1
+            self.children[counter] = (left, right)
+            self.interval[counter] = (a, b)
+            return counter
+
+        self.root = build(1, n)
+
+    def cover_set(self, a, b):
+        out = []
+
+        def rec(t):
+            lo, hi = self.interval[t]
+            if a <= lo and hi <= b:
+                out.append(t)
+                return
+            if hi < a or b < lo:
+                return
+            l, r = self.children[t]
+            rec(l)
+            rec(r)
+
+        rec(self.root)
+        return out
+
+
+def ibp_to_dag_oracle(ibp):
+    """``ibp_to_dag`` on the oracle tree."""
+    n = ibp.n
+    tree = BalancedTree(n, leaf_id=ibp.order.at)
+    edges = [(t, c) for t, (l, r) in tree.children.items() for c in (l, r)]
+    compressed = []
+    next_id = 2 * n - 1 if n > 1 else 1
+    for a, b, c, d in ibp.bicliques:
+        vi, vj = next_id + 1, next_id + 2
+        next_id = vj
+        edges.extend((vi, t) for t in tree.cover_set(a, b))
+        edges.extend((vj, t) for t in tree.cover_set(c, d))
+        compressed.append((vi, vj))
+    return DagCompression(n, next_id, edges, compressed)
+
+
+def ibp_to_positive_model_oracle(ibp):
+    """``ibp_to_positive_model`` on the oracle tree."""
+    tree = BalancedTree(ibp.n, leaf_id=ibp.order.at)
+    pairs_b = {(s, t) for a, b, c, d in ibp.bicliques
+               for s in tree.cover_set(a, b) for t in tree.cover_set(c, d)}
+    return SignedTreeModel(ibp.n, tree.children, (), pairs_b)
+
+
+def node_intervals(n):
+    """Node id -> leaf interval, read off the full walk of ``_descend``."""
+    return {(n + hi - 1 - r if lo < hi else lo): (lo, hi)
+            for lo, hi, r in _descend(n, 1, 0)}
 
 
 def seed_family_models():
@@ -156,33 +234,65 @@ class TestIbpToGraph:
 
 class TestCoverSet:
     def test_full(self):
-        tree = BalancedTree(8)
-        assert tree.cover_set(1, 8) == [tree.root]
+        root = next(t for t, iv in node_intervals(8).items() if iv == (1, 8))
+        assert cover_set(8, 1, 8) == [root]
 
     def test_single_leaf(self):
         assert cover_set(8, 3, 3) == [3]
 
     def test_n8_2_7(self):
-        tree = BalancedTree(8)
+        interval = node_intervals(8)
         leafsets = []
-        for t in tree.cover_set(2, 7):
-            lo, hi = tree.interval[t]
+        for t in cover_set(8, 2, 7):
+            lo, hi = interval[t]
             leafsets.append(set(range(lo, hi + 1)))
         assert leafsets == [{2}, {3, 4}, {5, 6}, {7}]
 
     def test_size_bound_and_partition(self):
         for n in (2, 5, 8, 13, 32, 50):
-            tree = BalancedTree(n)
+            interval = node_intervals(n)
             log = max(1, math.ceil(math.log2(n)))
             for a in range(1, n + 1):
                 for b in range(a, n + 1):
-                    S = tree.cover_set(a, b)
+                    S = cover_set(n, a, b)
                     assert len(S) <= 2 * log
                     seen = []
                     for t in S:
-                        lo, hi = tree.interval[t]
+                        lo, hi = interval[t]
                         seen.extend(range(lo, hi + 1))
                     assert seen == list(range(a, b + 1))
+
+    def test_out_of_range(self):
+        for n, a, b in ((8, 0, 3), (8, 4, 3), (8, 5, 9), (0, 1, 1)):
+            with pytest.raises(InputError):
+                cover_set(n, a, b)
+
+
+class TestBalancedTreeOracle:
+    """The arithmetic tree against the recursive, dict-backed one."""
+
+    def test_cover_sets_and_intervals(self):
+        for n in range(1, 65):
+            tree = BalancedTree(n)
+            assert node_intervals(n) == tree.interval, n
+            for a in range(1, n + 1):
+                for b in range(a, n + 1):
+                    assert cover_set(n, a, b) == tree.cover_set(a, b), (n, a, b)
+
+    def test_skeleton_children(self):
+        for n in range(1, 65):
+            at = LinearOrder(random.Random(n).sample(range(1, n + 1), n)).at
+            tree = BalancedTree(n, leaf_id=at)
+            assert list(tree.children) == list(range(n + 1, 2 * n)), n
+            assert _skeleton(n, at) == list(tree.children.values()), n
+
+    def test_dag_and_positive_model_byte_identical(self):
+        for model in seed_family_models():
+            ibp = stm_to_ibp(model)
+            assert (fio.format_dag(ibp_to_dag(ibp))
+                    == fio.format_dag(ibp_to_dag_oracle(ibp))), model.n
+            assert (fio.format_stm(ibp_to_positive_model(ibp))
+                    == fio.format_stm(ibp_to_positive_model_oracle(ibp))), model.n
 
 
 class TestIbpToDag:
@@ -224,11 +334,10 @@ class TestIbpToPositiveModel:
         assert not ptm.pairs_a and len(ptm.pairs_b) == 1
 
     def test_pair_count_matches_cover_sizes(self):
-        tree = BalancedTree(8)
         ibp = IntervalBicliquePartition(LinearOrder.identity(8), [(2, 4, 5, 7)])
         ptm = ibp_to_positive_model(ibp)
-        si = tree.cover_set(2, 4)
-        sj = tree.cover_set(5, 7)
+        si = cover_set(8, 2, 4)
+        sj = cover_set(8, 5, 7)
         assert len(ptm.pairs_b) == len(si) * len(sj)
 
     def test_random_decode_and_validity(self):
@@ -284,6 +393,18 @@ class TestCseq:
             cseq_to_stm(seq)
         with pytest.raises(SequenceError):
             cseq_replay(seq)
+
+    @pytest.mark.parametrize("ops, message", [
+        ((("R+", 9, 1),), "step 1: part 9 is not alive"),
+        ((("M", 1, 1),), "step 1: cannot merge a part with itself"),
+        ((("M", 1, 2), ("R+", 1, 3)), "step 2: part 1 is not alive"),
+        ((("R", 1, 2),), "step 1: unknown op kind 'R'"),
+    ])
+    def test_invalid_same_message(self, ops, message):
+        seq = ConstructionSequence(3, ops)
+        for fn in (cseq_shorten, cseq_to_stm, cseq_replay):
+            with pytest.raises(SequenceError, match=f"^{re.escape(message)}$"):
+                fn(seq)
 
     def test_random_replay_equality(self):
         for seed in range(150):

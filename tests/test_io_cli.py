@@ -184,6 +184,22 @@ class TestCli:
         short = fio.parse_cseq((tmp_path / "s.cseq").read_text(), 6)
         assert graphs_equal(cseq_replay(short), cseq_replay(seq))
 
+    @pytest.mark.parametrize("text, message", [
+        ("R+ 9 1\n", "step 1: part 9 is not alive"),
+        ("M 1 1\n", "step 1: cannot merge a part with itself"),
+        ("M 1 2\nR+ 1 3\n", "step 2: part 1 is not alive"),
+    ])
+    def test_invalid_cseq_exit1(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.cseq"
+        f.write_text(text)
+        out = tmp_path / "out"
+        for argv in (["convert", "cseq-shorten", f, "--n", 3, "--out", out],
+                     ["convert", "cseq-stm", f, "--n", 3, "--out", out],
+                     ["validate", "cseq", f, "--n", 3]):
+            assert run(tmp_path, *argv) == 1, argv
+            assert capsys.readouterr().err == message + "\n", argv
+        assert not out.exists()
+
     def test_crossing_model_validate_exit1(self, tmp_path):
         f = tmp_path / "x.stm"
         f.write_text("4\n5 1 2\n6 3 4\n7 5 6\nB 1 6\nB 3 5\n")

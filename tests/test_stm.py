@@ -198,6 +198,7 @@ class TestDecode:
 class TestRemoveLoops:
     def test_noop(self, p3_model):
         assert remove_loops(p3_model) == p3_model
+        assert remove_loops(p3_model) is p3_model  # no O(n + p) rebuild
 
     def test_root_loop(self):
         model = SignedTreeModel(2, {3: (1, 2)}, pairs_b=[(3, 3)])
