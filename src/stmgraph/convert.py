@@ -9,7 +9,7 @@ construction-sequence shortening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, InputError, LinearOrder
 from .rect import Rect, complement_partition
@@ -67,53 +67,36 @@ class DagCompression:
 
     uv is a graph edge iff some compressed edge {x,y} has directed paths
     x -> u and y -> v.  Edges are stored parent -> child (toward sinks).
+
+    Node ids are a topological order: every edge (x, y) has
+    n < x <= num_nodes and 1 <= y < x.  So the graph vertices 1..n are
+    sinks, and no cycle can close, since a cycle needs an edge up to a
+    higher id.  The constructor checks this on each edge, and that each
+    compressed edge joins two nodes in [1, num_nodes].
     """
 
-    __slots__ = ("n", "num_nodes", "edges", "compressed", "_succ")
+    __slots__ = ("n", "num_nodes", "edges", "compressed")
 
     def __init__(self, n: int, num_nodes: int,
                  edges: Iterable[tuple[int, int]],
                  compressed: Iterable[tuple[int, int]]):
+        if not 0 <= n <= num_nodes:
+            raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
         self.n = n
         self.num_nodes = num_nodes
         self.edges = tuple(edges)
         self.compressed = tuple(compressed)
-        succ: list[list[int]] = [[] for _ in range(num_nodes + 1)]
         for x, y in self.edges:
+            if not (n < x <= num_nodes and 1 <= y < x):
+                raise InputError(f"DAG edge ({x},{y}) breaks n < x <= num_nodes and "
+                                 f"1 <= y < x (n={n}, num_nodes={num_nodes})")
+        for x, y in self.compressed:
             if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
-                raise InputError(f"DAG edge ({x},{y}) out of range")
-            succ[x].append(y)
-        self._succ = succ
-        for v in range(1, n + 1):
-            if succ[v]:
-                raise InputError(f"graph vertex {v} must be a sink")
-        self._check_acyclic()
-
-    def successors(self, x: int) -> list[int]:
-        return self._succ[x]
+                raise InputError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]")
 
     @property
     def size(self) -> int:
         return self.num_nodes + len(self.edges) + len(self.compressed)
-
-    def _check_acyclic(self) -> None:
-        state = [0] * (self.num_nodes + 1)  # 0 new, 1 active, 2 done
-        for start in range(1, self.num_nodes + 1):
-            if state[start]:
-                continue
-            stack = [(start, iter(self._succ[start]))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    state[node] = 2
-                    stack.pop()
-                elif state[nxt] == 1:
-                    raise InputError(f"cycle through node {nxt}")
-                elif state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(self._succ[nxt])))
 
     def __repr__(self) -> str:
         return (f"DagCompression(n={self.n}, nodes={self.num_nodes}, "
@@ -293,38 +276,22 @@ def ibp_to_dag(ibp: IntervalBicliquePartition) -> DagCompression:
 
 
 def dag_to_graph(dc: DagCompression) -> Graph:
-    """Reachability brute force: decode adjacency from compressed edges."""
-    reach: list[Optional[int]] = [None] * (dc.num_nodes + 1)  # bitsets over sinks
+    """Reachability brute force: decode adjacency from compressed edges.
 
-    def sinks(x: int) -> int:
-        if reach[x] is not None:
-            return reach[x]
-        stack = [x]
-        post: list[int] = []
-        seen = {x}
-        while stack:
-            t = stack.pop()
-            post.append(t)
-            for s in dc.successors(t):
-                if s not in seen and reach[s] is None:
-                    seen.add(s)
-                    stack.append(s)
-        for t in reversed(post):
-            if reach[t] is None:
-                bits = 1 << t if t <= dc.n else 0
-                for s in dc.successors(t):
-                    bits |= sinks(s)
-                reach[t] = bits
-        return reach[x]
-
+    Every edge (x, y) has y < x, so in ascending order of x each ``reach[y]``
+    is final by the time it is read."""
+    reach = [0] * (dc.num_nodes + 1)  # bitsets over sinks
+    for v in range(1, dc.n + 1):
+        reach[v] = 1 << v
+    for x, y in sorted(dc.edges):
+        reach[x] |= reach[y]
     edges = set()
     for x, y in dc.compressed:
-        bx, by = sinks(x), sinks(y)
-        u = bx
+        u = reach[x]
         while u:
             ub = u & -u
             ui = ub.bit_length() - 1
-            v = by
+            v = reach[y]
             while v:
                 vb = v & -v
                 vi = vb.bit_length() - 1

@@ -246,7 +246,8 @@ def format_spt(tree: ShortestPathTree, n: int) -> str:
 
 def parse_dag(text: str) -> DagCompression:
     """Format: line 1 "n num_nodes e c"; e lines "x y" (DAG edges, parent to
-    child); c lines "C x y" (compressed edges)."""
+    child); c lines "C x y" (compressed edges).  A DAG that
+    ``DagCompression`` rejects is a FormatError on line 1."""
     lines = _lines(text)
     if not lines:
         raise FormatError(1, "empty input")

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .convert import (ConstructionSequence, DagCompression,
-                      IntervalBicliquePartition, MERGE, SequenceError,
+                      IntervalBicliquePartition, MERGE, _cseq_complete,
                       ibp_to_dag, stm_to_ibp)
 from .graph import InputError
 from .stm import SignedTreeModel
@@ -34,6 +34,8 @@ class DistanceModel:
     __slots__ = ("n", "num_nodes", "adj", "num_edges")
 
     def __init__(self, n: int, num_nodes: int, edges: Iterable[tuple[int, int, int]]):
+        if not 0 <= n <= num_nodes:
+            raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
         self.n = n
         self.num_nodes = num_nodes
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes + 1)]
@@ -41,6 +43,8 @@ class DistanceModel:
         for x, y, w in edges:
             if w not in (0, 1):
                 raise InputError(f"edge weight {w} not in {{0,1}}")
+            if not (0 < x <= num_nodes and 0 < y <= num_nodes):
+                raise InputError(f"edge ({x},{y}) out of range [1,{num_nodes}]")
             adj[x].append((y, w))
             m += 1
         self.adj = adj
@@ -261,9 +265,13 @@ def radius_r_width(seq: ConstructionSequence, r: int = 1) -> int:
     """Replay a construction sequence and report its radius-r width: the
     maximum, over steps and vertices, of the number of parts met by the
     radius-r ball of the vertex in the resolved-pairs graph.  Naive
-    re-evaluation per step; measurement tool, not a hot path."""
+    re-evaluation per step; measurement tool, not a hot path.
+
+    Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
+    """
     if r < 1:
         raise InputError("r must be at least 1")
+    _cseq_complete(seq)  # checks every op; the replay measures seq's own ops
     n = seq.n
     part_of = list(range(n + 1))
     alive: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
@@ -287,12 +295,8 @@ def radius_r_width(seq: ConstructionSequence, r: int = 1) -> int:
 
     width = measure()
     next_id = n
-    for step, (kind, i, j) in enumerate(seq.ops, start=1):
-        if i not in alive or j not in alive:
-            raise SequenceError(f"step {step}: part {i if i not in alive else j} is not alive")
+    for kind, i, j in seq.ops:
         if kind == MERGE:
-            if i == j:
-                raise SequenceError(f"step {step}: cannot merge a part with itself")
             next_id += 1
             members = alive.pop(i) + alive.pop(j)
             alive[next_id] = members

@@ -33,7 +33,7 @@ class InvalidModelError(ValueError):
 class ValidationReport:
     ok: bool
     violations: list[tuple[str, str]]
-    """(kind, message) pairs; kinds: tree, loop, transversal, crossing, overlap, range.
+    """(kind, message) pairs; kinds: loop, transversal, crossing, overlap.
 
     Every offending pair is named for the per-pair kinds; a crossing model
     gets one ``crossing`` entry naming one witness pair of crossing pairs,
@@ -62,7 +62,7 @@ class SignedTreeModel:
     """Immutable signed tree model.  All edit operations return new models."""
 
     __slots__ = ("n", "children", "parent", "root", "pairs_a", "pairs_b",
-                 "_tin", "_tout", "leaf_order", "leaf_pos", "_lo", "_hi", "_checked")
+                 "leaf_order", "_lo", "_hi", "_checked")
 
     def __init__(self, n: int,
                  children: Mapping[int, tuple[int, int]],
@@ -89,45 +89,32 @@ class SignedTreeModel:
         self.root = roots[0]
         self.parent = tuple(parent)
 
-        # Euler tour for O(1) ancestor tests, plus leaf positions and the
-        # position interval spanned by each subtree.
-        tin = [0] * (num_nodes + 1)
-        tout = [0] * (num_nodes + 1)
+        # The leaf order, and the position interval spanned by each subtree.
+        # One root among 2n-1 nodes means n-1 child pairs, so every internal
+        # id n+1..2n-1 has children: the tree is full.
         lo = [0] * (num_nodes + 1)
         hi = [0] * (num_nodes + 1)
         leaves: list[int] = []
-        timer = 0
         stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
             t, done = stack.pop()
             if done:
-                tout[t] = timer
                 l, r = self.children[t]
                 lo[t] = lo[l]
                 hi[t] = hi[r]
-                continue
-            timer += 1
-            tin[t] = timer
-            if t in self.children:
+            elif t in self.children:
                 l, r = self.children[t]
                 stack.append((t, True))
                 stack.append((r, False))
                 stack.append((l, False))
             else:
                 leaves.append(t)
-                tout[t] = timer
                 lo[t] = hi[t] = len(leaves)
         if sorted(leaves) != list(range(1, n + 1)):
             raise InputError("leaves must be exactly the ids 1..n")
-        self._tin = tuple(tin)
-        self._tout = tuple(tout)
         self._lo = tuple(lo)
         self._hi = tuple(hi)
         self.leaf_order = tuple(leaves)
-        leaf_pos = [0] * (n + 1)
-        for p, v in enumerate(leaves, start=1):
-            leaf_pos[v] = p
-        self.leaf_pos = tuple(leaf_pos)
 
         def canon(pairs: Iterable[Pair]) -> frozenset[Pair]:
             out = set()
@@ -147,8 +134,10 @@ class SignedTreeModel:
         return t <= self.n
 
     def is_ancestor(self, x: int, y: int) -> bool:
-        """True iff x is an ancestor of y (reflexively)."""
-        return self._tin[x] <= self._tin[y] and self._tout[y] <= self._tout[x]
+        """True iff x is an ancestor of y (reflexively).  In a full binary
+        tree distinct nodes have distinct leaf intervals, so that is when
+        x's interval contains y's."""
+        return self._lo[x] <= self._lo[y] and self._hi[y] <= self._hi[x]
 
     def leaf_interval(self, t: int) -> tuple[int, int]:
         """Positions (inclusive) of the leaves under t, in left-to-right order."""
@@ -241,18 +230,11 @@ def _checked_forest(stm: SignedTreeModel
     if stm._checked is not None:
         return stm._checked
     v: list[tuple[str, str]] = []
-    num_nodes = 2 * stm.n - 1
-    for t in range(stm.n + 1, num_nodes + 1):
-        if t not in stm.children:
-            v.append(("tree", f"internal node {t} has no children"))
     overlap = stm.pairs_a & stm.pairs_b
     for p in sorted(overlap):
         v.append(("overlap", f"pair {p} is both positive and negative"))
     rects: list[Rect] = []
     for x, y, sign in stm.pairs_signed():
-        if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
-            v.append(("range", f"pair ({x},{y}) references unknown nodes"))
-            continue
         if x == y:
             v.append(("loop", f"pair ({x},{y}) is a loop"))
             continue

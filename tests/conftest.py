@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from stmgraph import SignedTreeModel, validate
+from stmgraph import SignedTreeModel, ibp_to_dag, validate
+from stmgraph.convert import DagCompression, IntervalBicliquePartition
 from stmgraph.gen import random_stm
+from stmgraph.graph import LinearOrder
 
 # Filled in by test_acceptance.py; echoed after the run so the per-criterion
 # verdict lines survive pytest's output capture.
@@ -88,6 +90,49 @@ def perturbed_models(draw):
         else:
             pairs[side].add((draw(node), draw(node)))
     return model.with_pairs(*pairs)
+
+
+@st.composite
+def compressions(draw):
+    """DAG compressions: ``ibp_to_dag`` of random interval bicliques (not
+    necessarily a partition) over a random order, or raw DAGs, their edges
+    in random order, with random compressed edges."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        order = LinearOrder.from_vertex_sequence(draw(st.permutations(range(1, n + 1))))
+        quads = []
+        for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+            b = draw(st.integers(1, n - 1))
+            c = draw(st.integers(b + 1, n))
+            quads.append((draw(st.integers(1, b)), b, c, draw(st.integers(c, n))))
+        return ibp_to_dag(IntervalBicliquePartition(order, quads))
+    num_nodes = n + draw(st.integers(0, 8))
+    edges = []
+    for x in range(n + 1, num_nodes + 1):
+        edges += [(x, y) for y in draw(st.sets(st.integers(1, x - 1), max_size=3))]
+    edges = draw(st.permutations(edges))
+    node = st.integers(1, num_nodes)
+    compressed = draw(st.lists(st.tuples(node, node), max_size=8))
+    return DagCompression(n, num_nodes, edges, compressed)
+
+
+# DAG compressions that break the id order or a range, as (n, num_nodes,
+# edges, compressed, the text an error must name).  Node ids must be a
+# topological order: every edge (x, y) has n < x <= num_nodes, 1 <= y < x.
+BAD_DAGS = {
+    "edge leaves a graph vertex": (2, 3, [(3, 1), (2, 1)], [], "(2,1)"),
+    "edge to a higher id": (2, 4, [(4, 1), (3, 4)], [(3, 4)], "(3,4)"),
+    "self edge": (2, 3, [(3, 3)], [], "(3,3)"),
+    "2-cycle": (2, 4, [(4, 3), (3, 4)], [(3, 4)], "(3,4)"),
+    "edge to 0": (2, 3, [(3, 0)], [], "(3,0)"),
+    "edge to past num_nodes": (2, 3, [(3, 4)], [], "(3,4)"),
+    "edge from past num_nodes": (2, 3, [(4, 1)], [], "(4,1)"),
+    "compressed edge from 0": (2, 3, [(3, 1), (3, 2)], [(0, 1)], "(0,1)"),
+    "compressed edge from -1": (2, 3, [(3, 1), (3, 2)], [(-1, 1)], "(-1,1)"),
+    "compressed edge past num_nodes": (2, 3, [(3, 1), (3, 2)], [(4, 1)], "(4,1)"),
+    "compressed edge far past num_nodes": (2, 3, [(3, 1), (3, 2)], [(9, 1)], "(9,1)"),
+    "num_nodes < n": (5, 3, [], [], "n=5, num_nodes=3"),
+}
 
 
 # Worked micro-example used across the suite: decodes to the path 1-2-3.

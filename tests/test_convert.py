@@ -21,7 +21,7 @@ from stmgraph.graph import LinearOrder
 from stmgraph.stm import pair_rects
 from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
 
-from conftest import perturbed_models
+from conftest import BAD_DAGS, compressions, perturbed_models
 
 
 def stm_to_ibp_oracle(stm):
@@ -103,6 +103,54 @@ def ibp_to_dag_oracle(ibp):
         edges.extend((vj, t) for t in tree.cover_set(c, d))
         compressed.append((vi, vj))
     return DagCompression(n, next_id, edges, compressed)
+
+
+def dag_to_graph_oracle(dc):
+    """The reachability decode that ``dag_to_graph`` replaced (oracle): a
+    recursive closure that walks successor lists built from the edges, on
+    any DAG, whatever its node order."""
+    succ = [[] for _ in range(dc.num_nodes + 1)]
+    for x, y in dc.edges:
+        succ[x].append(y)
+    reach = [None] * (dc.num_nodes + 1)  # bitsets over sinks
+
+    def sinks(x):
+        if reach[x] is not None:
+            return reach[x]
+        stack = [x]
+        post = []
+        seen = {x}
+        while stack:
+            t = stack.pop()
+            post.append(t)
+            for s in succ[t]:
+                if s not in seen and reach[s] is None:
+                    seen.add(s)
+                    stack.append(s)
+        for t in reversed(post):
+            if reach[t] is None:
+                bits = 1 << t if t <= dc.n else 0
+                for s in succ[t]:
+                    bits |= sinks(s)
+                reach[t] = bits
+        return reach[x]
+
+    edges = set()
+    for x, y in dc.compressed:
+        bx, by = sinks(x), sinks(y)
+        u = bx
+        while u:
+            ub = u & -u
+            ui = ub.bit_length() - 1
+            v = by
+            while v:
+                vb = v & -v
+                vi = vb.bit_length() - 1
+                if ui != vi:
+                    edges.add((min(ui, vi), max(ui, vi)))
+                v ^= vb
+            u ^= ub
+    return Graph(dc.n, edges)
 
 
 def ibp_to_positive_model_oracle(ibp):
@@ -327,6 +375,27 @@ class TestIbpToDag:
             assert new_edges <= (4 * log) * max(1, len(ibp.bicliques)), seed
 
 
+class TestDagCompression:
+    @settings(max_examples=300, deadline=None)
+    @given(compressions())
+    def test_dag_to_graph_matches_oracle(self, dc):
+        assert graphs_equal(dag_to_graph(dc), dag_to_graph_oracle(dc))
+
+    def test_dag_to_graph_matches_oracle_on_seed_family(self):
+        for model in seed_family_models():
+            if model.n > 1024:
+                continue  # ~n^2/8 decoded edges: 133 k at n = 1024
+            dc = ibp_to_dag(stm_to_ibp(model))
+            assert graphs_equal(dag_to_graph(dc), dag_to_graph_oracle(dc)), model.n
+
+    @pytest.mark.parametrize("case", sorted(BAD_DAGS))
+    def test_rejects_and_names_the_edge(self, case):
+        n, num_nodes, edges, compressed, named = BAD_DAGS[case]
+        with pytest.raises(InputError) as e:
+            DagCompression(n, num_nodes, edges, compressed)
+        assert named in str(e.value)
+
+
 class TestIbpToPositiveModel:
     def test_single_root_biclique(self):
         ibp = IntervalBicliquePartition(LinearOrder.identity(4), [(1, 2, 3, 4)])
@@ -402,7 +471,7 @@ class TestCseq:
     ])
     def test_invalid_same_message(self, ops, message):
         seq = ConstructionSequence(3, ops)
-        for fn in (cseq_shorten, cseq_to_stm, cseq_replay):
+        for fn in (cseq_shorten, cseq_to_stm, cseq_replay, radius_r_width):
             with pytest.raises(SequenceError, match=f"^{re.escape(message)}$"):
                 fn(seq)
 

@@ -7,11 +7,11 @@ import stmgraph.rect
 from stmgraph import io as fio
 from stmgraph import (SdDegenSequence, cseq_replay, decode_bruteforce,
                       graphs_equal, ibp_to_dag, remove_loops, sdseq_to_stm,
-                      stm_to_ibp)
+                      stm_to_ibp, validate)
 from stmgraph.cli import main
 from stmgraph.gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
 
-from conftest import random_loopy
+from conftest import BAD_DAGS, random_loopy
 
 
 class TestRoundTrips:
@@ -251,6 +251,37 @@ def stm_argv(tmp_path, command, text):
     return [a.format(stm=stm_f, mat=mat_f) for a in STM_COMMANDS[command]]
 
 
+class TestCliDag:
+    """``--kind dag`` reads a .dag file: a valid one gives the same output
+    as the model it was converted from, and a malformed one exits 2."""
+
+    def test_same_output_as_stm(self, tmp_path, capsys, fig1_model):
+        stm_f, ibp_f, dag_f = tmp_path / "m.stm", tmp_path / "m.ibp", tmp_path / "m.dag"
+        stm_f.write_text(fio.format_stm(fig1_model))
+        assert main(["convert", "stm-ibp", str(stm_f), "--out", str(ibp_f)]) == 0
+        assert main(["convert", "ibp-dag", str(ibp_f), "--out", str(dag_f)]) == 0
+        for argv in (["sssp", "--source", "3"], ["apsp"]):
+            outs = []
+            for f, kind in ((stm_f, "stm"), (dag_f, "dag")):
+                assert main(argv[:1] + [str(f), "--kind", kind] + argv[1:]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], argv
+
+    @pytest.mark.parametrize("case", sorted(BAD_DAGS))
+    def test_malformed_dag_exit2(self, tmp_path, capsys, case):
+        n, num_nodes, edges, compressed, named = BAD_DAGS[case]
+        text = "".join([f"{n} {num_nodes} {len(edges)} {len(compressed)}\n"]
+                       + [f"{x} {y}\n" for x, y in edges]
+                       + [f"C {x} {y}\n" for x, y in compressed])
+        with pytest.raises(fio.FormatError):
+            fio.parse_dag(text)
+        dag_f = tmp_path / "m.dag"
+        dag_f.write_text(text)
+        assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("line 1: ") and named in err
+
+
 class TestCliLoadPath:
     """Every .stm command parses once, checks the model once through
     ``stm_to_ibp`` and never runs the brute-force decoder."""
@@ -280,14 +311,27 @@ class TestCliLoadPath:
         assert main(stm_argv(tmp_path, command, fio.format_stm(fig1_model))) == 0
         assert len(forest_builds) == 1
 
-    def test_validate_against_builds_two_forests(self, tmp_path, capsys, fig1_model,
-                                                 forest_builds):
+    def test_validate_against_builds_one_forest(self, tmp_path, capsys, fig1_model,
+                                                forest_builds):
         stm_f, g_f = tmp_path / "m.stm", tmp_path / "m.graph"
         stm_f.write_text(fio.format_stm(fig1_model))
         g_f.write_text(fio.format_graph(decode_bruteforce(fig1_model)))
         forest_builds.clear()
         assert main(["validate", "stm", str(stm_f), "--against", str(g_f)]) == 0
-        assert len(forest_builds) == 2  # validate's report, then the decode
+        assert len(forest_builds) == 1  # the decode's stm_to_ibp is the check
+
+    @pytest.mark.parametrize("loops_ok", [False, True])
+    @pytest.mark.parametrize("text", [t for t, _ in INVALID_STM.values()]
+                             + ["2\n3 1 2\nB 3 3\n"])
+    def test_validate_prints_every_message(self, tmp_path, capsys, text, loops_ok):
+        f = tmp_path / "m.stm"
+        f.write_text(text)
+        report = validate(fio.parse_stm(text, check_crossing=False), strict=not loops_ok)
+        argv = ["validate", "stm", str(f)] + ["--loops-ok"] * loops_ok
+        assert main(argv) == (0 if report.ok else 1)
+        out = capsys.readouterr()
+        assert out.err == "".join(m + "\n" for m in report.messages())
+        assert out.out == ("ok\n" if report.ok else "")
 
     def test_no_bruteforce_decode(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
