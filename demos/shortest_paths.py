@@ -23,6 +23,6 @@ assert list(res.dist) == oracle
 reached = sum(1 for d in res.dist if d < n)
 print(f"n={n}, decoded graph has {g.m} edges")
 print(f"distance model size: {counters['model_size']}")
-print(f"sssp deque operations: {counters['ops']}")
+print(f"sssp edges scanned: {counters['ops']}")
 print(f"vertices reached from 1: {reached}")
 print("distances agree with BFS on the decoded graph")

@@ -9,7 +9,10 @@ construction-sequence shortening.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .graph import Graph, InputError, LinearOrder
 from .rect import Rect, complement_partition
@@ -31,24 +34,36 @@ class SequenceError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _int_rows(rows: tuple[tuple[int, ...], ...], width: int) -> np.ndarray:
+    """Equal-length integer tuples as a (len(rows), width) int64 array."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=width * len(rows))
+    return flat.reshape(-1, width)
+
+
 class IntervalBicliquePartition:
     """A vertex order plus edge-disjoint bicliques with interval sides.
 
     Bicliques are position-space quadruples (a,b,c,d), a<=b<c<=d, denoting
     the biclique between the vertices at positions [a,b] and [c,d].
+    ``bicliques`` holds them as a tuple of tuples, ``quads`` as a read-only
+    (|B|, 4) int64 array in the same order.
     """
 
-    __slots__ = ("order", "bicliques")
+    __slots__ = ("order", "bicliques", "quads")
 
     def __init__(self, order: LinearOrder, bicliques: Iterable[tuple[int, int, int, int]]):
         self.order = order
         n = order.n
-        bl = []
-        for a, b, c, d in bicliques:
-            if not (1 <= a <= b < c <= d <= n):
-                raise InputError(f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d in [1,{n}]")
-            bl.append((a, b, c, d))
-        self.bicliques: tuple[tuple[int, int, int, int], ...] = tuple(bl)
+        self.bicliques: tuple[tuple[int, int, int, int], ...] = tuple(
+            (a, b, c, d) for a, b, c, d in bicliques)
+        quads = _int_rows(self.bicliques, 4)
+        a, b, c, d = quads.T
+        bad = (a < 1) | (a > b) | (b >= c) | (c > d) | (d > n)
+        if bad.any():
+            a, b, c, d = self.bicliques[int(np.flatnonzero(bad)[0])]
+            raise InputError(f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d in [1,{n}]")
+        quads.flags.writeable = False
+        self.quads = quads
 
     @property
     def n(self) -> int:

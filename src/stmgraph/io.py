@@ -247,7 +247,8 @@ def format_spt(tree: ShortestPathTree, n: int) -> str:
 def parse_dag(text: str) -> DagCompression:
     """Format: line 1 "n num_nodes e c"; e lines "x y" (DAG edges, parent to
     child); c lines "C x y" (compressed edges).  A DAG that
-    ``DagCompression`` rejects is a FormatError on line 1."""
+    ``DagCompression`` rejects is a FormatError on the line of the edge it
+    names, or on line 1 for a header defect."""
     lines = _lines(text)
     if not lines:
         raise FormatError(1, "empty input")
@@ -265,7 +266,13 @@ def parse_dag(text: str) -> DagCompression:
     try:
         return DagCompression(n, num_nodes, edges, compressed)
     except ValueError as exc:
-        raise FormatError(1, str(exc)) from None
+        # the message names the first bad edge of its list as "(x,y)"
+        named = re.match(r"(DAG|compressed) edge \((-?\d+),(-?\d+)\)", str(exc))
+        line = 1
+        if named:
+            pair = (int(named[2]), int(named[3]))
+            line = 2 + (edges.index(pair) if named[1] == "DAG" else e + compressed.index(pair))
+        raise FormatError(line, str(exc)) from None
 
 
 def format_dag(dc: DagCompression) -> str:

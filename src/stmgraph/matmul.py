@@ -67,8 +67,7 @@ def _int64_matvec(ibp: IntervalBicliquePartition, x, counters: Optional[dict]):
     INT64_GROUP; ``x`` is one vector or an (n, k) block of columns."""
     n = ibp.n
     xs = _int64_array(x)
-    quads = np.fromiter(chain.from_iterable(ibp.bicliques), dtype=np.intp,
-                        count=4 * len(ibp.bicliques)).reshape(-1, 4)
+    quads = ibp.quads
     prefix = np.zeros((n + 1,) + xs.shape[1:], dtype=np.int64)
     np.cumsum(xs, axis=0, out=prefix[1:])
     diff = np.zeros((n + 2,) + xs.shape[1:], dtype=np.int64)

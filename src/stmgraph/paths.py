@@ -1,27 +1,36 @@
 """Shortest paths on compressed representations.
 
 A DAG compression induces a 0-1-weighted distance model (two copies of the
-DAG joined on the graph vertices); deque-based BFS on it yields exact graph
-distances, shortest-path trees, scattered sets, and the radius-r width
-measurement for construction sequences.  APSP runs all sources at once, as a
-0-1 BFS over bitsets of sources.
+DAG joined on the graph vertices), stored as two CSR edge arrays, one per
+weight.  One level-synchronous 0-1 BFS on it, a numpy array step per
+frontier, yields exact graph distances, shortest-path trees and scattered
+sets; APSP runs all sources at once over bitsets of sources.  The
+radius-r width measures construction sequences.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, MERGE, _cseq_complete,
-                      ibp_to_dag, stm_to_ibp)
+                      _int_rows, ibp_to_dag, stm_to_ibp)
 from .graph import InputError
 from .stm import SignedTreeModel
 
 Representation = Union[SignedTreeModel, IntervalBicliquePartition, DagCompression]
+
+
+def _csr(num_nodes: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, targets): the edges out of node u are
+    targets[offsets[u]:offsets[u + 1]], in their order in ``src``."""
+    offsets = np.zeros(num_nodes + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes + 1), out=offsets[1:])
+    return offsets, tgt[np.argsort(src, kind="stable")]
 
 
 class DistanceModel:
@@ -29,26 +38,39 @@ class DistanceModel:
 
     Node ids: 1..n are the shared graph vertices; the top copy keeps the DAG's
     internal ids; bottom-copy internals are shifted past them.
+
+    ``zero`` and ``one`` hold the weight-0 and weight-1 edges in CSR form,
+    each an (offsets, targets) pair of int64 arrays: the edges of that
+    weight out of node u run to targets[offsets[u]:offsets[u + 1]], in the
+    order they were given.  ``edges`` is any iterable of (x, y, w) triples,
+    an (m, 3) integer array included.
     """
 
-    __slots__ = ("n", "num_nodes", "adj", "num_edges")
+    __slots__ = ("n", "num_nodes", "zero", "one")
 
     def __init__(self, n: int, num_nodes: int, edges: Iterable[tuple[int, int, int]]):
         if not 0 <= n <= num_nodes:
             raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.size == 0:
+            e = np.zeros((0, 3), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind not in "biu":
+            raise InputError("edges must be (x, y, w) triples of integers")
+        x, y, w = e.astype(np.int64, copy=False).T
+        bad = (w < 0) | (w > 1) | (x < 1) | (x > num_nodes) | (y < 1) | (y > num_nodes)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InputError(f"edge ({x[i]},{y[i]}) of weight {w[i]} needs both ends in "
+                             f"[1,{num_nodes}] and a weight in {{0,1}}")
         self.n = n
         self.num_nodes = num_nodes
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes + 1)]
-        m = 0
-        for x, y, w in edges:
-            if w not in (0, 1):
-                raise InputError(f"edge weight {w} not in {{0,1}}")
-            if not (0 < x <= num_nodes and 0 < y <= num_nodes):
-                raise InputError(f"edge ({x},{y}) out of range [1,{num_nodes}]")
-            adj[x].append((y, w))
-            m += 1
-        self.adj = adj
-        self.num_edges = m
+        light = w == 0
+        self.zero = _csr(num_nodes, x[light], y[light])
+        self.one = _csr(num_nodes, x[~light], y[~light])
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.zero[1]) + len(self.one[1])
 
     @property
     def size(self) -> int:
@@ -69,71 +91,97 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
     """Two copies of the DAG joined on the graph vertices: top edges run
     toward the sinks at weight 0, bottom edges away from them at weight 0,
     and each compressed edge {x,y} becomes bottom(x)->top(y) and
-    bottom(y)->top(x) at weight 1 (both ways, the graph being undirected)."""
+    bottom(y)->top(x) at weight 1 (both ways, the graph being undirected).
+
+    Each DAG edge gives its top then its bottom edge, and each compressed
+    edge its two, in the DAG's order; every node keeps that order."""
     n, nn = dc.n, dc.num_nodes
+    x, y = _int_rows(dc.edges, 2).T
+    cx, cy = _int_rows(dc.compressed, 2).T
 
-    def bottom(t: int) -> int:
-        return t if t <= n else nn + (t - n)
+    def bottom(t: np.ndarray) -> np.ndarray:
+        return np.where(t <= n, t, t + (nn - n))
 
-    def edges() -> Iterator[tuple[int, int, int]]:
-        for x, y in dc.edges:
-            yield x, y, 0
-            yield bottom(y), bottom(x), 0
-        for x, y in dc.compressed:
-            yield bottom(x), y, 1
-            yield bottom(y), x, 1
-
-    return DistanceModel(n, nn + (nn - n), edges())
+    m = 2 * len(x)
+    e = np.empty((m + 2 * len(cx), 3), dtype=np.int64)  # rows (x, y, w)
+    e[:m:2, 0], e[:m:2, 1] = x, y
+    e[1:m:2, 0], e[1:m:2, 1] = bottom(y), bottom(x)
+    e[m::2, 0], e[m::2, 1] = bottom(cx), cy
+    e[m + 1::2, 0], e[m + 1::2, 1] = bottom(cy), cx
+    e[:m, 2], e[m:, 2] = 0, 1
+    return DistanceModel(n, nn + (nn - n), e)
 
 
 @dataclass
 class ZeroOneResult:
-    dist: list[int]          # over model nodes, index 0 unused; INF sentinel
-    parent_vertex: list[int]  # projected G-parent per shared vertex, index v-1
-    ops: int                  # edges relaxed, a machine-independent cost proxy
+    dist: np.ndarray          # over model nodes, index 0 unused; INF sentinel
+    parent_vertex: np.ndarray  # projected G-parent per shared vertex, index v-1
+    ops: int                  # edges scanned, a machine-independent cost proxy
     INF: int                  # the unreachable sentinel in ``dist``
 
 
-def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None) -> ZeroOneResult:
-    """Deque BFS: weight-0 relaxations go to the front, weight-1 to the back.
+def _out_edges(csr: tuple[np.ndarray, np.ndarray],
+               nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets) of every edge out of ``nodes``, node by node, each
+    node's edges in CSR order."""
+    offsets, targets = csr
+    starts = offsets[nodes]
+    counts = offsets[nodes + 1] - starts
+    # edge k of a node's run sits at its start + k; its gathered index is
+    # the run's first gathered index + k
+    first = np.cumsum(counts) - counts
+    idx = np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+    return np.repeat(nodes, counts), targets[idx]
 
-    Each model node carries the most recent shared-layer vertex on its
-    shortest path; a shared vertex's G-parent is the label carried into it.
-    ``max_dist`` bounds the search radius (used by scattered sets).
+
+def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None) -> ZeroOneResult:
+    """Level-synchronous 0-1 BFS (a two-bucket Dial search).
+
+    Per level: close the frontier under the weight-0 edges, one batch of
+    newly reached nodes at a time, then cross the weight-1 edges out of
+    every node settled at that level.  A node reached by several edges of
+    one batch takes the first of them.  Each model node carries the most
+    recent shared-layer vertex on its shortest path; a shared vertex's
+    G-parent is the label carried into it.
+
+    ``max_dist`` bounds the search radius (used by scattered sets): the
+    search stops after the 0-closure of that level, so nodes farther away
+    keep the INF sentinel.  ``ops`` counts every edge scanned.
     """
     if not 1 <= source <= dm.n:
         raise InputError(f"source {source} is not a graph vertex in [1,{dm.n}]")
-    return _zero_one_bfs(dm.adj, dm.n, dm.num_nodes, source, max_dist)
-
-
-def _zero_one_bfs(adj, n, num_nodes, source, max_dist):
-    INF = num_nodes + 1
-    dist = [INF] * (num_nodes + 1)
-    label = [0] * (num_nodes + 1)
-    parent = [0] * n
+    n, INF = dm.n, dm.num_nodes + 1
+    dist = np.full(dm.num_nodes + 1, INF, dtype=np.int64)
+    label = np.zeros(dm.num_nodes + 1, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.int64)
     dist[source] = 0
     label[source] = source
-    dq = deque([source])
-    ops = 0
-    while dq:
-        u = dq.popleft()
-        du = dist[u]
-        if max_dist is not None and du > max_dist:
-            continue
-        for v, w in adj[u]:
-            ops += 1
-            nd = du + w
-            if nd < dist[v]:
-                dist[v] = nd
-                if v <= n:
-                    parent[v - 1] = label[u]
-                    label[v] = v
-                else:
-                    label[v] = label[u]
-                if w == 0:
-                    dq.appendleft(v)
-                else:
-                    dq.append(v)
+    level, ops = 0, 0
+
+    def settle(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        fresh = dist[tgt] == INF
+        tgt, first = np.unique(tgt[fresh], return_index=True)
+        carried = label[src[fresh][first]]
+        dist[tgt] = level
+        shared = tgt <= n
+        parent[tgt[shared] - 1] = carried[shared]
+        label[tgt] = np.where(shared, tgt, carried)
+        return tgt
+
+    new = np.array([source], dtype=np.int64)
+    while new.size:
+        settled = [new]
+        while new.size:
+            src, tgt = _out_edges(dm.zero, new)
+            ops += len(tgt)
+            new = settle(src, tgt)
+            settled.append(new)
+        if max_dist is not None and level >= max_dist:
+            break
+        level += 1
+        src, tgt = _out_edges(dm.one, np.concatenate(settled))
+        ops += len(tgt)
+        new = settle(src, tgt)
     return ZeroOneResult(dist, parent, ops, INF)
 
 
@@ -152,7 +200,7 @@ def _as_distance_model(rep: Representation) -> DistanceModel:
 def sssp(rep: Representation, source: int,
          counters: Optional[dict] = None) -> ShortestPathTree:
     """Shortest-path tree from ``source`` on any representation in the
-    pipeline.  ``counters``, if given, receives the relaxation count and
+    pipeline.  ``counters``, if given, receives the count of edges scanned and
     model size under keys "ops" and "model_size".
 
     An invalid signed tree model raises InvalidModelError from
@@ -164,10 +212,16 @@ def sssp(rep: Representation, source: int,
         counters["ops"] = res.ops
         counters["model_size"] = dm.size
     n = dm.n
-    dist = tuple(res.dist[v] if res.dist[v] < res.INF else n for v in range(1, n + 1))
-    parent = tuple(0 if v == source or dist[v - 1] >= n else res.parent_vertex[v - 1]
-                   for v in range(1, n + 1))
-    return ShortestPathTree(source, dist, parent)
+    dist = res.dist[1:n + 1]
+    parent = np.where(dist < n, res.parent_vertex, 0)  # the source's is 0
+    dist[dist == res.INF] = n
+    return ShortestPathTree(source, tuple(dist.tolist()), tuple(parent.tolist()))
+
+
+def _target_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
+    """Per-node lists of the targets of a CSR edge array."""
+    offsets, targets = (a.tolist() for a in csr)
+    return [targets[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 def apsp(rep: Representation) -> list[list[int]]:
@@ -185,7 +239,9 @@ def apsp(rep: Representation) -> list[list[int]]:
     InvalidModelError.
     """
     dm = _as_distance_model(rep)
-    n, adj = dm.n, dm.adj
+    n = dm.n
+    # the worklist reads one edge at a time: faster from Python ints
+    out0, out1 = _target_lists(dm.zero), _target_lists(dm.one)
     reached = [0] * (dm.num_nodes + 1)
     new = {}  # node -> sources that reached it at this level
     for s in range(1, n + 1):
@@ -202,9 +258,7 @@ def apsp(rep: Representation) -> list[list[int]]:
         while queue:
             u = queue.popleft()
             bits = pending.pop(u)
-            for v, w in adj[u]:
-                if w:
-                    continue
+            for v in out0[u]:
                 fresh = bits & ~reached[v]
                 if fresh:
                     reached[v] |= fresh
@@ -222,9 +276,7 @@ def apsp(rep: Representation) -> list[list[int]]:
         level += 1
         crossed: dict[int, int] = {}
         for u, bits in new.items():
-            for v, w in adj[u]:
-                if not w:
-                    continue
+            for v in out1[u]:
                 fresh = bits & ~reached[v]
                 if fresh:
                     reached[v] |= fresh
@@ -253,11 +305,11 @@ def scattered_maximal_subset(dm: DistanceModel, X: Iterable[int], c: int, r: int
         if not 1 <= v <= dm.n:
             raise InputError(f"X contains {v}, outside [1,{dm.n}]")
     out: list[int] = []
-    while rest and len(out) < c:
-        x = rest[0]
+    rest = np.array(rest, dtype=np.int64)
+    while rest.size and len(out) < c:
+        x = int(rest[0])
         out.append(x)
-        dist = _zero_one_bfs(dm.adj, dm.n, dm.num_nodes, x, r).dist
-        rest = [v for v in rest if dist[v] > r]
+        rest = rest[zero_one_bfs(dm, x, r).dist[rest] > r]
     return out
 
 

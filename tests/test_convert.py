@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -278,6 +279,20 @@ class TestIbpToGraph:
     def test_invariant_rejected(self):
         with pytest.raises(InputError):
             IntervalBicliquePartition(LinearOrder.identity(3), [(1, 2, 2, 3)])
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2, 3), (2, 1, 3, 3), (1, 2, 2, 3),
+                                     (1, 1, 3, 2), (1, 1, 2, 4)])
+    def test_names_first_bad_biclique(self, bad):
+        with pytest.raises(InputError) as e:
+            IntervalBicliquePartition(LinearOrder.identity(3),
+                                      [(1, 1, 2, 3), bad, (0, 0, 0, 0)])
+        assert "({},{},{},{})".format(*bad) in str(e.value)
+
+    def test_quads_array(self):
+        ibp = stm_to_ibp(random_stm(40, 90, seed=5))
+        assert ibp.quads.dtype == np.int64 and not ibp.quads.flags.writeable
+        assert list(map(tuple, ibp.quads.tolist())) == list(ibp.bicliques)
+        assert IntervalBicliquePartition(LinearOrder.identity(1), []).quads.shape == (0, 4)
 
 
 class TestCoverSet:

@@ -273,13 +273,18 @@ class TestCliDag:
         text = "".join([f"{n} {num_nodes} {len(edges)} {len(compressed)}\n"]
                        + [f"{x} {y}\n" for x, y in edges]
                        + [f"C {x} {y}\n" for x, y in compressed])
-        with pytest.raises(fio.FormatError):
+        # the named edge's own line (edges are checked before compressed
+        # ones), line 1 for a header defect
+        line = next((i for i, ln in enumerate(text.splitlines(), start=1)
+                     if i > 1 and f"({','.join(ln.split()[-2:])})" == named), 1)
+        with pytest.raises(fio.FormatError) as e:
             fio.parse_dag(text)
+        assert e.value.line == line
         dag_f = tmp_path / "m.dag"
         dag_f.write_text(text)
         assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("line 1: ") and named in err
+        assert err.startswith(f"line {line}: ") and named in err
 
 
 class TestCliLoadPath:

@@ -1,11 +1,12 @@
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmgraph import (DistanceModel, InputError, apsp,
-                      bfs_sssp_oracle, dag_to_distance_model,
+from stmgraph import (DagCompression, DistanceModel, InputError, apsp,
+                      bfs_sssp_oracle, dag_to_distance_model, dag_to_graph,
                       decode_bruteforce, ibp_to_dag,
                       scattered_maximal_subset, sssp, stm_to_ibp,
                       zero_one_bfs)
@@ -14,6 +15,7 @@ from stmgraph.graph import LinearOrder
 from stmgraph.convert import IntervalBicliquePartition
 
 from conftest import compressions
+from test_convert import seed_family_models
 
 
 def model_of_path(n):
@@ -34,11 +36,87 @@ def dijkstra_oracle(dm: DistanceModel, source: int) -> list[int]:
         d, u = heapq.heappop(pq)
         if d > dist[u]:
             continue
-        for v, w in dm.adj[u]:
-            if d + w < dist[v]:
-                dist[v] = d + w
-                heapq.heappush(pq, (d + w, v))
+        for w, (offsets, targets) in enumerate((dm.zero, dm.one)):
+            for v in targets[offsets[u]:offsets[u + 1]].tolist():
+                if d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(pq, (d + w, v))
     return dist
+
+
+def adjacency_lists(dm: DistanceModel) -> list[list[tuple[int, int]]]:
+    """Per-node (target, weight) lists, the weight-0 edges first, each in
+    CSR order: on a ``dag_to_distance_model`` output, the order in which
+    it generates each node's edges."""
+    adj = [[] for _ in range(dm.num_nodes + 1)]
+    for w, (offsets, targets) in enumerate((dm.zero, dm.one)):
+        for u in range(1, dm.num_nodes + 1):
+            adj[u].extend((v, w) for v in targets[offsets[u]:offsets[u + 1]].tolist())
+    return adj
+
+
+def deque_bfs_oracle(adj, n, num_nodes, source, max_dist=None):
+    """Reference deque 0-1 BFS over per-node lists, with the label rule of
+    ``zero_one_bfs``: weight-0 relaxations go to the front, weight-1 to the
+    back, and a popped node scans all its edges, also when it was popped
+    before.  Returns (dist, parent, ops) as lists."""
+    INF = num_nodes + 1
+    dist = [INF] * (num_nodes + 1)
+    label = [0] * (num_nodes + 1)
+    parent = [0] * n
+    dist[source] = 0
+    label[source] = source
+    dq = deque([source])
+    ops = 0
+    while dq:
+        u = dq.popleft()
+        du = dist[u]
+        if max_dist is not None and du > max_dist:
+            continue
+        for v, w in adj[u]:
+            ops += 1
+            nd = du + w
+            if nd < dist[v]:
+                dist[v] = nd
+                if v <= n:
+                    parent[v - 1] = label[u]
+                    label[v] = v
+                else:
+                    label[v] = label[u]
+                if w == 0:
+                    dq.appendleft(v)
+                else:
+                    dq.append(v)
+    return dist, parent, ops
+
+
+def check_against_deque(dm: DistanceModel, sources, same_ops: bool) -> None:
+    """Distances equal the deque oracle's from each source, also under
+    every radius cut-off up to 3; ops equal it where ``same_ops``."""
+    adj = adjacency_lists(dm)
+    INF = dm.num_nodes + 1
+    for s in sources:
+        dist, _, ops = deque_bfs_oracle(adj, dm.n, dm.num_nodes, s)
+        for r in range(4):
+            cut = zero_one_bfs(dm, s, r).dist.tolist()
+            assert cut == [d if d <= r else INF for d in dist], (s, r)
+        res = zero_one_bfs(dm, s)
+        assert res.dist.tolist() == dist, s
+        if same_ops:
+            assert res.ops == ops, s
+
+
+def check_parents(dc: DagCompression, source: int) -> None:
+    """Each reached vertex's parent is a graph neighbour one level up; the
+    source and unreached vertices have parent 0."""
+    res = zero_one_bfs(dag_to_distance_model(dc), source)
+    g = dag_to_graph(dc)
+    for v in range(1, dc.n + 1):
+        p, d = int(res.parent_vertex[v - 1]), int(res.dist[v])
+        if v == source or d == res.INF:
+            assert p == 0, (source, v)
+        else:
+            assert g.has_edge(p, v) and res.dist[p] == d - 1, (source, v)
 
 
 @st.composite
@@ -85,7 +163,7 @@ class TestDistanceModel:
     def test_shared_distances_symmetric(self, dc):
         # the one-search scatter relies on this
         dm = dag_to_distance_model(dc)
-        dist = [None] + [zero_one_bfs(dm, s).dist for s in range(1, dc.n + 1)]
+        dist = [None] + [zero_one_bfs(dm, s).dist.tolist() for s in range(1, dc.n + 1)]
         for u in range(1, dc.n + 1):
             for v in range(1, dc.n + 1):
                 assert dist[u][v] == dist[v][u], (u, v)
@@ -95,6 +173,10 @@ class TestDistanceModel:
         (2, 3, [(5, 1, 0)]),
         (2, 3, [(1, 4, 1)]),
         (3, 2, []),
+        (2, 3, [(1, 2, 0), (1, 2, 2)]),
+        (2, 3, [(1, 2, -1)]),
+        (2, 3, [(1, 2, 0.5)]),
+        (2, 3, [(1, 2)]),
     ])
     def test_rejects_out_of_range(self, n, num_nodes, edges):
         with pytest.raises(InputError):
@@ -105,7 +187,7 @@ class TestZeroOneBfs:
     def test_tiny_weights(self):
         dm = DistanceModel(3, 3, [(1, 2, 0), (2, 3, 1)])
         res = zero_one_bfs(dm, 1)
-        assert res.dist[1:] == [0, 0, 1]
+        assert res.dist[1:].tolist() == [0, 0, 1]
 
     def test_disconnected(self):
         dm = DistanceModel(2, 2, [])
@@ -120,12 +202,38 @@ class TestZeroOneBfs:
                      for _ in range(rng.randint(0, 3 * nn))]
             dm = DistanceModel(nn, nn, edges)
             s = rng.randint(1, nn)
-            assert zero_one_bfs(dm, s).dist == dijkstra_oracle(dm, s), seed
+            assert zero_one_bfs(dm, s).dist.tolist() == dijkstra_oracle(dm, s), seed
 
     def test_bad_source(self, p3_model):
         dm = dag_to_distance_model(ibp_to_dag(stm_to_ibp(p3_model)))
         with pytest.raises(InputError):
             zero_one_bfs(dm, 99)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_models())
+    def test_raw_models_match_deque(self, dm):
+        # weight-0 cycles and unreachable nodes; a node the deque pops twice
+        # scans its edges twice, so ops may differ here
+        check_against_deque(dm, range(1, dm.n + 1), same_ops=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(compressions())
+    def test_compressions_match_deque(self, dc):
+        check_against_deque(dag_to_distance_model(dc), range(1, dc.n + 1), same_ops=False)
+        for s in range(1, dc.n + 1):
+            check_parents(dc, s)
+
+    def test_seed_family_match_deque(self):
+        # on ibp_to_dag's models a weight-1 edge enters only a biclique's own
+        # node, which no weight-0 edge enters; so no node improves after it
+        # is first reached, and the deque pops each once
+        for model in seed_family_models():
+            dc = ibp_to_dag(stm_to_ibp(model))
+            rng = random.Random(model.n)
+            sources = rng.sample(range(1, model.n + 1), min(3, model.n))
+            check_against_deque(dag_to_distance_model(dc), sources, same_ops=True)
+            if model.n <= 1024:
+                check_parents(dc, sources[0])
 
 
 class TestSssp:
@@ -185,7 +293,7 @@ class TestApsp:
         want = []
         for s in range(1, dm.n + 1):
             res = zero_one_bfs(dm, s)
-            want.append([d if d < res.INF else dm.n for d in res.dist[1:dm.n + 1]])
+            want.append([d if d < res.INF else dm.n for d in res.dist[1:dm.n + 1].tolist()])
         assert apsp(dm) == want
 
     def test_edgeless(self):
