@@ -9,8 +9,7 @@ construction-sequence shortening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -34,36 +33,56 @@ class SequenceError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-def _int_rows(rows: tuple[tuple[int, ...], ...], width: int) -> np.ndarray:
-    """Equal-length integer tuples as a (len(rows), width) int64 array."""
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=width * len(rows))
-    return flat.reshape(-1, width)
+Rows = Union[Iterable[tuple[int, ...]], np.ndarray]
+
+
+def _int_rows(rows: Rows, width: int) -> np.ndarray:
+    """Integer rows as a read-only (m, width) int64 array of its own: an
+    array's rows, or a tuple of equal-length tuples (a row of another
+    length raises ValueError)."""
+    if isinstance(rows, np.ndarray):
+        out = rows.astype(np.int64).reshape(len(rows), width)
+    else:
+        out = np.fromiter(rows, dtype=np.dtype((np.int64, width)), count=len(rows))
+    out.flags.writeable = False
+    return out
+
+
+def _tuple_rows(given: Rows, rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples: the rows ``given`` as tuples, or, for
+    an array of nonnegative values, tuples that share one Python int per
+    value instead of one per entry."""
+    if not isinstance(given, np.ndarray):
+        return tuple(map(tuple, given))
+    ints = np.arange(int(rows.max(initial=0)) + 1).astype(object)
+    return tuple(zip(*ints[rows].T.tolist()))
 
 
 class IntervalBicliquePartition:
     """A vertex order plus edge-disjoint bicliques with interval sides.
 
     Bicliques are position-space quadruples (a,b,c,d), a<=b<c<=d, denoting
-    the biclique between the vertices at positions [a,b] and [c,d].
-    ``bicliques`` holds them as a tuple of tuples, ``quads`` as a read-only
-    (|B|, 4) int64 array in the same order.
+    the biclique between the vertices at positions [a,b] and [c,d], given
+    as tuples or as a (|B|, 4) integer array.  ``quads`` holds them as a
+    read-only (|B|, 4) int64 array, ``bicliques`` as a tuple of tuples in
+    the same order.
     """
 
     __slots__ = ("order", "bicliques", "quads")
 
-    def __init__(self, order: LinearOrder, bicliques: Iterable[tuple[int, int, int, int]]):
+    def __init__(self, order: LinearOrder, bicliques: Rows):
         self.order = order
         n = order.n
-        self.bicliques: tuple[tuple[int, int, int, int], ...] = tuple(
-            (a, b, c, d) for a, b, c, d in bicliques)
-        quads = _int_rows(self.bicliques, 4)
-        a, b, c, d = quads.T
+        if not isinstance(bicliques, np.ndarray):
+            bicliques = tuple(bicliques)
+        self.quads = _int_rows(bicliques, 4)
+        a, b, c, d = self.quads.T
         bad = (a < 1) | (a > b) | (b >= c) | (c > d) | (d > n)
         if bad.any():
-            a, b, c, d = self.bicliques[int(np.flatnonzero(bad)[0])]
+            a, b, c, d = self.quads[np.flatnonzero(bad)[0]].tolist()
             raise InputError(f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d in [1,{n}]")
-        quads.flags.writeable = False
-        self.quads = quads
+        self.bicliques: tuple[tuple[int, int, int, int], ...] = _tuple_rows(bicliques,
+                                                                            self.quads)
 
     @property
     def n(self) -> int:
@@ -86,28 +105,39 @@ class DagCompression:
     Node ids are a topological order: every edge (x, y) has
     n < x <= num_nodes and 1 <= y < x.  So the graph vertices 1..n are
     sinks, and no cycle can close, since a cycle needs an edge up to a
-    higher id.  The constructor checks this on each edge, and that each
-    compressed edge joins two nodes in [1, num_nodes].
+    higher id.  The constructor checks this on every edge, and that each
+    compressed edge joins two nodes in [1, num_nodes], and names the first
+    bad one.
+
+    Both edge lists are given as pairs or as (m, 2) integer arrays.
+    ``edge_rows`` and ``compressed_rows`` hold them as read-only (m, 2)
+    int64 arrays, ``edges`` and ``compressed`` as tuples of pairs in the
+    same order.
     """
 
-    __slots__ = ("n", "num_nodes", "edges", "compressed")
+    __slots__ = ("n", "num_nodes", "edges", "compressed", "edge_rows", "compressed_rows")
 
-    def __init__(self, n: int, num_nodes: int,
-                 edges: Iterable[tuple[int, int]],
-                 compressed: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, num_nodes: int, edges: Rows, compressed: Rows):
         if not 0 <= n <= num_nodes:
             raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
         self.n = n
         self.num_nodes = num_nodes
-        self.edges = tuple(edges)
-        self.compressed = tuple(compressed)
-        for x, y in self.edges:
-            if not (n < x <= num_nodes and 1 <= y < x):
-                raise InputError(f"DAG edge ({x},{y}) breaks n < x <= num_nodes and "
-                                 f"1 <= y < x (n={n}, num_nodes={num_nodes})")
-        for x, y in self.compressed:
-            if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
-                raise InputError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]")
+        edges, compressed = (rows if isinstance(rows, np.ndarray) else tuple(rows)
+                             for rows in (edges, compressed))
+        self.edge_rows, self.compressed_rows = _int_rows(edges, 2), _int_rows(compressed, 2)
+        x, y = self.edge_rows.T
+        bad = np.flatnonzero((x <= n) | (x > num_nodes) | (y < 1) | (y >= x))
+        if bad.size:
+            x, y = self.edge_rows[bad[0]].tolist()
+            raise InputError(f"DAG edge ({x},{y}) breaks n < x <= num_nodes and "
+                             f"1 <= y < x (n={n}, num_nodes={num_nodes})")
+        x, y = self.compressed_rows.T
+        bad = np.flatnonzero((x < 1) | (x > num_nodes) | (y < 1) | (y > num_nodes))
+        if bad.size:
+            x, y = self.compressed_rows[bad[0]].tolist()
+            raise InputError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]")
+        self.edges = _tuple_rows(edges, self.edge_rows)
+        self.compressed = _tuple_rows(compressed, self.compressed_rows)
 
     @property
     def size(self) -> int:
@@ -179,22 +209,31 @@ def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
     Clean to alternating signs on the model's rectangle inclusion forest,
     and for each positive rectangle of the cleaned forest emit the
     complement partition of its negative children.  Negative roots emit
-    nothing; positive rectangles without children emit themselves.  At most
-    3|A| + |B| bicliques (post-cleaning).  The forest is built once:
-    ``clean_same_sign`` hands the cleaned model its spliced forest.
+    nothing; a positive rectangle without children emits its own key row.
+    At most 3|A| + |B| bicliques (post-cleaning).  The forest is built once:
+    ``clean_same_sign`` hands the cleaned model its key array and spliced
+    forest.  The bicliques are rows of one int64 array, in the cleaned
+    model's pair order; only the positive rectangles with holes call
+    ``complement_partition``.
 
     Raises InvalidModelError with the messages of ``validate(stm)`` on an
     invalid model; loops are violations there, so run remove_loops first.
     """
-    rects, forest, _ = _checked_forest(clean_same_sign(stm))
-    bicliques: list[tuple[int, int, int, int]] = []
-    for i, r in enumerate(rects):
-        if r.payload[1] > 0:
-            holes = [rects[c] for c in forest.children[i]]
-            for piece in complement_partition(r, holes):
-                bicliques.append((piece.x1, piece.x2, piece.y1, piece.y2))
+    _, sign, forest, _ = _checked_forest(clean_same_sign(stm))
+    keys, up = forest.keys, forest.up
+    holes = np.bincount(up[up >= 0], minlength=len(up))
+    kids = np.argsort(up, kind="stable")[len(up) - int(holes.sum()):]  # grouped by parent
+    end = np.cumsum(holes)
+    positive = np.flatnonzero(sign > 0)
+    parts, done = [], 0
+    for j in np.flatnonzero(holes[positive]).tolist():
+        i = positive[j]
+        parts += [keys[positive[done:j]],
+                  complement_partition(keys[i], keys[kids[end[i] - holes[i]:end[i]]])]
+        done = j + 1
+    parts.append(keys[positive[done:]])
     return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order),
-                                     bicliques)
+                                     np.concatenate(parts))
 
 
 def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
@@ -217,51 +256,70 @@ def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
 # Balanced tree, cover sets, IBP -> DAG / positive model
 # ---------------------------------------------------------------------------
 
-def _descend(n: int, a: int, b: int) -> Iterator[tuple[int, int, int]]:
-    """Walk the canonical balanced tree over positions 1..n from the root,
-    yielding ``(lo, hi, r)`` for each node reached, parents first and left
-    subtrees before right ones.
+def _node_ids(n: int, lo: np.ndarray, hi: np.ndarray, r: np.ndarray,
+              at: np.ndarray) -> np.ndarray:
+    """Ids of the canonical balanced tree's nodes over [lo, hi] that the
+    root reaches by r right turns.
 
     The node over [lo, hi] splits at (lo + hi) // 2, so its left half is
-    rounded up.  A leaf's id is its position; an internal node that the
-    root reaches by r right turns has the post-order id n + hi - 1 - r, so
-    internal ids run n+1..2n-1 and the root is 2n-1.
-
-    Given 1 <= a <= b <= n, the walk reaches only nodes that meet [a, b] and
-    goes no deeper than the nodes inside it: those are the cover set of
-    [a, b], left to right, after O(log n) steps.  Given a > b, it reaches
-    every node.
+    rounded up.  A leaf's id is the vertex ``at[lo]`` at its position; an
+    internal node's is the post-order id n + hi - 1 - r, so internal ids
+    run n+1..2n-1 and the root is 2n-1.
     """
-    whole = a > b
-    stack = [(1, n, 0)]
-    while stack:
-        lo, hi, r = stack.pop()
-        yield lo, hi, r
-        if lo == hi or (a <= lo and hi <= b):
-            continue
+    return np.where(lo < hi, n + hi - 1 - r, at[lo])
+
+
+def _skeleton(n: int, at: np.ndarray) -> np.ndarray:
+    """Children of the internal nodes n+1..2n-1, in id order, as an
+    (n - 1, 2) array, found one tree level per round; leaf ids are
+    ``at[position]``."""
+    children = np.zeros((n - 1, 2), dtype=np.int64)
+    lo, hi, r = np.array([1]), np.array([n]), np.array([0])
+    while lo.size:
+        inner = lo < hi
+        lo, hi, r = lo[inner], hi[inner], r[inner]
         mid = (lo + hi) // 2
-        if whole or mid < b:
-            stack.append((mid + 1, hi, r + 1))
-        if whole or a <= mid:
-            stack.append((lo, mid, r))
-
-
-def _cover(n: int, a: int, b: int, at: Callable[[int], int]) -> list[int]:
-    """Cover set of [a, b]; leaf ids are ``at(position)``."""
-    return [n + hi - 1 - r if lo < hi else at(lo)
-            for lo, hi, r in _descend(n, a, b) if a <= lo and hi <= b]
-
-
-def _skeleton(n: int, at: Callable[[int], int]) -> list[tuple[int, int]]:
-    """Children of the internal nodes n+1..2n-1, in id order; leaf ids are
-    ``at(position)``."""
-    children = [(0, 0)] * (n - 1)
-    for lo, hi, r in _descend(n, 1, 0):
-        if lo < hi:
-            mid = (lo + hi) // 2
-            children[hi - 2 - r] = (n + mid - 1 - r if lo < mid else at(lo),
-                                    n + hi - 2 - r if mid + 1 < hi else at(hi))
+        children[hi - 2 - r] = np.column_stack((_node_ids(n, lo, mid, r, at),
+                                                _node_ids(n, mid + 1, hi, r + 1, at)))
+        lo, hi, r = (np.concatenate(pair) for pair in ((lo, mid + 1), (mid, hi), (r, r + 1)))
     return children
+
+
+def _covers(n: int, intervals: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cover sets of the rows [a, b] of ``intervals``, 1 <= a <= b <= n:
+    the (owner k, node id) of every cover node, grouped by the row k it
+    covers and left to right within a group.  The rows of a (|B|, 4) quad
+    array reshaped to (2|B|, 2) are both sides of every biclique, so
+    biclique q owns rows 2q (side I) and 2q + 1 (side J).
+
+    All of them come out of one level-synchronous descent from the root.
+    Each round emits the nodes that lie inside their interval and splits
+    the rest at (lo + hi) // 2, keeping the halves that meet it; every
+    interval is met by at most two nodes that it does not contain per
+    level, so this takes at most ceil(log2 n) + 1 rounds of O(len(a))
+    work, and each cover set has at most 2 ceil(log2 n) nodes.
+    """
+    a, b = intervals.T
+    k = np.arange(len(a))
+    lo, hi, r = np.ones_like(k), np.full_like(k, n), np.zeros_like(k)
+    found = [(k[:0], lo[:0], k[:0])]
+    while k.size:
+        inside = (a[k] <= lo) & (hi <= b[k])
+        found.append((k[inside], lo[inside], _node_ids(n, lo[inside], hi[inside], r[inside], at)))
+        k, lo, hi, r = k[~inside], lo[~inside], hi[~inside], r[~inside]
+        mid = (lo + hi) // 2
+        left, right = a[k] <= mid, mid < b[k]
+        k, lo, hi, r = (np.concatenate(halves) for halves in (
+            (k[left], k[right]), (lo[left], mid[right] + 1), (mid[left], hi[right]),
+            (r[left], r[right] + 1)))
+    k, lo, ids = (np.concatenate(column) for column in zip(*found))
+    order = np.lexsort((lo, k))
+    return k[order], ids[order]
+
+
+def _positions(order: LinearOrder) -> np.ndarray:
+    """``at``: the vertex at each position 1..n, with at[0] unused."""
+    return np.array((0,) + order.vertex_at, dtype=np.int64)
 
 
 def cover_set(n: int, a: int, b: int) -> list[int]:
@@ -269,25 +327,23 @@ def cover_set(n: int, a: int, b: int) -> list[int]:
     to right: at most 2*ceil(log2 n) of them, found in O(log n) steps."""
     if not 1 <= a <= b <= n:
         raise InputError(f"interval [{a},{b}] out of [1,{n}]")
-    return _cover(n, a, b, lambda p: p)
+    return _covers(n, np.array([[a, b]]), np.arange(n + 1))[1].tolist()
 
 
 def ibp_to_dag(ibp: IntervalBicliquePartition) -> DagCompression:
     """DAG compression: balanced-tree skeleton (leaves are the vertices at
     their positions) plus, per biclique I x J, two new nodes over
-    cover_set(I) and cover_set(J) joined by a compressed edge.
+    cover_set(I) and cover_set(J) joined by a compressed edge.  The cover
+    sets of all 2|B| sides come from one ``_covers`` descent.
     """
-    n, at = ibp.n, ibp.order.at
-    edges = [(t, c) for t, pair in enumerate(_skeleton(n, at), n + 1) for c in pair]
-    compressed = []
-    next_id = 2 * n - 1
-    for a, b, c, d in ibp.bicliques:
-        vi, vj = next_id + 1, next_id + 2
-        next_id = vj
-        edges.extend((vi, t) for t in _cover(n, a, b, at))
-        edges.extend((vj, t) for t in _cover(n, c, d, at))
-        compressed.append((vi, vj))
-    return DagCompression(n, next_id, edges, compressed)
+    n, k = ibp.n, len(ibp.quads)
+    at = _positions(ibp.order)
+    owner, cover = _covers(n, ibp.quads.reshape(-1, 2), at)
+    side = 2 * n + np.arange(2 * k)  # the nodes of biclique q are 2n + 2q and 2n + 2q + 1
+    edges = np.concatenate((
+        np.column_stack((np.repeat(np.arange(n + 1, 2 * n), 2), _skeleton(n, at).ravel())),
+        np.column_stack((side[owner], cover))))
+    return DagCompression(n, 2 * n - 1 + 2 * k, edges, side.reshape(-1, 2))
 
 
 def dag_to_graph(dc: DagCompression) -> Graph:
@@ -321,12 +377,13 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
     """Positive tree model on the balanced tree: per biclique, all pairs of
     cover-set nodes become positive transversal pairs (at most
     4*ceil(log n)^2 per biclique; never crossing, by edge-disjointness)."""
-    n, at = ibp.n, ibp.order.at
-    pairs_b: set[tuple[int, int]] = set()
-    for a, b, c, d in ibp.bicliques:
-        sj = _cover(n, c, d, at)
-        pairs_b.update((s, t) for s in _cover(n, a, b, at) for t in sj)
-    return SignedTreeModel(n, dict(enumerate(_skeleton(n, at), n + 1)), (), pairs_b)
+    n, at = ibp.n, _positions(ibp.order)
+    owner, cover = _covers(n, ibp.quads.reshape(-1, 2), at)
+    runs = np.split(cover, np.cumsum(np.bincount(owner, minlength=2 * len(ibp.quads)))[:-1])
+    pairs_b = {(s, t) for si, sj in zip(runs[0::2], runs[1::2])
+               for s in si.tolist() for t in sj.tolist()}
+    children = dict(enumerate(map(tuple, _skeleton(n, at).tolist()), n + 1))
+    return SignedTreeModel(n, children, (), pairs_b)
 
 
 # ---------------------------------------------------------------------------

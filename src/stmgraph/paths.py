@@ -18,7 +18,7 @@ import numpy as np
 
 from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, MERGE, _cseq_complete,
-                      _int_rows, ibp_to_dag, stm_to_ibp)
+                      ibp_to_dag, stm_to_ibp)
 from .graph import InputError
 from .stm import SignedTreeModel
 
@@ -96,8 +96,8 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
     Each DAG edge gives its top then its bottom edge, and each compressed
     edge its two, in the DAG's order; every node keeps that order."""
     n, nn = dc.n, dc.num_nodes
-    x, y = _int_rows(dc.edges, 2).T
-    cx, cy = _int_rows(dc.compressed, 2).T
+    x, y = dc.edge_rows.T
+    cx, cy = dc.compressed_rows.T
 
     def bottom(t: np.ndarray) -> np.ndarray:
         return np.where(t <= n, t, t + (nn - n))

@@ -1,17 +1,26 @@
 """Discrete rectangle geometry: inclusion forests of laminar families and
 complements of disjoint rectangles.
 
-Rectangles are inclusive integer boxes [x1,x2] x [y1,y2] on the grid.
+Rectangles are inclusive integer boxes [x1,x2] x [y1,y2] on the grid.  The
+functions here take them as ``Rect`` objects or as an (m, 4) integer array
+of their keys (x1, x2, y1, y2), one row per rectangle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .graph import InputError
+
+Rects = Union[Iterable["Rect"], np.ndarray]
+_last = itemgetter(-1)
 
 
 class LaminarityError(ValueError):
@@ -53,39 +62,105 @@ class Rect:
                 or self.y2 < other.y1 or other.y2 < self.y1)
 
 
+def _keys(rects: Rects) -> np.ndarray:
+    """The rectangles' keys as an (m, 4) int64 array; InputError, as for a
+    Rect, if a key row is degenerate."""
+    if not isinstance(rects, np.ndarray):
+        return np.array([r.key() for r in rects], dtype=np.int64).reshape(-1, 4)
+    keys = rects.astype(np.int64, copy=False).reshape(len(rects), 4)
+    bad = np.flatnonzero((keys[:, 0] > keys[:, 1]) | (keys[:, 2] > keys[:, 3]))
+    if bad.size:
+        raise InputError(f"degenerate rectangle {tuple(keys[bad[0]].tolist())}")
+    return keys
+
+
+class _SortedList:
+    """A sorted list kept in blocks of at most 2 * LOAD items, found by
+    their last items: ``add``, ``remove`` and ``neighbours`` make O(log m)
+    comparisons and move at most 2 * LOAD references, however many items
+    the list holds."""
+
+    LOAD = 512
+
+    def __init__(self):
+        self._blocks: list[list] = []
+
+    def add(self, item) -> None:
+        blocks = self._blocks
+        if not blocks:
+            blocks.append([item])
+            return
+        i = min(bisect_left(blocks, item, key=_last), len(blocks) - 1)
+        block = blocks[i]
+        insort(block, item)
+        if len(block) > 2 * self.LOAD:
+            blocks.insert(i + 1, block[self.LOAD:])
+            del block[self.LOAD:]
+
+    def remove(self, item) -> None:
+        i = bisect_left(self._blocks, item, key=_last)
+        block = self._blocks[i]
+        del block[bisect_left(block, item)]
+        if not block:
+            del self._blocks[i]
+
+    def neighbours(self, key) -> tuple:
+        """(the last item < key, the first item >= key), None where there is none."""
+        blocks = self._blocks
+        i = bisect_left(blocks, key, key=_last)
+        if i == len(blocks):
+            return (blocks[-1][-1] if blocks else None), None
+        block = blocks[i]
+        j = bisect_left(block, key)
+        below = block[j - 1] if j else (blocks[i - 1][-1] if i else None)
+        return below, block[j]
+
+
 class InclusionForest:
     """Containment forest of a laminar rectangle family.
 
-    ``parent[i]`` is the index of the smallest rectangle strictly containing
-    rectangle ``i``, or None for roots.
+    ``keys`` is the family as an (m, 4) int64 array; ``up[i]`` is the index
+    of the smallest rectangle strictly containing rectangle ``i``, or -1 for
+    a root.  ``parent`` (None for a root), ``roots`` and ``children`` are
+    list views of ``up``, each built on first use.
     """
 
-    def __init__(self, rects: list[Rect], parent: list[Optional[int]]):
-        self.rects = rects
-        self.parent = parent
-        self.children: list[list[int]] = [[] for _ in rects]
-        self.roots: list[int] = []
-        for i, p in enumerate(parent):
-            if p is None:
-                self.roots.append(i)
-            else:
-                self.children[p].append(i)
+    def __init__(self, keys: np.ndarray, up: np.ndarray):
+        self.keys = keys
+        self.up = up
+
+    @cached_property
+    def parent(self) -> list[Optional[int]]:
+        return [None if p < 0 else p for p in self.up.tolist()]
+
+    @cached_property
+    def roots(self) -> list[int]:
+        return np.flatnonzero(self.up < 0).tolist()
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in range(len(self.up))]
+        for i, p in enumerate(self.up.tolist()):
+            if p >= 0:
+                out[p].append(i)
+        return out
 
 
-def inclusion_forest(rects: Iterable[Rect]) -> InclusionForest:
+def inclusion_forest(rects: Rects) -> InclusionForest:
     """Inclusion forest of ``rects``; LaminarityError unless they are laminar.
 
-    One sweep builds the forest and checks laminarity with O(m log m)
-    comparisons; each insertion into the sorted list below also shifts the
-    list's tail, a memmove over at most the active set.  The sweep takes
-    the rectangles in (x1, -x2, y1, -y2) order, which puts every rectangle
-    after those that contain it and duplicates next to each other.  The
-    active rectangles are the swept ones whose x2 is not left of the
-    current x1.  Only they can meet the current rectangle
+    One sweep builds the forest and checks laminarity in O(m log m) time:
+    the active boundaries below sit in a blocked sorted list, so an
+    insertion or deletion moves a bounded number of references, however
+    many rectangles are active.  The sweep takes the rectangles in
+    (x1, -x2, y1, -y2) order (one ``np.lexsort``), which puts every
+    rectangle after those that contain it and duplicates next to each
+    other.  The active rectangles are the swept ones whose x2 is not left
+    of the current x1.  Only they can meet the current rectangle
     r = [x1,x2] x [a,b], and all of them meet its column x1.  An active
     rectangle with y range [c,d] keeps two boundaries in one sorted list:
     an open (2c-1, +t) and a close (2d+1, -t), where t is its rank in the
-    sweep.
+    sweep; each is one int that sorts as its (position, +-rank) pair.
 
     While nothing has raised, the swept rectangles are laminar, so two
     active ones whose y ranges meet are nested.  A boundary inside
@@ -108,92 +183,110 @@ def inclusion_forest(rects: Iterable[Rect]) -> InclusionForest:
     overlap.  So the first rectangle swept that is a duplicate of, or
     properly overlaps, an earlier one raises.
     """
-    rlist = list(rects)
-    keys = [r.key() for r in rlist]
-    order = sorted(range(len(rlist)),
-                   key=lambda i: (keys[i][0], -keys[i][1], keys[i][2], -keys[i][3]))
-    parent: list[Optional[int]] = [None] * len(rlist)
-    bounds: list[tuple[int, int, int]] = []  # (position, +-rank, index), sorted
-    closing: list[tuple[int, int, int]] = []  # heap of (x2, rank, index)
+    keys = _keys(rects)
+    x1s, x2s, y1s, y2s = keys.T
+    order = np.lexsort((-y2s, y1s, -x2s, x1s))
+    m = len(order)
+    X1, X2, Y1, Y2 = ([0] + col for col in keys[order].T.tolist())  # by rank 1..m
+    up = [0] * (m + 1)  # rank of the parent, 0 for a root
+    span = 2 * m + 1  # boundary (position, s) is the int position * span + m + s
+    bounds = _SortedList()
+    closing: list[int] = []  # heap of x2 * span + rank
     prev = None
-    for t, i in enumerate(order, start=1):
-        x1, x2, a, b = keys[i]
-        if prev is not None and keys[prev] == keys[i]:
-            raise LaminarityError(f"duplicate rectangle {keys[i]}", (prev, i))
-        prev = i
-        while closing and closing[0][0] < x1:
-            _, s, j = heappop(closing)
-            del bounds[bisect_left(bounds, (2 * keys[j][2] - 1, s, j))]
-            del bounds[bisect_left(bounds, (2 * keys[j][3] + 1, -s, j))]
-        k = bisect_left(bounds, (2 * a,))
-        witness = bounds[k][2] if k < len(bounds) and bounds[k][0] <= 2 * b else None
-        if witness is None and k:
-            _, s, j = bounds[k - 1]
-            q = parent[i] = j if s > 0 else parent[j]
-            if q is not None and keys[q][1] < x2:
+    for t, x1, x2, a, b in zip(range(1, m + 1), X1[1:], X2[1:], Y1[1:], Y2[1:]):
+        if prev == (x1, x2, a, b):
+            raise LaminarityError(f"duplicate rectangle {prev}", (order[t - 2], order[t - 1]))
+        prev = (x1, x2, a, b)
+        while closing and closing[0] < x1 * span:
+            s = heappop(closing) % span
+            bounds.remove((2 * Y1[s] - 1) * span + m + s)
+            bounds.remove((2 * Y2[s] + 1) * span + m - s)
+        below, above = bounds.neighbours(2 * a * span)
+        witness = 0
+        if above is not None and above < (2 * b + 1) * span:
+            witness = abs(above % span - m)
+        elif below is not None:
+            s = below % span - m
+            q = up[t] = s if s > 0 else up[-s]
+            if q and X2[q] < x2:
                 witness = q
-        if witness is not None:
-            raise LaminarityError(
-                f"rectangles {keys[witness]} and {keys[i]} properly overlap", (witness, i))
-        insort(bounds, (2 * a - 1, t, i))
-        insort(bounds, (2 * b + 1, -t, i))
-        heappush(closing, (x2, t, i))
-    return InclusionForest(rlist, parent)
+        if witness:
+            w = (X1[witness], X2[witness], Y1[witness], Y2[witness])
+            raise LaminarityError(f"rectangles {w} and {prev} properly overlap",
+                                  (order[witness - 1], order[t - 1]))
+        bounds.add((2 * a - 1) * span + m + t)
+        bounds.add((2 * b + 1) * span + m - t)
+        heappush(closing, x2 * span + t)
+    ranks = np.array(up[1:], dtype=np.int64)
+    parent = np.full(m, -1, dtype=np.int64)
+    parent[order] = np.where(ranks > 0, order[ranks - 1], -1)
+    return InclusionForest(keys, parent)
 
 
-def _free_intervals(y1: int, y2: int, blocks: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Complement of sorted disjoint ``blocks`` within [y1,y2]."""
-    out = []
-    cur = y1
-    for b1, b2 in blocks:
-        if b1 > cur:
-            out.append((cur, b1 - 1))
-        cur = max(cur, b2 + 1)
-    if cur <= y2:
-        out.append((cur, y2))
-    return out
-
-
-def complement_partition(outer: Rect, holes: Iterable[Rect]) -> list[Rect]:
+def complement_partition(outer: Union[Rect, Iterable[int]], holes: Rects
+                         ) -> Union[list[Rect], np.ndarray]:
     """Partition ``outer`` minus the disjoint ``holes`` into <= 3h+1 rectangles.
 
-    Left-to-right sweep over hole x-boundaries; within each slab the free
-    y-intervals are kept open as long as they persist unchanged, so each hole
-    boundary opens at most a bounded number of new rectangles.
+    ``outer`` is a Rect or its key.  The pieces come back as Rects for a
+    Rect, else as a (k, 4) int64 array of keys, sorted by (x2, x1, y1).
+
+    A left-to-right sweep over the holes' x-boundaries keeps the active
+    holes sorted by y, and each gap between neighbours is a free
+    y-interval, open as a piece since the x where it last changed.  A hole
+    that starts closes the one gap it falls in and opens the two beside it;
+    one that ends closes those two and opens their union.  A gap closed and
+    opened again at one x stays open.  So each event touches O(1) gaps and
+    the sweep takes O(h log h) time; each hole boundary opens at most a
+    bounded number of pieces.
     """
-    hlist = list(holes)
-    for h in hlist:
-        if not outer.contains(h):
-            raise InputError(f"hole {h.key()} escapes outer {outer.key()}")
-    events = {outer.x1}
-    for h in hlist:
-        events.add(h.x1)
-        if h.x2 + 1 <= outer.x2:
-            events.add(h.x2 + 1)
-    out: list[Rect] = []
-    open_at: dict[tuple[int, int], int] = {}  # free y-interval -> slab start x
-    # sorted-by-y1 list of active holes as (y1, y2, x2)
-    active: list[tuple[int, int, int]] = []
-    starts = sorted(hlist, key=lambda h: h.x1)
-    si = 0
-    for x in sorted(events):
-        active = [a for a in active if a[2] >= x]
-        while si < len(starts) and starts[si].x1 == x:
-            h = starts[si]
-            insort(active, (h.y1, h.y2, h.x2))
-            si += 1
-        prev = None
-        for a in active:
-            if prev is not None and a[0] <= prev:
-                raise InputError("holes overlap")
-            prev = a[1]
-        free = _free_intervals(outer.y1, outer.y2, [(a[0], a[1]) for a in active])
-        freeset = set(free)
-        for iv in [iv for iv in open_at if iv not in freeset]:
-            out.append(Rect(open_at.pop(iv), x - 1, iv[0], iv[1]))
-        for iv in free:
-            if iv not in open_at:
-                open_at[iv] = x
-    for iv, start in open_at.items():
-        out.append(Rect(start, outer.x2, iv[0], iv[1]))
-    return out
+    as_rects = isinstance(outer, Rect)
+    ox1, ox2, oy1, oy2 = outer.key() if as_rects else _keys(np.array([outer]))[0].tolist()
+    h = _keys(holes)
+    escapes = (h[:, 0] < ox1) | (h[:, 1] > ox2) | (h[:, 2] < oy1) | (h[:, 3] > oy2)
+    if escapes.any():
+        bad = tuple(h[np.flatnonzero(escapes)[0]].tolist())
+        raise InputError(f"hole {bad} escapes outer {(ox1, ox2, oy1, oy2)}")
+    # events (x, starts, y1, y2): a hole ends at x2 + 1, before the holes
+    # that start there
+    ev = np.concatenate((np.column_stack((h[:, 1] + 1, 0 * h[:, :1], h[:, 2:])),
+                         np.column_stack((h[:, 0], 0 * h[:, :1] + 1, h[:, 2:]))))
+    ev = ev[ev[:, 0] <= ox2]
+    active = _SortedList()  # (y1, y2) of the holes meeting the sweep column
+    open_at = {(oy1, oy2): ox1}  # free y-interval -> x where its piece starts
+    closed: dict[tuple[int, int], int] = {}  # the ones closed at x -> their start
+    pieces: list[tuple[int, int, int, int]] = []
+
+    def close(lo: int, hi: int) -> None:
+        if lo <= hi and (start := open_at.pop((lo, hi))) < x:
+            closed[lo, hi] = start
+
+    def reopen(lo: int, hi: int) -> None:
+        if lo <= hi:
+            open_at[lo, hi] = closed.pop((lo, hi), x)
+
+    x = ox1
+    for ex, starts, c, d in ev[np.lexsort((ev[:, 1], ev[:, 0]))].tolist():
+        if ex > x:
+            pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
+            closed.clear()
+            x = ex
+        if not starts:
+            active.remove((c, d))
+        below, above = active.neighbours((c,))
+        if starts and ((below and below[1] >= c) or (above and above[0] <= d)):
+            raise InputError("holes overlap")
+        lo, hi = below[1] + 1 if below else oy1, above[0] - 1 if above else oy2
+        if starts:
+            close(lo, hi)
+            reopen(lo, c - 1)
+            reopen(d + 1, hi)
+            active.add((c, d))
+        else:
+            close(lo, c - 1)
+            close(d + 1, hi)
+            reopen(lo, hi)
+    pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
+    pieces += [(start, ox2, lo, hi) for (lo, hi), start in open_at.items()]
+    out = np.array(pieces, dtype=np.int64).reshape(-1, 4)
+    out = out[np.lexsort((out[:, 2], out[:, 0], out[:, 1]))]
+    return [Rect(*key) for key in out.tolist()] if as_rects else out

@@ -10,7 +10,9 @@ positive.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -116,17 +118,18 @@ class SignedTreeModel:
         self._hi = tuple(hi)
         self.leaf_order = tuple(leaves)
 
-        def canon(pairs: Iterable[Pair]) -> frozenset[Pair]:
-            out = set()
-            for x, y in pairs:
-                if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
-                    raise InputError(f"pair ({x},{y}) references unknown nodes")
-                out.add(self.canonical_pair(x, y))
-            return frozenset(out)
-
-        self.pairs_a = canon(pairs_a)
-        self.pairs_b = canon(pairs_b)
+        self.pairs_a = self._canon(pairs_a)
+        self.pairs_b = self._canon(pairs_b)
         self._checked = None  # set by clean_same_sign, see _checked_forest
+
+    def _canon(self, pairs: Iterable[Pair]) -> frozenset[Pair]:
+        num_nodes = 2 * self.n - 1
+        out = set()
+        for x, y in pairs:
+            if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
+                raise InputError(f"pair ({x},{y}) references unknown nodes")
+            out.add(self.canonical_pair(x, y))
+        return frozenset(out)
 
     # -- structure queries ------------------------------------------------
 
@@ -159,7 +162,14 @@ class SignedTreeModel:
         return len(self.pairs_a) + len(self.pairs_b)
 
     def with_pairs(self, pairs_a: Iterable[Pair], pairs_b: Iterable[Pair]) -> "SignedTreeModel":
-        return SignedTreeModel(self.n, self.children, pairs_a, pairs_b)
+        """This model's tree with other pairs; the tree is shared, not walked again."""
+        return self._sharing_tree(self._canon(pairs_a), self._canon(pairs_b))
+
+    def _sharing_tree(self, pairs_a: frozenset[Pair], pairs_b: frozenset[Pair]
+                      ) -> "SignedTreeModel":
+        out = copy.copy(self)
+        out.pairs_a, out.pairs_b, out._checked = pairs_a, pairs_b, None
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedTreeModel)
@@ -211,44 +221,61 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     other pairs are transversal, a loop crosses nothing, and a
     non-transversal pair is a violation already.
     """
-    v = [e for e in _checked_forest(stm)[2] if strict or e[0] != "loop"]
+    v = [e for e in _checked_forest(stm)[3] if strict or e[0] != "loop"]
     return ValidationReport(ok=not v, violations=v)
 
 
-def _checked_forest(stm: SignedTreeModel
-                    ) -> tuple[list[Rect], Optional[InclusionForest], list[tuple[str, str]]]:
-    """The rectangles of the transversal pairs, each pair once with payload
-    ``(pair, sign)`` in ``pairs_signed`` order, their inclusion forest (None
-    if they cross; one ``inclusion_forest`` sweep builds and checks it), and
-    ``validate``'s strict-mode violations, all from one pass.  On a valid
-    model the rectangles are ``pair_rects(stm)``.
+def _sorted_pairs(pairs: frozenset[Pair]) -> np.ndarray:
+    """``pairs`` as a (p, 2) int64 array, in sorted order."""
+    rows = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
-    A model made by ``clean_same_sign`` carries these, derived from its
-    input's; for any other model they are built here and not kept, so a
-    long-lived model does not hold its rectangles.
+
+def _checked_forest(stm: SignedTreeModel) -> tuple[
+        np.ndarray, np.ndarray, Optional[InclusionForest], list[tuple[str, str]]]:
+    """The transversal pairs as a (p, 2) int64 array, each pair once and in
+    ``pairs_signed`` order, their signs (-1 or +1), the inclusion forest of
+    their rectangles (None if they cross; one ``inclusion_forest`` sweep
+    builds and checks it), and ``validate``'s strict-mode violations, all
+    from one pass.
+
+    The rectangle keys (x1, x2, y1, y2) are the leaf intervals of each
+    pair's two ends, gathered into one (p, 4) array, and the loop,
+    transversal and overlap checks are masks over the pair array.  A pair
+    with both signs goes in once, as negative.  A model made by
+    ``clean_same_sign`` carries these, derived from its input's; for any
+    other model they are built here and not kept, so a long-lived model
+    does not hold its rectangles.
     """
     if stm._checked is not None:
         return stm._checked
-    v: list[tuple[str, str]] = []
     overlap = stm.pairs_a & stm.pairs_b
-    for p in sorted(overlap):
-        v.append(("overlap", f"pair {p} is both positive and negative"))
-    rects: list[Rect] = []
-    for x, y, sign in stm.pairs_signed():
-        if x == y:
-            v.append(("loop", f"pair ({x},{y}) is a loop"))
-            continue
-        if stm.is_ancestor(x, y) or stm.is_ancestor(y, x):
-            v.append(("transversal", f"pair ({x},{y}) is not transversal"))
-        elif sign < 0 or (x, y) not in overlap:  # both-sign pair: once, as negative
-            rects.append(Rect(*stm.leaf_interval(x), *stm.leaf_interval(y),
-                              payload=((x, y), sign)))
+    v = [("overlap", f"pair {p} is both positive and negative") for p in sorted(overlap)]
+    negative, positive = _sorted_pairs(stm.pairs_a), _sorted_pairs(stm.pairs_b)
+    pairs = np.concatenate((negative, positive))
+    sign = np.repeat(np.array([-1, 1]), (len(negative), len(positive)))
+    lo, hi = np.array(stm._lo), np.array(stm._hi)
+    x, y = pairs.T
+    loop = x == y
+    nested = ~loop & (((lo[x] <= lo[y]) & (hi[y] <= hi[x]))
+                      | ((lo[y] <= lo[x]) & (hi[x] <= hi[y])))
+    for i in np.flatnonzero(loop | nested).tolist():
+        a, b = pairs[i].tolist()
+        v.append(("loop", f"pair ({a},{b}) is a loop") if loop[i]
+                 else ("transversal", f"pair ({a},{b}) is not transversal"))
+    keep = ~(loop | nested)
+    if overlap:
+        code = pairs[:, 0] * (2 * stm.n) + pairs[:, 1]
+        keep[len(negative):] &= ~np.isin(code[len(negative):], code[:len(negative)])
+    pairs, sign = pairs[keep], sign[keep]
+    x, y = pairs.T
+    keys = np.stack((lo[x], hi[x], lo[y], hi[y]), axis=1)
     try:
-        return rects, rect.inclusion_forest(rects), v
+        return pairs, sign, rect.inclusion_forest(keys), v
     except LaminarityError as e:
-        (x1, y1), (x2, y2) = (rects[i].payload[0] for i in sorted(e.indices))
+        (x1, y1), (x2, y2) = pairs[sorted(e.indices)].tolist()
         v.append(("crossing", f"pairs ({x1},{y1}) and ({x2},{y2}) cross"))
-    return rects, None, v
+    return pairs, sign, None, v
 
 
 def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
@@ -326,27 +353,25 @@ def clean_same_sign(stm: SignedTreeModel) -> SignedTreeModel:
     invalid model.  The cleaned model keeps the forest of this one with the
     dropped rectangles spliced out (their children move up to the nearest
     kept ancestor, the smallest kept rectangle containing them), so its own
-    forest is never built again.
+    forest is never built again.  The splice works on the parent and sign
+    arrays: pointer jumping finds every nearest kept ancestor in
+    O(log depth) rounds.  The cleaned model shares this one's tree.
     """
-    rects, forest, v = _checked_forest(stm)
+    pairs, sign, forest, v = _checked_forest(stm)
     if v:
         raise InvalidModelError("; ".join(m for _, m in v))
-    kept_above = list(range(len(rects)))  # nearest kept ancestor-or-self
-    stack = list(forest.roots)
-    while stack:
-        i = stack.pop()
-        p = forest.parent[i]
-        if p is not None and rects[p].payload[1] == rects[i].payload[1]:
-            kept_above[i] = kept_above[p]
-        stack.extend(forest.children[i])
-    kept = [i for i, k in enumerate(kept_above) if k == i]
-    new_id = {i: j for j, i in enumerate(kept)}
-    parent = [None if p is None else new_id[kept_above[p]]
-              for p in (forest.parent[i] for i in kept)]
-    kept_rects = [rects[i] for i in kept]
-    cleaned = stm.with_pairs([r.payload[0] for r in kept_rects if r.payload[1] < 0],
-                             [r.payload[0] for r in kept_rects if r.payload[1] > 0])
-    cleaned._checked = (kept_rects, InclusionForest(kept_rects, parent), [])
+    up = forest.up
+    drop = (up >= 0) & (sign[up] == sign)
+    # nearest kept ancestor-or-self, by pointer jumping along the drops
+    near = np.where(drop, up, np.arange(len(up)))
+    while not np.array_equal(hop := near[near], near):
+        near = hop
+    kept = np.flatnonzero(~drop)
+    kept_up = up[kept]
+    new_up = np.where(kept_up >= 0, (np.cumsum(~drop) - 1)[near[kept_up]], -1)
+    pairs, sign = pairs[kept], sign[kept]
+    cleaned = stm._sharing_tree(*(frozenset(zip(*pairs[sign == s].T.tolist())) for s in (-1, 1)))
+    cleaned._checked = (pairs, sign, InclusionForest(forest.keys[kept], new_up), [])
     return cleaned
 
 

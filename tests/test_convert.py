@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,8 +18,7 @@ from stmgraph import (ConstructionSequence, Graph, InputError,
                       radius_r_width, sdseq_to_stm, stm_to_ibp, stm_to_rects,
                       validate)
 from stmgraph import io as fio
-from stmgraph.convert import (DagCompression, IntervalBicliquePartition, _descend,
-                              _skeleton)
+from stmgraph.convert import DagCompression, IntervalBicliquePartition, _skeleton
 from stmgraph.graph import LinearOrder
 from stmgraph.stm import pair_rects
 from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
@@ -42,6 +43,21 @@ def stm_to_ibp_oracle(stm):
             holes = [rects[c] for c in forest.children[i]]
             bicliques += [(p.x1, p.x2, p.y1, p.y2) for p in complement_partition(r, holes)]
     return IntervalBicliquePartition(order, bicliques)
+
+
+def wrap_everywhere(monkeypatch, fn, calls):
+    """Replace ``fn`` wherever a stmgraph module refers to it, as a traced
+    benchmark run does, by a wrapper that appends each call's arguments to
+    ``calls``."""
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "stmgraph" or name.startswith("stmgraph."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
 
 
 class BalancedTree:
@@ -163,9 +179,12 @@ def ibp_to_positive_model_oracle(ibp):
 
 
 def node_intervals(n):
-    """Node id -> leaf interval, read off the full walk of ``_descend``."""
-    return {(n + hi - 1 - r if lo < hi else lo): (lo, hi)
-            for lo, hi, r in _descend(n, 1, 0)}
+    """Node id -> leaf interval, read off ``_skeleton`` with the identity
+    order: internal ids are post-order, so children come before parents."""
+    interval = {p: (p, p) for p in range(1, n + 1)}
+    for t, (left, right) in enumerate(_skeleton(n, np.arange(n + 1)).tolist(), n + 1):
+        interval[t] = (interval[left][0], interval[right][1])
+    return interval
 
 
 def seed_family_models():
@@ -235,14 +254,25 @@ class TestStmToIbp:
         assert dropped > 0
 
     def test_one_forest_per_conversion(self, monkeypatch):
-        # the cleaned model carries its forest instead of building a second
+        # the cleaned model carries its forest instead of building a second,
+        # and only positive rectangles with holes run the complement sweep;
+        # a traced benchmark run wraps these three and indexes their spans
         import stmgraph.rect
-        calls = []
-        build = stmgraph.rect.inclusion_forest
-        monkeypatch.setattr(stmgraph.rect, "inclusion_forest",
-                            lambda rects: calls.append(1) or build(rects))
-        stm_to_ibp(random_stm(64, 200, seed=3))
-        assert len(calls) == 1
+        import stmgraph.stm
+        model = random_stm(64, 200, seed=3)
+        rects = pair_rects(clean_same_sign(model))
+        children = inclusion_forest(rects).children
+        holed = [(r.key(), len(children[i])) for i, r in enumerate(rects)
+                 if r.payload[1] > 0 and children[i]]
+        assert holed and len(holed) < sum(r.payload[1] > 0 for r in rects)
+        calls = {"clean": [], "forest": [], "complement": []}
+        wrap_everywhere(monkeypatch, stmgraph.stm.clean_same_sign, calls["clean"])
+        wrap_everywhere(monkeypatch, stmgraph.rect.inclusion_forest, calls["forest"])
+        wrap_everywhere(monkeypatch, stmgraph.rect.complement_partition, calls["complement"])
+        stm_to_ibp(model)
+        assert len(calls["clean"]) == 1 and len(calls["forest"]) == 1
+        assert [(tuple(np.asarray(outer).tolist()), len(holes))
+                for outer, holes in calls["complement"]] == holed
 
     @settings(max_examples=600, deadline=None)
     @given(perturbed_models())
@@ -344,13 +374,15 @@ class TestBalancedTreeOracle:
 
     def test_skeleton_children(self):
         for n in range(1, 65):
-            at = LinearOrder(random.Random(n).sample(range(1, n + 1), n)).at
-            tree = BalancedTree(n, leaf_id=at)
+            order = LinearOrder(random.Random(n).sample(range(1, n + 1), n))
+            tree = BalancedTree(n, leaf_id=order.at)
             assert list(tree.children) == list(range(n + 1, 2 * n)), n
-            assert _skeleton(n, at) == list(tree.children.values()), n
+            at = np.array((0,) + order.vertex_at)
+            assert list(map(tuple, _skeleton(n, at).tolist())) == list(tree.children.values()), n
 
     def test_dag_and_positive_model_byte_identical(self):
-        for model in seed_family_models():
+        # with the model of the benchmark's growth build
+        for model in chain(seed_family_models(), [random_stm_sparse(4096, 16384, seed=0)]):
             ibp = stm_to_ibp(model)
             assert (fio.format_dag(ibp_to_dag(ibp))
                     == fio.format_dag(ibp_to_dag_oracle(ibp))), model.n
@@ -368,6 +400,18 @@ class TestIbpToDag:
     def test_p3(self, p3_model):
         dag = ibp_to_dag(stm_to_ibp(p3_model))
         assert sorted(dag_to_graph(dag).edges()) == [(1, 2), (2, 3)]
+
+    def test_tuple_views_hash(self):
+        # the benchmark fingerprints each build by hashing these tuples
+        ibp = stm_to_ibp(random_stm_sparse(256, 1024, seed=0))
+        dag = ibp_to_dag(ibp)
+        hash((ibp.bicliques, dag.num_nodes, dag.edges, dag.compressed))
+        assert ibp.bicliques == tuple(map(tuple, ibp.quads.tolist()))
+        assert dag.edges == tuple(map(tuple, dag.edge_rows.tolist()))
+        assert dag.compressed == tuple(map(tuple, dag.compressed_rows.tolist()))
+        assert {type(v) for rows in (ibp.bicliques, dag.edges, dag.compressed)
+                for row in rows for v in row} == {int}
+        assert not (dag.edge_rows.flags.writeable or dag.compressed_rows.flags.writeable)
 
     def test_random(self):
         for seed in range(150):

@@ -284,9 +284,12 @@ class TestCleanSameSign:
         for seed in range(200):
             model = random_stm(random.Random(seed).randint(1, 40),
                                random.Random(seed + 1).randint(0, 120), seed=seed)
-            rects, forest, violations = _checked_forest(clean_same_sign(model))
+            pairs, sign, forest, violations = _checked_forest(clean_same_sign(model))
             assert violations == []
-            assert [r.payload for r in rects] == [r.payload for r in pair_rects(clean_same_sign(model))]
+            rects = pair_rects(clean_same_sign(model))
+            assert ([(tuple(p), s) for p, s in zip(pairs.tolist(), sign.tolist())]
+                    == [r.payload for r in rects])
+            assert forest.keys.tolist() == [list(r.key()) for r in rects]
             assert forest.parent == inclusion_forest(rects).parent, seed
 
     def test_invalid_model_rejected(self, p3_model):
