@@ -77,8 +77,8 @@ def _keys(rects: Rects) -> np.ndarray:
 class _SortedList:
     """A sorted list kept in blocks of at most 2 * LOAD items, found by
     their last items: ``add``, ``remove`` and ``neighbours`` make O(log m)
-    comparisons and move at most 2 * LOAD references, however many items
-    the list holds."""
+    comparisons and move O(LOAD + m / LOAD) references, where one Python
+    list of all m items would move O(m)."""
 
     LOAD = 512
 
