@@ -13,7 +13,7 @@ from typing import Iterable
 from .convert import ibp_to_dag, stm_to_ibp
 from .gen import random_stm_sparse
 from .matmul import ibp_matvec
-from .paths import dag_to_distance_model, sssp
+from .paths import dag_to_distance_model, zero_one_bfs
 
 
 def _record(**kv) -> str:
@@ -24,7 +24,9 @@ def bench_pipeline(ns: Iterable[int] = (1 << 10, 1 << 11, 1 << 12, 1 << 13),
                    pairs_per_n: int = 4, seed: int = 0,
                    out=None) -> list[dict]:
     """Sparse random models at each scale: convert, build the distance model,
-    run one SSSP on it and one matvec, and log times plus op counters."""
+    run one SSSP search on it (``zero_one_bfs`` from vertex 1, the search
+    behind ``sssp``) and one matvec, and log times plus op counters: the
+    search's ``ops`` and the matvec's group-op count."""
     records = []
     xs = []
     ys = []
@@ -37,22 +39,21 @@ def bench_pipeline(ns: Iterable[int] = (1 << 10, 1 << 11, 1 << 12, 1 << 13),
         dag = ibp_to_dag(ibp)
         dm = dag_to_distance_model(dag)
         t3 = time.perf_counter()
-        counters: dict = {}
-        sssp(dm, 1, counters=counters)
+        sssp_ops = zero_one_bfs(dm, 1).ops
         t4 = time.perf_counter()
         mm: dict = {}
         ibp_matvec(ibp, list(range(n)), counters=mm)
         t5 = time.perf_counter()
         p = stm.num_pairs
-        rec = dict(n=n, pairs=p, bicliques=len(ibp.bicliques),
-                   model_size=dm.size, sssp_ops=counters["ops"],
+        rec = dict(n=n, pairs=p, bicliques=len(ibp.quads),
+                   model_size=dm.size, sssp_ops=sssp_ops,
                    matvec_ops=mm["ops"],
                    gen_s=round(t1 - t0, 4), ibp_s=round(t2 - t1, 4),
                    dag_s=round(t3 - t2, 4), sssp_s=round(t4 - t3, 4),
                    matvec_s=round(t5 - t4, 4))
         records.append(rec)
         xs.append(p * math.log2(n))
-        ys.append(counters["ops"])
+        ys.append(sssp_ops)
         if out is not None:
             print(_record(stage="pipeline", **rec), file=out)
     slope, _ = fit_through_origin(xs, ys)  # sssp ops against p*log2(n)

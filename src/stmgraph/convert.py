@@ -9,7 +9,7 @@ construction-sequence shortening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,29 +33,20 @@ class SequenceError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-Rows = Union[Iterable[tuple[int, ...]], np.ndarray]
+Rows = Union[Sequence[tuple[int, ...]], np.ndarray]
 
 
 def _int_rows(rows: Rows, width: int) -> np.ndarray:
-    """Integer rows as a read-only (m, width) int64 array of its own: an
-    array's rows, or a tuple of equal-length tuples (a row of another
-    length raises ValueError)."""
-    if isinstance(rows, np.ndarray):
-        out = rows.astype(np.int64).reshape(len(rows), width)
-    else:
-        out = np.fromiter(rows, dtype=np.dtype((np.int64, width)), count=len(rows))
+    """Integer rows, a sequence of equal-length tuples or an (m, width)
+    array, as a read-only (m, width) int64 array of its own; rows of any
+    other shape raise ValueError."""
+    out = np.array(rows, dtype=np.int64)
+    if out.shape == (0,):  # no rows at all
+        out = out.reshape(0, width)
+    if out.ndim != 2 or out.shape[1] != width:
+        raise ValueError(f"expected rows of {width} integers")
     out.flags.writeable = False
     return out
-
-
-def _tuple_rows(given: Rows, rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as a tuple of tuples: the rows ``given`` as tuples, or, for
-    an array of nonnegative values, tuples that share one Python int per
-    value instead of one per entry."""
-    if not isinstance(given, np.ndarray):
-        return tuple(map(tuple, given))
-    ints = np.arange(int(rows.max(initial=0)) + 1).astype(object)
-    return tuple(zip(*ints[rows].T.tolist()))
 
 
 class IntervalBicliquePartition:
@@ -63,37 +54,38 @@ class IntervalBicliquePartition:
 
     Bicliques are position-space quadruples (a,b,c,d), a<=b<c<=d, denoting
     the biclique between the vertices at positions [a,b] and [c,d], given
-    as tuples or as a (|B|, 4) integer array.  ``quads`` holds them as a
-    read-only (|B|, 4) int64 array, ``bicliques`` as a tuple of tuples in
-    the same order.
+    as a sequence of tuples or as a (|B|, 4) integer array.  ``quads``
+    holds them as a read-only (|B|, 4) int64 array, the one stored form;
+    ``bicliques`` builds a tuple of tuples in the same order on each read.
     """
 
-    __slots__ = ("order", "bicliques", "quads")
+    __slots__ = ("order", "quads")
 
     def __init__(self, order: LinearOrder, bicliques: Rows):
         self.order = order
         n = order.n
-        if not isinstance(bicliques, np.ndarray):
-            bicliques = tuple(bicliques)
         self.quads = _int_rows(bicliques, 4)
         a, b, c, d = self.quads.T
         bad = (a < 1) | (a > b) | (b >= c) | (c > d) | (d > n)
         if bad.any():
             a, b, c, d = self.quads[np.flatnonzero(bad)[0]].tolist()
             raise InputError(f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d in [1,{n}]")
-        self.bicliques: tuple[tuple[int, int, int, int], ...] = _tuple_rows(bicliques,
-                                                                            self.quads)
 
     @property
     def n(self) -> int:
         return self.order.n
 
+    @property
+    def bicliques(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``quads`` as a tuple of tuples of Python ints, built on each read."""
+        return tuple(map(tuple, self.quads.tolist()))
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntervalBicliquePartition)
-                and self.order == other.order and self.bicliques == other.bicliques)
+                and self.order == other.order and np.array_equal(self.quads, other.quads))
 
     def __repr__(self) -> str:
-        return f"IntervalBicliquePartition(n={self.n}, k={len(self.bicliques)})"
+        return f"IntervalBicliquePartition(n={self.n}, k={len(self.quads)})"
 
 
 class DagCompression:
@@ -109,21 +101,19 @@ class DagCompression:
     compressed edge joins two nodes in [1, num_nodes], and names the first
     bad one.
 
-    Both edge lists are given as pairs or as (m, 2) integer arrays.
-    ``edge_rows`` and ``compressed_rows`` hold them as read-only (m, 2)
-    int64 arrays, ``edges`` and ``compressed`` as tuples of pairs in the
-    same order.
+    Both edge lists are given as sequences of pairs or as (m, 2) integer
+    arrays.  ``edge_rows`` and ``compressed_rows`` hold them as read-only
+    (m, 2) int64 arrays, the one stored form; ``edges`` and ``compressed``
+    build tuples of pairs in the same order on each read.
     """
 
-    __slots__ = ("n", "num_nodes", "edges", "compressed", "edge_rows", "compressed_rows")
+    __slots__ = ("n", "num_nodes", "edge_rows", "compressed_rows")
 
     def __init__(self, n: int, num_nodes: int, edges: Rows, compressed: Rows):
         if not 0 <= n <= num_nodes:
             raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
         self.n = n
         self.num_nodes = num_nodes
-        edges, compressed = (rows if isinstance(rows, np.ndarray) else tuple(rows)
-                             for rows in (edges, compressed))
         self.edge_rows, self.compressed_rows = _int_rows(edges, 2), _int_rows(compressed, 2)
         x, y = self.edge_rows.T
         bad = np.flatnonzero((x <= n) | (x > num_nodes) | (y < 1) | (y >= x))
@@ -136,16 +126,25 @@ class DagCompression:
         if bad.size:
             x, y = self.compressed_rows[bad[0]].tolist()
             raise InputError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]")
-        self.edges = _tuple_rows(edges, self.edge_rows)
-        self.compressed = _tuple_rows(compressed, self.compressed_rows)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``edge_rows`` as a tuple of pairs of Python ints, built on each read."""
+        return tuple(map(tuple, self.edge_rows.tolist()))
+
+    @property
+    def compressed(self) -> tuple[tuple[int, int], ...]:
+        """``compressed_rows`` as a tuple of pairs of Python ints, built on
+        each read."""
+        return tuple(map(tuple, self.compressed_rows.tolist()))
 
     @property
     def size(self) -> int:
-        return self.num_nodes + len(self.edges) + len(self.compressed)
+        return self.num_nodes + len(self.edge_rows) + len(self.compressed_rows)
 
     def __repr__(self) -> str:
         return (f"DagCompression(n={self.n}, nodes={self.num_nodes}, "
-                f"edges={len(self.edges)}, compressed={len(self.compressed)})")
+                f"edges={len(self.edge_rows)}, compressed={len(self.compressed_rows)})")
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
     """Materialize the edge set; raises PartitionViolation on a duplicate edge."""
     at = ibp.order.at
     seen: set[tuple[int, int]] = set()
-    for a, b, c, d in ibp.bicliques:
+    for a, b, c, d in zip(*ibp.quads.T.tolist()):
         for i in range(a, b + 1):
             u = at(i)
             for j in range(c, d + 1):
@@ -354,10 +353,10 @@ def dag_to_graph(dc: DagCompression) -> Graph:
     reach = [0] * (dc.num_nodes + 1)  # bitsets over sinks
     for v in range(1, dc.n + 1):
         reach[v] = 1 << v
-    for x, y in sorted(dc.edges):
+    for x, y in zip(*dc.edge_rows[np.argsort(dc.edge_rows[:, 0])].T.tolist()):
         reach[x] |= reach[y]
     edges = set()
-    for x, y in dc.compressed:
+    for x, y in zip(*dc.compressed_rows.T.tolist()):
         u = reach[x]
         while u:
             ub = u & -u

@@ -165,9 +165,10 @@ def parse_ibp(text: str) -> IntervalBicliquePartition:
 
 
 def format_ibp(ibp: IntervalBicliquePartition) -> str:
-    out = [f"{ibp.n} {len(ibp.bicliques)}",
+    """The ``parse_ibp`` format, one line per row of ``ibp.quads``."""
+    out = [f"{ibp.n} {len(ibp.quads)}",
            " ".join(str(v) for v in ibp.order.vertex_at)]
-    out.extend(f"{a} {b} {c} {d}" for a, b, c, d in ibp.bicliques)
+    out.extend(f"{a} {b} {c} {d}" for a, b, c, d in zip(*ibp.quads.T.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -276,7 +277,9 @@ def parse_dag(text: str) -> DagCompression:
 
 
 def format_dag(dc: DagCompression) -> str:
-    out = [f"{dc.n} {dc.num_nodes} {len(dc.edges)} {len(dc.compressed)}"]
-    out.extend(f"{x} {y}" for x, y in dc.edges)
-    out.extend(f"C {x} {y}" for x, y in dc.compressed)
+    """The ``parse_dag`` format, one line per row of ``dc.edge_rows``, then
+    of ``dc.compressed_rows``."""
+    out = [f"{dc.n} {dc.num_nodes} {len(dc.edge_rows)} {len(dc.compressed_rows)}"]
+    out.extend(f"{x} {y}" for x, y in zip(*dc.edge_rows.T.tolist()))
+    out.extend(f"C {x} {y}" for x, y in zip(*dc.compressed_rows.T.tolist()))
     return "\n".join(out) + "\n"

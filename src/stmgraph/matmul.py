@@ -113,7 +113,7 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
         ops += 1
     diff = [zero] * (n + 2)
     sym = []
-    for a, b, c, d in ibp.bicliques:
+    for a, b, c, d in zip(*ibp.quads.T.tolist()):
         sym.append((a, b, c, d))
         sym.append((c, d, a, b))
     for a1, a2, b1, b2 in sym:

@@ -140,7 +140,8 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
     Per level: close the frontier under the weight-0 edges, one batch of
     newly reached nodes at a time, then cross the weight-1 edges out of
     every node settled at that level.  A node reached by several edges of
-    one batch takes the first of them.  Each model node carries the most
+    one batch takes the first of them, and the next batch scans the new
+    nodes in that order of first edges.  Each model node carries the most
     recent shared-layer vertex on its shortest path; a shared vertex's
     G-parent is the label carried into it.
 
@@ -154,14 +155,18 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
     dist = np.full(dm.num_nodes + 1, INF, dtype=np.int64)
     label = np.zeros(dm.num_nodes + 1, dtype=np.int64)
     parent = np.zeros(n, dtype=np.int64)
+    owner = np.zeros(dm.num_nodes + 1, dtype=np.int64)  # batch edge index per target
     dist[source] = 0
     label[source] = source
     level, ops = 0, 0
 
     def settle(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         fresh = dist[tgt] == INF
-        tgt, first = np.unique(tgt[fresh], return_index=True)
-        carried = label[src[fresh][first]]
+        src, tgt = src[fresh], tgt[fresh]
+        k = np.arange(len(tgt))
+        owner[tgt[::-1]] = k[::-1]  # the last write wins: each target's first edge
+        first = owner[tgt] == k
+        tgt, carried = tgt[first], label[src[first]]
         dist[tgt] = level
         shared = tgt <= n
         parent[tgt[shared] - 1] = carried[shared]
@@ -197,20 +202,16 @@ def _as_distance_model(rep: Representation) -> DistanceModel:
     raise InputError(f"unsupported representation {type(rep).__name__}")
 
 
-def sssp(rep: Representation, source: int,
-         counters: Optional[dict] = None) -> ShortestPathTree:
+def sssp(rep: Representation, source: int) -> ShortestPathTree:
     """Shortest-path tree from ``source`` on any representation in the
-    pipeline.  ``counters``, if given, receives the count of edges scanned and
-    model size under keys "ops" and "model_size".
+    pipeline.  Its search's op count is ``zero_one_bfs(dm, source).ops`` on
+    the model ``dag_to_distance_model`` builds, whose size is ``dm.size``.
 
     An invalid signed tree model raises InvalidModelError from
     ``stm_to_ibp``; a partition, DAG or distance model is trusted as built.
     """
     dm = _as_distance_model(rep)
     res = zero_one_bfs(dm, source)
-    if counters is not None:
-        counters["ops"] = res.ops
-        counters["model_size"] = dm.size
     n = dm.n
     dist = res.dist[1:n + 1]
     parent = np.where(dist < n, res.parent_vertex, 0)  # the source's is 0

@@ -16,8 +16,8 @@ from stmgraph import (CapExceeded, LinearOrder, Rect, SdConfig,
                       ibp_to_positive_model, inclusion_forest,
                       preset_twinwidth, radius_r_width,
                       scattered_maximal_subset, sd_sequence_randomized,
-                      sdseq_to_stm, stm_to_ibp, sssp, validate,
-                      validate_sequence)
+                      sdseq_to_stm, stm_to_ibp, validate,
+                      validate_sequence, zero_one_bfs)
 from stmgraph.bench import fit_through_origin
 from stmgraph.gen import (planted_sdseq, random_cseq, random_stm,
                           random_stm_sparse)
@@ -80,14 +80,14 @@ def test_criterion_3_size_bounds():
             model = random_stm(n, rng.randint(0, 4 * n), seed=seed)
             cleaned = clean_same_sign(model)
             ibp = stm_to_ibp(model)
-            assert len(ibp.bicliques) <= \
+            assert len(ibp.quads) <= \
                 3 * len(cleaned.pairs_a) + len(cleaned.pairs_b), seed
             dag = ibp_to_dag(ibp)
             log = max(1, math.ceil(math.log2(n)))
-            new_edges = len(dag.edges) - 2 * (n - 1)
-            assert new_edges <= (2 * log + 1) * len(ibp.bicliques), seed
+            new_edges = len(dag.edge_rows) - 2 * (n - 1)
+            assert new_edges <= (2 * log + 1) * len(ibp.quads), seed
             ptm = ibp_to_positive_model(ibp)
-            assert len(ptm.pairs_b) <= 4 * log * log * max(1, len(ibp.bicliques)), seed
+            assert len(ptm.pairs_b) <= 4 * log * log * max(1, len(ibp.quads)), seed
         for seed in range(100):
             rng = random.Random(seed)
             n = rng.randint(2, 48)
@@ -195,7 +195,7 @@ def test_criterion_7_matrix_multiply():
                 dense_matmul_oracle(g, order, N), seed
             counters = {}
             ibp_matvec(ibp, [1] * n, counters=counters)
-            assert counters["ops"] <= 8 * (n + len(ibp.bicliques)), seed
+            assert counters["ops"] <= 8 * (n + len(ibp.quads)), seed
 
 
 def test_criterion_8_scattered_sets():
@@ -232,9 +232,7 @@ def test_criterion_9_operation_count_scaling():
         for s in range(reps):
             model = random_stm_sparse(n, 4 * n, seed=1000 * k + s)
             dag = ibp_to_dag(stm_to_ibp(model))
-            counters = {}
-            sssp(dag, 1, counters=counters)
-            total += counters["ops"]
+            total += zero_one_bfs(dag_to_distance_model(dag), 1).ops
         xs.append(model.num_pairs * math.log2(n))
         ys.append(total / reps)
     slope, resid = fit_through_origin(xs, ys)

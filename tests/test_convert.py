@@ -292,7 +292,7 @@ class TestStmToIbp:
             cleaned = clean_same_sign(model)
             ibp = stm_to_ibp(model)
             bound = 3 * len(cleaned.pairs_a) + len(cleaned.pairs_b)
-            assert len(ibp.bicliques) <= bound, seed
+            assert len(ibp.quads) <= bound, seed
 
 
 class TestIbpToGraph:
@@ -323,6 +323,26 @@ class TestIbpToGraph:
         assert ibp.quads.dtype == np.int64 and not ibp.quads.flags.writeable
         assert list(map(tuple, ibp.quads.tolist())) == list(ibp.bicliques)
         assert IntervalBicliquePartition(LinearOrder.identity(1), []).quads.shape == (0, 4)
+
+    def test_equality(self):
+        order, quads = LinearOrder.identity(3), [(1, 1, 2, 3)]
+        ibp = IntervalBicliquePartition(order, quads)
+        assert ibp == IntervalBicliquePartition(order, np.array(quads))
+        assert ibp != IntervalBicliquePartition(order, [(1, 2, 3, 3)])
+        assert ibp != IntervalBicliquePartition(LinearOrder.from_vertex_sequence([2, 1, 3]),
+                                                quads)
+
+    @pytest.mark.parametrize("shape", ["ragged", "glued", "flat", "nested"])
+    def test_rows_of_another_shape_rejected(self, shape):
+        # each row is valid, so only the shape check can reject them
+        def reshaped(row):
+            return {"ragged": [row, row[:-1]], "glued": [row + row],
+                    "flat": np.array(row), "nested": np.array([[row]])}[shape]
+
+        with pytest.raises(ValueError):
+            IntervalBicliquePartition(LinearOrder.identity(2), reshaped((1, 1, 2, 2)))
+        with pytest.raises(ValueError):
+            DagCompression(2, 4, [], reshaped((1, 2)))
 
 
 class TestCoverSet:
@@ -430,8 +450,8 @@ class TestIbpToDag:
             n = ibp.n
             skeleton = 2 * (n - 1)
             log = max(1, math.ceil(math.log2(n)))
-            new_edges = len(dag.edges) - skeleton
-            assert new_edges <= (4 * log) * max(1, len(ibp.bicliques)), seed
+            new_edges = len(dag.edge_rows) - skeleton
+            assert new_edges <= (4 * log) * max(1, len(ibp.quads)), seed
 
 
 class TestDagCompression:

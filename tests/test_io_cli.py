@@ -5,13 +5,17 @@ import pytest
 
 import stmgraph.rect
 from stmgraph import io as fio
-from stmgraph import (SdDegenSequence, cseq_replay, decode_bruteforce,
-                      graphs_equal, ibp_to_dag, remove_loops, sdseq_to_stm,
-                      stm_to_ibp, validate)
+from stmgraph import (DagCompression, IntervalBicliquePartition, LinearOrder,
+                      SdDegenSequence, adjacency_matmul, apsp, cseq_replay,
+                      dag_to_distance_model, decode_bruteforce, graphs_equal,
+                      ibp_matvec, ibp_to_dag, ibp_to_graph, remove_loops,
+                      sdseq_to_stm, sssp, stm_to_ibp, validate)
 from stmgraph.cli import main
-from stmgraph.gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
+from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq, random_stm,
+                          random_stm_sparse)
 
 from conftest import BAD_DAGS, random_loopy
+from test_matmul import GENERIC_INT64
 
 
 class TestRoundTrips:
@@ -370,3 +374,41 @@ class TestCliLoadPath:
             f.write_text(fio.format_stm(model))
             assert main(["decode", str(f)]) == 0
             assert capsys.readouterr().out == fio.format_graph(decode_bruteforce(model))
+
+
+class TestArraysOnly:
+    """The pipeline reads the partition's and the DAG's int64 arrays only;
+    the tuple views are for outside callers."""
+
+    @pytest.fixture(autouse=True)
+    def no_tuple_views(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("tuple view read")
+
+        for cls, names in ((IntervalBicliquePartition, ("bicliques",)),
+                           (DagCompression, ("edges", "compressed"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, property(refuse))
+
+    def test_library(self):
+        n = 256
+        model = fio.parse_stm(fio.format_stm(random_stm_sparse(n, 4 * n, seed=0)))
+        ibp = stm_to_ibp(model)
+        dm = dag_to_distance_model(ibp_to_dag(ibp))
+        assert list(apsp(dm)[0]) == list(sssp(dm, 1).dist)
+        x = list(range(n))
+        assert ibp_matvec(ibp, x) == ibp_matvec(ibp, x, GENERIC_INT64)
+        g = ibp_to_graph(ibp)
+        rows = [[(i * j) % 7 for j in range(n)] for i in range(n)]
+        prod = adjacency_matmul(g, LinearOrder.identity(n), rows, ibp, check=True)
+        assert prod[0] == [sum(rows[v - 1][j] for v in g.neighbors(1)) for j in range(n)]
+
+    def test_cli(self, tmp_path, capsys):
+        stm_f, ibp_f, dag_f = tmp_path / "m.stm", tmp_path / "m.ibp", tmp_path / "m.dag"
+        stm_f.write_text(fio.format_stm(random_stm_sparse(256, 1024, seed=0)))
+        assert main(["convert", "stm-ibp", str(stm_f), "--out", str(ibp_f)]) == 0
+        assert main(["convert", "ibp-dag", str(ibp_f), "--out", str(dag_f)]) == 0
+        assert main(["sssp", str(stm_f), "--source", "1"]) == 0
+        via_stm = capsys.readouterr().out
+        assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 0
+        assert capsys.readouterr().out == via_stm

@@ -92,7 +92,7 @@ class TestIbpMatvec:
             ibp = stm_to_ibp(model)
             counters = {}
             ibp_matvec(ibp, [1] * n, counters=counters)
-            assert counters["ops"] <= 8 * (n + len(ibp.bicliques)), seed
+            assert counters["ops"] <= 8 * (n + len(ibp.quads)), seed
 
     def test_wrapping_entries(self, p3_model):
         ibp = stm_to_ibp(p3_model)

@@ -204,6 +204,12 @@ class TestZeroOneBfs:
             s = rng.randint(1, nn)
             assert zero_one_bfs(dm, s).dist.tolist() == dijkstra_oracle(dm, s), seed
 
+    def test_first_edge_of_a_batch_wins(self):
+        # level 1 settles 3 then 2, in edge order; the 0-closure batch out of
+        # them reaches 4 by 3's edge first, then by 2's
+        dm = DistanceModel(4, 4, [(1, 3, 1), (1, 2, 1), (3, 4, 0), (2, 4, 0)])
+        assert zero_one_bfs(dm, 1).parent_vertex.tolist() == [0, 1, 1, 3]
+
     def test_bad_source(self, p3_model):
         dm = dag_to_distance_model(ibp_to_dag(stm_to_ibp(p3_model)))
         with pytest.raises(InputError):
