@@ -88,6 +88,15 @@ class IntervalBicliquePartition:
         return f"IntervalBicliquePartition(n={self.n}, k={len(self.quads)})"
 
 
+class DagEdgeError(InputError):
+    """An edge that ``DagCompression`` rejects.  ``row`` is its index among
+    the DAG edges followed by the compressed edges."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class DagCompression:
     """A DAG whose sinks are the graph vertices, plus compressed edges.
 
@@ -119,13 +128,14 @@ class DagCompression:
         bad = np.flatnonzero((x <= n) | (x > num_nodes) | (y < 1) | (y >= x))
         if bad.size:
             x, y = self.edge_rows[bad[0]].tolist()
-            raise InputError(f"DAG edge ({x},{y}) breaks n < x <= num_nodes and "
-                             f"1 <= y < x (n={n}, num_nodes={num_nodes})")
+            raise DagEdgeError(f"DAG edge ({x},{y}) breaks n < x <= num_nodes and "
+                               f"1 <= y < x (n={n}, num_nodes={num_nodes})", int(bad[0]))
         x, y = self.compressed_rows.T
         bad = np.flatnonzero((x < 1) | (x > num_nodes) | (y < 1) | (y > num_nodes))
         if bad.size:
             x, y = self.compressed_rows[bad[0]].tolist()
-            raise InputError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]")
+            raise DagEdgeError(f"compressed edge ({x},{y}) out of range [1,{num_nodes}]",
+                               len(self.edge_rows) + int(bad[0]))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -8,9 +8,12 @@ back to an equal value.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Optional, Sequence
 
-from .convert import (ConstructionSequence, DagCompression,
+import numpy as np
+
+from .convert import (ConstructionSequence, DagCompression, DagEdgeError,
                       IntervalBicliquePartition, MERGE, RESOLVE_NEG,
                       RESOLVE_POS, SdDegenSequence)
 from .graph import Graph, LinearOrder
@@ -227,11 +230,12 @@ def format_matrix(rows: Sequence[Sequence[int]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def format_distance_matrix(rows: Sequence[Sequence[int]], n: int) -> str:
-    """n rows of n integers; the internal unreachable sentinel (any value
-    >= n) prints as -1."""
-    return "\n".join(" ".join("-1" if d >= n else str(d) for d in row)
-                     for row in rows) + "\n"
+def format_distance_matrix(rows: np.ndarray | Sequence[Sequence[int]], n: int) -> str:
+    """n rows of n integers, from an (n, n) integer array such as ``apsp``'s
+    (or a sequence of rows), converted one row at a time; the internal
+    unreachable sentinel (any value >= n) prints as -1."""
+    return "\n".join(" ".join("-1" if d >= n else str(d) for d in row.tolist())
+                     for row in np.asarray(rows)) + "\n"
 
 
 def format_spt(tree: ShortestPathTree, n: int) -> str:
@@ -249,31 +253,43 @@ def parse_dag(text: str) -> DagCompression:
     """Format: line 1 "n num_nodes e c"; e lines "x y" (DAG edges, parent to
     child); c lines "C x y" (compressed edges).  A DAG that
     ``DagCompression`` rejects is a FormatError on the line of the edge it
-    names, or on line 1 for a header defect."""
-    lines = _lines(text)
+    names, or on line 1 for a header defect.
+
+    The edge lines are read in one token pass straight into int64 arrays;
+    only a malformed file is read again line by line, to name its first bad
+    line."""
+    lines = text.splitlines()
     if not lines:
         raise FormatError(1, "empty input")
-    n, num_nodes, e, c = _ints(lines[0], 1, 4)
-    if len(lines) < 1 + e + c:
+    n, num_nodes, e, c = _ints(lines[0].rstrip(), 1, 4)
+    if e < 0 or c < 0:
+        raise FormatError(1, f"negative edge count in {lines[0].rstrip()!r}")
+    body = lines[1:1 + e + c]
+    if len(body) < e + c:
         raise FormatError(len(lines), f"expected {e} edge and {c} compressed lines")
-    edges = [tuple(_ints(lines[i], i + 1, 2)) for i in range(1, e + 1)]
-    compressed = []
-    for i in range(e + 1, e + c + 1):
-        parts = lines[i].split()
-        if len(parts) != 3 or parts[0] != "C":
-            raise FormatError(i + 1, f"expected 'C x y', got {lines[i]!r}")
-        x, y = _ints(" ".join(parts[1:]), i + 1, 2)
-        compressed.append((x, y))
+    # ";" closes every line, so a well-formed body reads "x y ;" e times,
+    # then "C x y ;" c times.  Any other layout puts a ";" in an x or y
+    # slot, which must parse as an integer, or a token other than "C" in a
+    # "C" slot.
+    tok = " ;\n".join(body + [""]).split()
+    m = 3 * e
     try:
-        return DagCompression(n, num_nodes, edges, compressed)
+        if tok[m::4] != ["C"] * c:
+            raise ValueError
+        xy = np.fromiter(map(int, chain(tok[0:m:3], tok[1:m:3], tok[m + 1::4], tok[m + 2::4])),
+                         dtype=np.int64, count=2 * (e + c))
+    except ValueError:  # a malformed line: read line by line to name the first
+        for i, line in enumerate(body, start=2):
+            parts = line.split()
+            if i > e + 1 and (len(parts) != 3 or parts[0] != "C"):
+                raise FormatError(i, f"expected 'C x y', got {line.rstrip()!r}") from None
+            _ints(line.rstrip() if i <= e + 1 else " ".join(parts[1:]), i, 2)
+    try:
+        return DagCompression(n, num_nodes, xy[:2 * e].reshape(2, e).T, xy[2 * e:].reshape(2, c).T)
+    except DagEdgeError as exc:
+        raise FormatError(2 + exc.row, str(exc)) from None
     except ValueError as exc:
-        # the message names the first bad edge of its list as "(x,y)"
-        named = re.match(r"(DAG|compressed) edge \((-?\d+),(-?\d+)\)", str(exc))
-        line = 1
-        if named:
-            pair = (int(named[2]), int(named[3]))
-            line = 2 + (edges.index(pair) if named[1] == "DAG" else e + compressed.index(pair))
-        raise FormatError(line, str(exc)) from None
+        raise FormatError(1, str(exc)) from None
 
 
 def format_dag(dc: DagCompression) -> str:

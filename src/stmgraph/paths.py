@@ -4,13 +4,13 @@ A DAG compression induces a 0-1-weighted distance model (two copies of the
 DAG joined on the graph vertices), stored as two CSR edge arrays, one per
 weight.  One level-synchronous 0-1 BFS on it, a numpy array step per
 frontier, yields exact graph distances, shortest-path trees and scattered
-sets; APSP runs all sources at once over bitsets of sources.  The
+sets.  APSP runs the same loop from blocks of 1024 sources at once, each
+node carrying a uint64 bitset of the sources that reached it.  The
 radius-r width measures construction sequences.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -122,8 +122,9 @@ class ZeroOneResult:
 
 def _out_edges(csr: tuple[np.ndarray, np.ndarray],
                nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sources, targets) of every edge out of ``nodes``, node by node, each
-    node's edges in CSR order."""
+    """(rows, targets) of every edge out of ``nodes``, node by node, each
+    node's edges in CSR order; an edge's row is its node's index in
+    ``nodes``."""
     offsets, targets = csr
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
@@ -131,7 +132,7 @@ def _out_edges(csr: tuple[np.ndarray, np.ndarray],
     # the run's first gathered index + k
     first = np.cumsum(counts) - counts
     idx = np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
-    return np.repeat(nodes, counts), targets[idx]
+    return np.repeat(np.arange(len(nodes)), counts), targets[idx]
 
 
 def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None) -> ZeroOneResult:
@@ -160,13 +161,16 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
     label[source] = source
     level, ops = 0, 0
 
-    def settle(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    def settle(csr: tuple[np.ndarray, np.ndarray], nodes: np.ndarray) -> np.ndarray:
+        nonlocal ops
+        rows, tgt = _out_edges(csr, nodes)
+        ops += len(tgt)
         fresh = dist[tgt] == INF
-        src, tgt = src[fresh], tgt[fresh]
+        rows, tgt = rows[fresh], tgt[fresh]
         k = np.arange(len(tgt))
         owner[tgt[::-1]] = k[::-1]  # the last write wins: each target's first edge
         first = owner[tgt] == k
-        tgt, carried = tgt[first], label[src[first]]
+        tgt, carried = tgt[first], label[nodes[rows[first]]]
         dist[tgt] = level
         shared = tgt <= n
         parent[tgt[shared] - 1] = carried[shared]
@@ -177,16 +181,12 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
     while new.size:
         settled = [new]
         while new.size:
-            src, tgt = _out_edges(dm.zero, new)
-            ops += len(tgt)
-            new = settle(src, tgt)
+            new = settle(dm.zero, new)
             settled.append(new)
         if max_dist is not None and level >= max_dist:
             break
         level += 1
-        src, tgt = _out_edges(dm.one, np.concatenate(settled))
-        ops += len(tgt)
-        new = settle(src, tgt)
+        new = settle(dm.one, np.concatenate(settled))
     return ZeroOneResult(dist, parent, ops, INF)
 
 
@@ -219,71 +219,70 @@ def sssp(rep: Representation, source: int) -> ShortestPathTree:
     return ShortestPathTree(source, tuple(dist.tolist()), tuple(parent.tolist()))
 
 
-def _target_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
-    """Per-node lists of the targets of a CSR edge array."""
-    offsets, targets = (a.tolist() for a in csr)
-    return [targets[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+_BLOCK_WORDS = 16  # sources per block of an apsp search, in 64-bit words
 
 
-def apsp(rep: Representation) -> list[list[int]]:
-    """n x n distance matrix (sentinel n for unreachable), ``[s-1][v-1]``
-    the distance from s to v.
+def apsp(rep: Representation) -> np.ndarray:
+    """n x n distance matrix: row s-1 holds the distances from s, and n is
+    the sentinel for unreachable.  Its dtype is ``np.min_scalar_type(n)``.
 
-    One level-synchronous 0-1 BFS from all n sources at once: every model
-    node carries the set of sources that have reached it, as a Python-int
-    bitset.  Per level, the newly reached bits are closed under the weight-0
-    edges by a worklist (correct on any model, zero-weight cycles included),
-    each shared vertex's new bits are written into the matrix, and the
-    weight-1 edges are crossed from the nodes that gained bits only.
+    ``zero_one_bfs``'s level loop run from 64 * ``_BLOCK_WORDS`` sources at
+    once: every model node carries the set of block sources that have
+    reached it, one bit per source.  Per level, each batch of newly reached
+    nodes spreads its bits along the weight-0 edges, OR-ed per target, and
+    keeps the bits its targets lacked (correct on any model, zero-weight
+    cycles included); each batch's shared vertices record the level for
+    their new sources.  Then the weight-1 edges are crossed from the nodes
+    that gained bits at that level.
+
+    Memory: the matrix, plus per block an (n, 1024) buffer of its columns
+    and O(model) arrays of bits.
 
     Like ``sssp``, rejects an invalid signed tree model with
     InvalidModelError.
     """
     dm = _as_distance_model(rep)
     n = dm.n
-    # the worklist reads one edge at a time: faster from Python ints
-    out0, out1 = _target_lists(dm.zero), _target_lists(dm.one)
-    reached = [0] * (dm.num_nodes + 1)
-    new = {}  # node -> sources that reached it at this level
-    for s in range(1, n + 1):
-        reached[s] = new[s] = 1 << (s - 1)
-    # dist_to[v-1, s-1] is the distance from s to v; transposed on return
-    dist_to = np.full((n, n), n, dtype=np.min_scalar_type(n))
-    nbytes = (n + 7) // 8
-    level = 0
-    while new:
-        pending = dict(new)  # node -> bits not yet pushed along its 0-edges
-        # first in, first out: on the DAG-shaped 0-edges of a compression's
-        # model this revisits ~14x fewer nodes than a stack does
-        queue = deque(new)
-        while queue:
-            u = queue.popleft()
-            bits = pending.pop(u)
-            for v in out0[u]:
-                fresh = bits & ~reached[v]
-                if fresh:
-                    reached[v] |= fresh
-                    new[v] = new.get(v, 0) | fresh
-                    if v in pending:
-                        pending[v] |= fresh
-                    else:
-                        pending[v] = fresh
-                        queue.append(v)
-        for v, bits in new.items():
-            if v <= n:
-                hit = np.unpackbits(np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8),
-                                    count=n, bitorder="little")
-                dist_to[v - 1][hit.view(bool)] = level
-        level += 1
-        crossed: dict[int, int] = {}
-        for u, bits in new.items():
-            for v in out1[u]:
-                fresh = bits & ~reached[v]
-                if fresh:
-                    reached[v] |= fresh
-                    crossed[v] = crossed.get(v, 0) | fresh
-        new = crossed
-    return dist_to.T.tolist()
+    dist = np.full((n, n), n, dtype=np.min_scalar_type(n))
+
+    def spread(csr: tuple, nodes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The targets of the edges out of ``nodes`` that gain sources, and
+        the bits each gains, which are added to the block's ``reached``;
+        ``bits`` holds each node's new sources."""
+        rows, tgt = _out_edges(csr, nodes)
+        order = np.argsort(tgt, kind="stable")
+        tgt, first = np.unique(tgt[order], return_index=True)  # each target's first edge
+        got = np.bitwise_or.reduceat(bits[rows[order]], first) & ~reached[tgt]
+        keep = got.any(axis=1)
+        tgt, got = tgt[keep], got[keep]
+        reached[tgt] |= got
+        return tgt, got
+
+    for lo in range(0, n, 64 * _BLOCK_WORDS):
+        k = min(64 * _BLOCK_WORDS, n - lo)
+        # to[v-1, j] is the distance from source lo+1+j to v: a vertex's
+        # entries sit together here, and are strided in ``dist``
+        to = np.full((n, k), n, dtype=dist.dtype)
+        reached = np.zeros((dm.num_nodes + 1, _BLOCK_WORDS), dtype=np.uint64)
+        new, j = np.arange(lo + 1, lo + k + 1), np.arange(k)
+        reached[new, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
+        bits, level = reached[new], 0
+        while new.size:
+            gained = [(new, bits)]
+            while new.size:
+                shared = new <= n
+                # bit j of a row is byte j // 8's bit j % 8 when read little-endian
+                hit = np.unpackbits(bits[shared].astype("<u8", copy=False).view(np.uint8),
+                                    axis=1, count=k, bitorder="little").view(bool)
+                v = new[shared] - 1
+                # a level that does not fit the dtype raises OverflowError
+                to[v] = np.where(hit, dist.dtype.type(level), to[v])
+                new, bits = spread(dm.zero, new, bits)
+                gained.append((new, bits))
+            level += 1
+            new, bits = spread(dm.one, *map(np.concatenate, zip(*gained)))
+        dist[lo:lo + k] = to.T
+    return dist
 
 
 def scattered_maximal_subset(dm: DistanceModel, X: Iterable[int], c: int, r: int) -> list[int]:

@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 
 import stmgraph.rect
@@ -75,9 +76,41 @@ class TestParseErrors:
         with pytest.raises(fio.FormatError):
             fio.parse_graph("")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("2 4 2 0\n4 1 7\n3 4\n", 2, "expected 2 fields, got 3"),
+        # the two lines' field counts sum to the right total
+        ("2 4 2 0\n4 1\n3 4 1\n4\n", 3, "expected 2 fields, got 3"),
+        ("2 4 2 0\n4 1\n4 x \n", 3, "non-integer field in '4 x'"),
+        ("2 4 1 0\n4 ;\n", 2, "non-integer field in '4 ;'"),
+        ("2 3 1 1\n3 1\n3 2\n", 3, "expected 'C x y', got '3 2'"),
+        ("2 3 0 2\nC 1 2 3\nC 1\n", 2, "expected 'C x y', got 'C 1 2 3'"),
+        ("2 3 0 2\nC 1 2\nD 1 2\n", 3, "expected 'C x y', got 'D 1 2'"),
+        ("2 3 0 1\nC 1 z\n", 2, "non-integer field in '1 z'"),
+        ("2 4 1 0\n4 1 2\n", 2, "expected 2 fields, got 3"),
+        ("2 3 0 1\nC 1 2 3\n", 2, "expected 'C x y', got 'C 1 2 3'"),
+        ("2 3 0 1\nC ; 1\n", 2, "non-integer field in '; 1'"),
+        ("2 4 2 1\n4 1\n3 2\n", 3, "expected 2 edge and 1 compressed lines"),
+        ("2 4 2\n", 1, "expected 4 fields, got 3"),
+        ("2 4 -1 1\nC 1 2\n", 1, "negative edge count in '2 4 -1 1'"),
+    ])
+    def test_dag_syntax(self, text, line, message):
+        with pytest.raises(fio.FormatError) as e:
+            fio.parse_dag(text)
+        assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
+    def test_dag_lenient_text(self):
+        """CRLF endings, extra blank space, signed integers and lines past
+        the counted ones are accepted."""
+        dag = fio.parse_dag("2 3 2 1 \r\n 3  +1\r\n3 2\r\nC 3\t2\r\nignored\n")
+        assert dag.edge_rows.tolist() == [[3, 1], [3, 2]]
+        assert dag.compressed_rows.tolist() == [[3, 2]]
+        empty = fio.parse_dag("1 1 0 0\n")
+        assert empty.edge_rows.shape == empty.compressed_rows.shape == (0, 2)
+
     def test_distance_matrix_sentinel(self):
-        out = fio.format_distance_matrix([[0, 3], [3, 0]], 3)
-        assert out == "0 -1\n-1 0\n"
+        for rows in ([[0, 3], [3, 0]], np.array([[0, 3], [3, 0]], dtype=np.uint8)):
+            out = fio.format_distance_matrix(rows, 3)
+            assert out == "0 -1\n-1 0\n"
 
 
 def run(tmp_path, *argv):
@@ -395,7 +428,7 @@ class TestArraysOnly:
         model = fio.parse_stm(fio.format_stm(random_stm_sparse(n, 4 * n, seed=0)))
         ibp = stm_to_ibp(model)
         dm = dag_to_distance_model(ibp_to_dag(ibp))
-        assert list(apsp(dm)[0]) == list(sssp(dm, 1).dist)
+        assert apsp(dm)[0].tolist() == list(sssp(dm, 1).dist)
         x = list(range(n))
         assert ibp_matvec(ibp, x) == ibp_matvec(ibp, x, GENERIC_INT64)
         g = ibp_to_graph(ibp)

@@ -1,7 +1,9 @@
 import heapq
 import random
 from collections import deque
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,8 @@ from stmgraph import (DagCompression, DistanceModel, InputError, apsp,
                       decode_bruteforce, ibp_to_dag,
                       scattered_maximal_subset, sssp, stm_to_ibp,
                       zero_one_bfs)
-from stmgraph.gen import random_stm
+from stmgraph import paths
+from stmgraph.gen import random_stm, random_stm_sparse
 from stmgraph.graph import LinearOrder
 from stmgraph.convert import IntervalBicliquePartition
 
@@ -285,22 +288,65 @@ class TestSssp:
         assert sssp(p3_model, 1).dist == sssp(ibp, 1).dist == sssp(dag, 1).dist
 
 
+def per_source_matrix(dm):
+    """``apsp``'s matrix, as lists, from one ``zero_one_bfs`` per source."""
+    want = []
+    for s in range(1, dm.n + 1):
+        res = zero_one_bfs(dm, s)
+        want.append([d if d < res.INF else dm.n for d in res.dist[1:dm.n + 1].tolist()])
+    return want
+
+
 class TestApsp:
     def test_p3(self, p3_model):
-        assert apsp(p3_model) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert apsp(p3_model).tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     def test_single_vertex(self):
-        assert apsp(DistanceModel(1, 1, [])) == [[0]]
-        assert apsp(DistanceModel(1, 3, [(1, 2, 0), (2, 3, 0), (3, 1, 1)])) == [[0]]
+        assert apsp(DistanceModel(1, 1, [])).tolist() == [[0]]
+        assert apsp(DistanceModel(1, 3, [(1, 2, 0), (2, 3, 0), (3, 1, 1)])).tolist() == [[0]]
 
     @settings(max_examples=400, deadline=None)
     @given(raw_models())
     def test_matches_per_source_bfs(self, dm):
-        want = []
-        for s in range(1, dm.n + 1):
-            res = zero_one_bfs(dm, s)
-            want.append([d if d < res.INF else dm.n for d in res.dist[1:dm.n + 1].tolist()])
-        assert apsp(dm) == want
+        assert apsp(dm).tolist() == per_source_matrix(dm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_models())
+    def test_one_word_blocks_raw(self, dm):
+        """Blocks of 64 sources: one partial block."""
+        with mock.patch.object(paths, "_BLOCK_WORDS", 1):
+            assert apsp(dm).tolist() == per_source_matrix(dm)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    def test_one_word_blocks(self, n):
+        """Blocks of 64 sources across word and block boundaries, on a
+        sparse model and on a raw model dense in zero-weight cycles."""
+        rng = random.Random(n)
+        num_nodes = 2 * n
+        edges = [(rng.randint(1, num_nodes), rng.randint(1, num_nodes), rng.randint(0, 1))
+                 for _ in range(3 * num_nodes)]
+        models = [DistanceModel(n, num_nodes, edges),
+                  dag_to_distance_model(ibp_to_dag(stm_to_ibp(random_stm_sparse(n, 4 * n, seed=n))))]
+        with mock.patch.object(paths, "_BLOCK_WORDS", 1):
+            for dm in models:
+                assert apsp(dm).tolist() == per_source_matrix(dm)
+
+    def test_shape_dtype_sentinel(self):
+        models = [DistanceModel(n, n, []) for n in (1, 4, 255, 256)]
+        models.append(dag_to_distance_model(ibp_to_dag(stm_to_ibp(random_stm(4, 0, seed=0)))))
+        for dm in models:
+            n = dm.n
+            mat = apsp(dm)
+            assert mat.shape == (n, n) and mat.dtype == np.min_scalar_type(n)
+            assert np.array_equal(mat, np.where(np.eye(n, dtype=bool), 0, n))
+
+    def test_level_beyond_dtype_raises(self):
+        # 1 -> 3 -> ... -> 300 -> 2 by weight-1 edges: a distance of 299
+        # does not fit the uint8 matrix of n = 2
+        chain = [1, *range(3, 301), 2]
+        dm = DistanceModel(2, 300, [(u, v, 1) for u, v in zip(chain, chain[1:])])
+        with pytest.raises(OverflowError):
+            apsp(dm)
 
     def test_edgeless(self):
         model = random_stm(4, 0, seed=0)
@@ -315,7 +361,7 @@ class TestApsp:
             g = decode_bruteforce(model)
             mat = apsp(model)
             for s in range(1, 13):
-                assert mat[s - 1] == bfs_sssp_oracle(g, s), seed
+                assert mat[s - 1].tolist() == bfs_sssp_oracle(g, s), seed
             for i in range(12):
                 assert mat[i][i] == 0
                 for j in range(12):
