@@ -11,14 +11,14 @@ from .convert import (ConstructionSequence, DagCompression,
                       SdDegenSequence, SequenceError, cover_set, cseq_replay,
                       cseq_shorten, cseq_to_stm, dag_to_graph, ibp_to_dag,
                       ibp_to_graph, ibp_to_positive_model, sdseq_to_stm,
-                      stm_to_ibp, stm_to_rects)
+                      stm_to_ibp)
 from .graph import (Graph, InputError, LinearOrder, bfs_sssp_oracle,
                     graphs_equal, symmetric_difference)
 from .matmul import INT64_GROUP, AdditiveGroup, adjacency_matmul, ibp_matvec
 from .paths import (DistanceModel, ShortestPathTree, apsp,
                     dag_to_distance_model, radius_r_width,
                     scattered_maximal_subset, sssp, zero_one_bfs)
-from .rect import (InclusionForest, LaminarityError, Rect, complement_partition,
+from .rect import (InclusionForest, LaminarityError, complement_partition,
                    inclusion_forest)
 from .sddegen import (CapExceeded, SdConfig, WidthReport, preset_symdiff,
                       preset_twinwidth, sd_sequence_greedy,
@@ -34,7 +34,7 @@ __all__ = [
     "DistanceModel", "EditLog", "Graph", "INT64_GROUP",
     "InclusionForest", "InputError", "IntervalBicliquePartition",
     "InvalidModelError", "LaminarityError", "LinearOrder",
-    "PartitionViolation", "Rect", "SdConfig", "SdDegenSequence",
+    "PartitionViolation", "SdConfig", "SdDegenSequence",
     "SequenceError", "ShortestPathTree", "SignedTreeModel",
     "ValidationReport", "WidthReport", "adjacency_matmul", "apsp",
     "bfs_sssp_oracle", "clean_same_sign", "complement_partition", "cover_set",
@@ -44,6 +44,6 @@ __all__ = [
     "inclusion_forest", "insert_edit", "preset_symdiff",
     "preset_twinwidth", "radius_r_width", "remove_loops",
     "scattered_maximal_subset", "sd_sequence_greedy", "sd_sequence_randomized",
-    "sdseq_to_stm", "sssp", "stm_to_ibp", "stm_to_rects",
+    "sdseq_to_stm", "sssp", "stm_to_ibp",
     "symmetric_difference", "validate", "validate_sequence", "zero_one_bfs",
 ]

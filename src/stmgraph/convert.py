@@ -1,22 +1,21 @@
 """Representation conversions.
 
-Pipeline: signed tree model -> laminar rectangles -> interval biclique
-partition -> DAG compression / positive tree model; plus the constructions
-from sd-degeneracy sequences and merge/resolve construction sequences, and
-construction-sequence shortening.
+Pipeline: signed tree model -> laminar rectangles, as one (p, 4) int64
+array of key rows -> interval biclique partition -> DAG compression /
+positive tree model; plus the constructions from sd-degeneracy sequences
+and merge/resolve construction sequences, and construction-sequence
+shortening.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import Graph, InputError, LinearOrder
-from .rect import Rect, complement_partition
-from .stm import (SignedTreeModel, _checked_forest, clean_same_sign, pair_rects,
-                  remove_loops)
+from .graph import Graph, InputError, LinearOrder, Rows, _int_rows
+from .rect import complement_partition
+from .stm import SignedTreeModel, _checked_forest, clean_same_sign, remove_loops
 
 INF_STEP = float("inf")
 
@@ -32,22 +31,6 @@ class SequenceError(ValueError):
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-Rows = Union[Sequence[tuple[int, ...]], np.ndarray]
-
-
-def _int_rows(rows: Rows, width: int) -> np.ndarray:
-    """Integer rows, a sequence of equal-length tuples or an (m, width)
-    array, as a read-only (m, width) int64 array of its own; rows of any
-    other shape raise ValueError."""
-    out = np.array(rows, dtype=np.int64)
-    if out.shape == (0,):  # no rows at all
-        out = out.reshape(0, width)
-    if out.ndim != 2 or out.shape[1] != width:
-        raise ValueError(f"expected rows of {width} integers")
-    out.flags.writeable = False
-    return out
-
 
 class IntervalBicliquePartition:
     """A vertex order plus edge-disjoint bicliques with interval sides.
@@ -200,17 +183,6 @@ class ConstructionSequence:
 # ---------------------------------------------------------------------------
 # STM -> rectangles -> IBP
 # ---------------------------------------------------------------------------
-
-def stm_to_rects(stm: SignedTreeModel) -> tuple[list[Rect], LinearOrder]:
-    """Map each pair {u,v} to the rectangle of its leaf intervals, the
-    earlier-starting interval on the x side; the order is the model's
-    left-to-right leaf order.  Output is laminar."""
-    for x, y, _ in stm.pairs_signed():
-        if x == y:
-            raise InputError("model has loops; run remove_loops first")
-    order = LinearOrder.from_vertex_sequence(stm.leaf_order)
-    return pair_rects(stm), order
-
 
 def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
     """Convert a signed tree model into an interval biclique partition.

@@ -9,11 +9,33 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 
 class InputError(ValueError):
     """Raised when an operation is called with arguments violating its precondition."""
+
+
+Rows = Union[Sequence[tuple[int, ...]], np.ndarray]
+
+
+def _int_rows(rows: Rows, width: int) -> np.ndarray:
+    """Integer rows, a sequence of equal-length tuples or an (m, width)
+    integer array, as a read-only (m, width) int64 array of its own.  Rows
+    of any other shape, of non-integer values (floats, strings) or of
+    values beyond int64 raise ValueError; no rows at all are accepted."""
+    out = np.array(rows)
+    if out.shape == (0,):  # no rows at all
+        out = out.reshape(0, width)
+    kind = out.dtype.kind if out.size else "i"
+    if (out.ndim != 2 or out.shape[1] != width or kind not in "biu"
+            or (kind == "u" and out.max() > np.iinfo(np.int64).max)):
+        raise ValueError(f"expected rows of {width} integers")
+    out = out.astype(np.int64, copy=False)
+    out.flags.writeable = False
+    return out
 
 
 class Graph:

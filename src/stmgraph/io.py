@@ -253,7 +253,8 @@ def parse_dag(text: str) -> DagCompression:
     """Format: line 1 "n num_nodes e c"; e lines "x y" (DAG edges, parent to
     child); c lines "C x y" (compressed edges).  A DAG that
     ``DagCompression`` rejects is a FormatError on the line of the edge it
-    names, or on line 1 for a header defect.
+    names, or on line 1 for a header defect; so is an integer beyond int64
+    on an edge line.
 
     The edge lines are read in one token pass straight into int64 arrays;
     only a malformed file is read again line by line, to name its first bad
@@ -278,12 +279,14 @@ def parse_dag(text: str) -> DagCompression:
             raise ValueError
         xy = np.fromiter(map(int, chain(tok[0:m:3], tok[1:m:3], tok[m + 1::4], tok[m + 2::4])),
                          dtype=np.int64, count=2 * (e + c))
-    except ValueError:  # a malformed line: read line by line to name the first
+    except (ValueError, OverflowError):  # read line by line to name the first bad line
         for i, line in enumerate(body, start=2):
             parts = line.split()
             if i > e + 1 and (len(parts) != 3 or parts[0] != "C"):
                 raise FormatError(i, f"expected 'C x y', got {line.rstrip()!r}") from None
-            _ints(line.rstrip() if i <= e + 1 else " ".join(parts[1:]), i, 2)
+            fields = _ints(line.rstrip() if i <= e + 1 else " ".join(parts[1:]), i, 2)
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in fields):
+                raise FormatError(i, f"integer beyond int64 in {line.rstrip()!r}") from None
     try:
         return DagCompression(n, num_nodes, xy[:2 * e].reshape(2, e).T, xy[2 * e:].reshape(2, c).T)
     except DagEdgeError as exc:

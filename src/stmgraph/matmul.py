@@ -150,27 +150,21 @@ def dense_matvec_oracle(g: Graph, order: LinearOrder, x: Sequence,
 
 def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[Sequence],
                      ibp: IntervalBicliquePartition,
-                     group: AdditiveGroup = INT64_GROUP,
-                     check: bool = False) -> list[list]:
+                     group: AdditiveGroup = INT64_GROUP) -> list[list]:
     """adj(g) in the caller's ``order`` times ``n_matrix``: permute into the
     partition's order, run the matvec kernel, permute back.  Under
     INT64_GROUP the kernel takes blocks of columns; other groups go one
     column at a time.
 
-    ``check`` verifies once that the partition decodes to g.  Without it the
-    product is computed from the partition alone, and g may be None, so the
+    The product is computed from the partition alone, which is trusted to
+    decode to g; g is only checked for its size, and may be None, so the
     decoded edge set never has to be built.
     """
-    from .convert import ibp_to_graph
-    from .graph import graphs_equal
-
     n = ibp.n
     if (g is not None and g.n != n) or order.n != n:
         raise InputError("size mismatch between graph, order, and partition")
     if len(n_matrix) != n or any(len(row) != n for row in n_matrix):
         raise InputError(f"matrix is not {n}x{n}")
-    if check and (g is None or not graphs_equal(ibp_to_graph(ibp), g)):
-        raise InputError("partition does not decode to the given graph")
     # vertex at kernel position q sits at caller position order.pos(vertex)
     caller_pos = [order.pos(ibp.order.at(q)) for q in range(1, n + 1)]
     rows = [n_matrix[p - 1] for p in caller_pos]

@@ -231,9 +231,10 @@ def apsp(rep: Representation) -> np.ndarray:
     reached it, one bit per source.  Per level, each batch of newly reached
     nodes spreads its bits along the weight-0 edges, OR-ed per target, and
     keeps the bits its targets lacked (correct on any model, zero-weight
-    cycles included); each batch's shared vertices record the level for
-    their new sources.  Then the weight-1 edges are crossed from the nodes
-    that gained bits at that level.
+    cycles included), so the batches only spread bits.  After the closure,
+    each shared vertex that gained sources records the level for them once:
+    its ``reached`` bits not yet ``written``.  Then the weight-1 edges are
+    crossed from the nodes that gained bits at that level.
 
     Memory: the matrix, plus per block an (n, 1024) buffer of its columns
     and O(model) arrays of bits.
@@ -266,21 +267,24 @@ def apsp(rep: Representation) -> np.ndarray:
         reached = np.zeros((dm.num_nodes + 1, _BLOCK_WORDS), dtype=np.uint64)
         new, j = np.arange(lo + 1, lo + k + 1), np.arange(k)
         reached[new, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
+        written = np.zeros((n + 1, _BLOCK_WORDS), dtype=np.uint64)  # sources recorded
         bits, level = reached[new], 0
         while new.size:
             gained = [(new, bits)]
             while new.size:
-                shared = new <= n
-                # bit j of a row is byte j // 8's bit j % 8 when read little-endian
-                hit = np.unpackbits(bits[shared].astype("<u8", copy=False).view(np.uint8),
-                                    axis=1, count=k, bitorder="little").view(bool)
-                v = new[shared] - 1
-                # a level that does not fit the dtype raises OverflowError
-                to[v] = np.where(hit, dist.dtype.type(level), to[v])
                 new, bits = spread(dm.zero, new, bits)
                 gained.append((new, bits))
+            new, bits = map(np.concatenate, zip(*gained))
+            v = np.unique(new[new <= n])
+            fresh = reached[v] & ~written[v]
+            written[v] |= fresh
+            # bit j of a row is byte j // 8's bit j % 8 when read little-endian
+            hit = np.unpackbits(fresh.astype("<u8", copy=False).view(np.uint8),
+                                axis=1, count=k, bitorder="little").view(bool)
+            # a level that does not fit the dtype raises OverflowError
+            to[v - 1] = np.where(hit, dist.dtype.type(level), to[v - 1])
             level += 1
-            new, bits = spread(dm.one, *map(np.concatenate, zip(*gained)))
+            new, bits = spread(dm.one, new, bits)
         dist[lo:lo + k] = to.T
     return dist
 

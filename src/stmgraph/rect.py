@@ -1,25 +1,22 @@
 """Discrete rectangle geometry: inclusion forests of laminar families and
 complements of disjoint rectangles.
 
-Rectangles are inclusive integer boxes [x1,x2] x [y1,y2] on the grid.  The
-functions here take them as ``Rect`` objects or as an (m, 4) integer array
-of their keys (x1, x2, y1, y2), one row per rectangle.
+Rectangles are inclusive integer boxes [x1,x2] x [y1,y2] on the grid, each
+given by its key row (x1, x2, y1, y2).  The functions here take a family
+as an (m, 4) integer array of key rows or as a sequence of 4-tuples, and
+return key rows as int64 arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graph import InputError
+from .graph import InputError, Rows, _int_rows
 
-Rects = Union[Iterable["Rect"], np.ndarray]
 _last = itemgetter(-1)
 
 
@@ -34,40 +31,10 @@ class LaminarityError(ValueError):
         self.indices = indices
 
 
-@dataclass(frozen=True)
-class Rect:
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-    payload: object = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise InputError(f"degenerate rectangle {self.key()}")
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.x1, self.x2, self.y1, self.y2)
-
-    @property
-    def area(self) -> int:
-        return (self.x2 - self.x1 + 1) * (self.y2 - self.y1 + 1)
-
-    def contains(self, other: "Rect") -> bool:
-        return (self.x1 <= other.x1 and other.x2 <= self.x2
-                and self.y1 <= other.y1 and other.y2 <= self.y2)
-
-    def disjoint(self, other: "Rect") -> bool:
-        return (self.x2 < other.x1 or other.x2 < self.x1
-                or self.y2 < other.y1 or other.y2 < self.y1)
-
-
-def _keys(rects: Rects) -> np.ndarray:
-    """The rectangles' keys as an (m, 4) int64 array; InputError, as for a
-    Rect, if a key row is degenerate."""
-    if not isinstance(rects, np.ndarray):
-        return np.array([r.key() for r in rects], dtype=np.int64).reshape(-1, 4)
-    keys = rects.astype(np.int64, copy=False).reshape(len(rects), 4)
+def _keys(rows: Rows) -> np.ndarray:
+    """The key rows as a read-only (m, 4) int64 array (ValueError as for
+    ``_int_rows``); InputError if a key row is degenerate."""
+    keys = _int_rows(rows, 4)
     bad = np.flatnonzero((keys[:, 0] > keys[:, 1]) | (keys[:, 2] > keys[:, 3]))
     if bad.size:
         raise InputError(f"degenerate rectangle {tuple(keys[bad[0]].tolist())}")
@@ -119,35 +86,19 @@ class _SortedList:
 class InclusionForest:
     """Containment forest of a laminar rectangle family.
 
-    ``keys`` is the family as an (m, 4) int64 array; ``up[i]`` is the index
-    of the smallest rectangle strictly containing rectangle ``i``, or -1 for
-    a root.  ``parent`` (None for a root), ``roots`` and ``children`` are
-    list views of ``up``, each built on first use.
+    ``keys`` is the family as an (m, 4) int64 array of key rows; ``up[i]``
+    is the index of the smallest rectangle strictly containing rectangle
+    ``i``, or -1 for a root.
     """
 
     def __init__(self, keys: np.ndarray, up: np.ndarray):
         self.keys = keys
         self.up = up
 
-    @cached_property
-    def parent(self) -> list[Optional[int]]:
-        return [None if p < 0 else p for p in self.up.tolist()]
 
-    @cached_property
-    def roots(self) -> list[int]:
-        return np.flatnonzero(self.up < 0).tolist()
-
-    @cached_property
-    def children(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(len(self.up))]
-        for i, p in enumerate(self.up.tolist()):
-            if p >= 0:
-                out[p].append(i)
-        return out
-
-
-def inclusion_forest(rects: Rects) -> InclusionForest:
-    """Inclusion forest of ``rects``; LaminarityError unless they are laminar.
+def inclusion_forest(rows: Rows) -> InclusionForest:
+    """Inclusion forest of the key rows; LaminarityError unless they are
+    laminar.
 
     One sweep builds the forest and checks laminarity in O(m log m) time:
     the active boundaries below sit in a blocked sorted list, so an
@@ -183,7 +134,7 @@ def inclusion_forest(rects: Rects) -> InclusionForest:
     overlap.  So the first rectangle swept that is a duplicate of, or
     properly overlaps, an earlier one raises.
     """
-    keys = _keys(rects)
+    keys = _keys(rows)
     x1s, x2s, y1s, y2s = keys.T
     order = np.lexsort((-y2s, y1s, -x2s, x1s))
     m = len(order)
@@ -223,12 +174,11 @@ def inclusion_forest(rects: Rects) -> InclusionForest:
     return InclusionForest(keys, parent)
 
 
-def complement_partition(outer: Union[Rect, Iterable[int]], holes: Rects
-                         ) -> Union[list[Rect], np.ndarray]:
+def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     """Partition ``outer`` minus the disjoint ``holes`` into <= 3h+1 rectangles.
 
-    ``outer`` is a Rect or its key.  The pieces come back as Rects for a
-    Rect, else as a (k, 4) int64 array of keys, sorted by (x2, x1, y1).
+    ``outer`` is one key row, ``holes`` are key rows; the pieces come back
+    as a (k, 4) int64 array of key rows, sorted by (x2, x1, y1).
 
     A left-to-right sweep over the holes' x-boundaries keeps the active
     holes sorted by y, and each gap between neighbours is a free
@@ -239,8 +189,7 @@ def complement_partition(outer: Union[Rect, Iterable[int]], holes: Rects
     the sweep takes O(h log h) time; each hole boundary opens at most a
     bounded number of pieces.
     """
-    as_rects = isinstance(outer, Rect)
-    ox1, ox2, oy1, oy2 = outer.key() if as_rects else _keys(np.array([outer]))[0].tolist()
+    ox1, ox2, oy1, oy2 = _keys([outer])[0].tolist()
     h = _keys(holes)
     escapes = (h[:, 0] < ox1) | (h[:, 1] > ox2) | (h[:, 2] < oy1) | (h[:, 3] > oy2)
     if escapes.any():
@@ -288,5 +237,4 @@ def complement_partition(outer: Union[Rect, Iterable[int]], holes: Rects
     pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
     pieces += [(start, ox2, lo, hi) for (lo, hi), start in open_at.items()]
     out = np.array(pieces, dtype=np.int64).reshape(-1, 4)
-    out = out[np.lexsort((out[:, 2], out[:, 0], out[:, 1]))]
-    return [Rect(*key) for key in out.tolist()] if as_rects else out
+    return out[np.lexsort((out[:, 2], out[:, 0], out[:, 1]))]

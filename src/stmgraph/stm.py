@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import Graph, InputError
 from . import rect
-from .rect import InclusionForest, LaminarityError, Rect
+from .rect import InclusionForest, LaminarityError
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -184,19 +184,6 @@ class SignedTreeModel:
                 f"|B|={len(self.pairs_b)})")
 
 
-def pair_rects(stm: SignedTreeModel) -> list[Rect]:
-    """Rectangles (in leaf-position space) of all transversal pairs.
-
-    Payload of each rectangle is ``(pair, sign)``.  Loops yield squares.
-    """
-    rects = []
-    for x, y, sign in stm.pairs_signed():
-        x1, x2 = stm.leaf_interval(x)
-        y1, y2 = stm.leaf_interval(y)
-        rects.append(Rect(x1, x2, y1, y2, payload=((x, y), sign)))
-    return rects
-
-
 def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     """Check all model invariants; the report names offending pairs/nodes.
 
@@ -283,8 +270,10 @@ def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
 
     The minimal covering pair is the one with the smallest rectangle (covering
     rectangles of a fixed cell are nested); the leaves are adjacent iff it is
-    positive.  Loops are supported with their square rectangles, which yields
-    the nearest-enclosing-loop semantics used by loop removal.  This is the
+    positive.  A pair's rectangle is the leaf intervals of its two ends, read
+    here pair by pair, not from the forest the pipeline builds.  Loops are
+    supported with their square rectangles, which yields the
+    nearest-enclosing-loop semantics used by loop removal.  This is the
     oracle against which the conversion pipeline is tested.
     """
     if not validated:
@@ -295,11 +284,13 @@ def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
     big = np.iinfo(np.int64).max
     best = np.full((n + 1, n + 1), big, dtype=np.int64)
     sign = np.zeros((n + 1, n + 1), dtype=np.int8)
-    for r in pair_rects(stm):
-        block = best[r.x1:r.x2 + 1, r.y1:r.y2 + 1]
-        mask = r.area < block
-        block[mask] = r.area
-        sign[r.x1:r.x2 + 1, r.y1:r.y2 + 1][mask] = r.payload[1]
+    for x, y, s in stm.pairs_signed():
+        (x1, x2), (y1, y2) = stm.leaf_interval(x), stm.leaf_interval(y)
+        area = (x2 - x1 + 1) * (y2 - y1 + 1)
+        block = best[x1:x2 + 1, y1:y2 + 1]
+        mask = area < block
+        block[mask] = area
+        sign[x1:x2 + 1, y1:y2 + 1][mask] = s
     edges = []
     pos_i, pos_j = np.nonzero(np.triu(sign, k=1) > 0)
     for i, j in zip(pos_i, pos_j):

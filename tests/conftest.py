@@ -19,9 +19,30 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+def contains(a, b):
+    """Key row a = (x1, x2, y1, y2) contains key row b."""
+    return a[0] <= b[0] and b[1] <= a[1] and a[2] <= b[2] and b[3] <= a[3]
+
+
+def disjoint(a, b):
+    """Key rows a and b share no cell."""
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
+def area(a):
+    return (a[1] - a[0] + 1) * (a[3] - a[2] + 1)
+
+
 def properly_overlap(a, b):
     """Rectangles meet and neither contains the other."""
-    return not (a.disjoint(b) or a.contains(b) or b.contains(a))
+    return not (disjoint(a, b) or contains(a, b) or contains(b, a))
+
+
+def pair_keys(stm):
+    """(key row, pair, sign) of every pair, in ``pairs_signed`` order; the
+    key row is the leaf intervals of the pair's two ends, read pair by pair."""
+    return [(stm.leaf_interval(x) + stm.leaf_interval(y), (x, y), s)
+            for x, y, s in stm.pairs_signed()]
 
 
 def caterpillar_stm(n, num_pairs, seed=0):

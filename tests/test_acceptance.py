@@ -7,7 +7,7 @@ import time
 import warnings
 from contextlib import contextmanager
 
-from stmgraph import (CapExceeded, LinearOrder, Rect, SdConfig,
+from stmgraph import (CapExceeded, LinearOrder, SdConfig,
                       adjacency_matmul, apsp, bfs_sssp_oracle,
                       clean_same_sign, complement_partition, cseq_shorten,
                       cseq_to_stm, dag_to_distance_model,
@@ -25,7 +25,7 @@ from stmgraph.matmul import dense_matmul_oracle
 from stmgraph.stm import SignedTreeModel
 
 import conftest
-from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B
+from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, disjoint
 from test_rect import brute_forest_parents, random_laminar
 
 
@@ -131,27 +131,27 @@ def test_criterion_5_geometry_oracles():
             rects = random_laminar(rng, grid=rng.randint(10, 64),
                                    target=rng.randint(1, 200))
             f = inclusion_forest(rects)
-            assert f.parent == brute_forest_parents(rects), seed
+            assert f.up.tolist() == brute_forest_parents(rects), seed
         for seed in range(200):
             rng = random.Random(seed)
             gx = rng.randint(8, 64)
             gy = rng.randint(8, 64)
-            outer = Rect(1, gx, 1, gy)
+            outer = (1, gx, 1, gy)
             holes = []
             tries = 300
             while len(holes) < 50 and tries:
                 tries -= 1
                 x1 = rng.randint(1, gx)
                 y1 = rng.randint(1, gy)
-                h = Rect(x1, rng.randint(x1, min(x1 + 10, gx)),
-                         y1, rng.randint(y1, min(y1 + 10, gy)))
-                if all(h.disjoint(o) for o in holes):
+                h = (x1, rng.randint(x1, min(x1 + 10, gx)),
+                     y1, rng.randint(y1, min(y1 + 10, gy)))
+                if all(disjoint(h, o) for o in holes):
                     holes.append(h)
             out = complement_partition(outer, holes)
             assert len(out) <= 3 * len(holes) + 1, seed
             cover = np.zeros((gx + 1, gy + 1), dtype=np.int32)
-            for r in holes + out:
-                cover[r.x1 - 1:r.x2, r.y1 - 1:r.y2] += 1
+            for x1, x2, y1, y2 in holes + out.tolist():
+                cover[x1 - 1:x2, y1 - 1:y2] += 1
             assert (cover[:gx, :gy] == 1).all(), seed
 
 

@@ -15,15 +15,23 @@ from stmgraph import (ConstructionSequence, Graph, InputError,
                       cseq_shorten, cseq_to_stm, dag_to_graph,
                       decode_bruteforce, graphs_equal, ibp_to_dag,
                       ibp_to_graph, ibp_to_positive_model, inclusion_forest,
-                      radius_r_width, sdseq_to_stm, stm_to_ibp, stm_to_rects,
-                      validate)
+                      radius_r_width, sdseq_to_stm, stm_to_ibp, validate)
 from stmgraph import io as fio
 from stmgraph.convert import DagCompression, IntervalBicliquePartition, _skeleton
 from stmgraph.graph import LinearOrder
-from stmgraph.stm import pair_rects
+from stmgraph.stm import _checked_forest
 from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
 
-from conftest import BAD_DAGS, compressions, perturbed_models
+from conftest import BAD_DAGS, compressions, contains, disjoint, pair_keys, perturbed_models
+
+
+def children_lists(up):
+    """The indices whose parent is i, for every i, from an ``up`` array."""
+    children = [[] for _ in up]
+    for i, p in enumerate(up.tolist()):
+        if p >= 0:
+            children[p].append(i)
+    return children
 
 
 def stm_to_ibp_oracle(stm):
@@ -31,18 +39,17 @@ def stm_to_ibp_oracle(stm):
     one on a fresh inclusion forest, build its rectangles and inclusion
     forest again, and let each positive rectangle emit the complement of its
     (negative) children."""
-    rects = pair_rects(stm)
-    parent = inclusion_forest(rects).parent
-    drop = {rects[i].payload[0] for i, p in enumerate(parent)
-            if p is not None and rects[p].payload[1] == rects[i].payload[1]}
-    rects, order = stm_to_rects(stm.with_pairs(stm.pairs_a - drop, stm.pairs_b - drop))
-    forest = inclusion_forest(rects)
+    rects = pair_keys(stm)
+    parent = inclusion_forest([key for key, _, _ in rects]).up.tolist()
+    drop = {pair for (_, pair, sign), p in zip(rects, parent) if p >= 0 and rects[p][2] == sign}
+    rects = pair_keys(stm.with_pairs(stm.pairs_a - drop, stm.pairs_b - drop))
+    keys = [key for key, _, _ in rects]
+    children = children_lists(inclusion_forest(keys).up)
     bicliques = []
-    for i, r in enumerate(rects):
-        if r.payload[1] > 0:
-            holes = [rects[c] for c in forest.children[i]]
-            bicliques += [(p.x1, p.x2, p.y1, p.y2) for p in complement_partition(r, holes)]
-    return IntervalBicliquePartition(order, bicliques)
+    for i, (key, _, sign) in enumerate(rects):
+        if sign > 0:
+            bicliques += complement_partition(key, [keys[c] for c in children[i]]).tolist()
+    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order), bicliques)
 
 
 def wrap_everywhere(monkeypatch, fn, calls):
@@ -201,24 +208,27 @@ def seed_family_models():
 
 
 class TestStmToRects:
+    """A model's rectangles: the key rows ``_checked_forest`` gathers from
+    the leaf intervals of each pair's ends, in leaf-position space."""
+
     def test_p3(self, p3_model):
-        rects, order = stm_to_rects(p3_model)
-        assert order == LinearOrder.from_vertex_sequence([2, 1, 3])
-        keys = {r.key(): r.payload[1] for r in rects}
+        _, sign, forest, _ = _checked_forest(p3_model)
+        assert p3_model.leaf_order == (2, 1, 3)
+        keys = dict(zip(map(tuple, forest.keys.tolist()), sign.tolist()))
         # leaf order 2,1,3: pair {1,3} at positions 2,3; pair {2,p1} at 1 x [2,3]
         assert keys == {(2, 2, 3, 3): -1, (1, 1, 2, 3): 1}
 
     def test_empty(self):
         model = random_stm(5, 0, seed=1)
-        rects, _ = stm_to_rects(model)
-        assert rects == []
+        keys = _checked_forest(model)[2].keys
+        assert keys.shape == (0, 4) and keys.dtype == np.int64
 
     def test_fig1_laminar(self, fig1_model):
-        rects, _ = stm_to_rects(fig1_model)
+        rects = _checked_forest(fig1_model)[2].keys.tolist()
         assert len(rects) == 13
         for i, a in enumerate(rects):
             for b in rects[i + 1:]:
-                assert a.disjoint(b) or a.contains(b) or b.contains(a)
+                assert disjoint(a, b) or contains(a, b) or contains(b, a)
 
 
 class TestStmToIbp:
@@ -260,11 +270,11 @@ class TestStmToIbp:
         import stmgraph.rect
         import stmgraph.stm
         model = random_stm(64, 200, seed=3)
-        rects = pair_rects(clean_same_sign(model))
-        children = inclusion_forest(rects).children
-        holed = [(r.key(), len(children[i])) for i, r in enumerate(rects)
-                 if r.payload[1] > 0 and children[i]]
-        assert holed and len(holed) < sum(r.payload[1] > 0 for r in rects)
+        rects = pair_keys(clean_same_sign(model))
+        children = children_lists(inclusion_forest([key for key, _, _ in rects]).up)
+        holed = [(key, len(children[i])) for i, (key, _, sign) in enumerate(rects)
+                 if sign > 0 and children[i]]
+        assert holed and len(holed) < sum(sign > 0 for _, _, sign in rects)
         calls = {"clean": [], "forest": [], "complement": []}
         wrap_everywhere(monkeypatch, stmgraph.stm.clean_same_sign, calls["clean"])
         wrap_everywhere(monkeypatch, stmgraph.rect.inclusion_forest, calls["forest"])
@@ -343,6 +353,59 @@ class TestIbpToGraph:
             IntervalBicliquePartition(LinearOrder.identity(2), reshaped((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             DagCompression(2, 4, [], reshaped((1, 2)))
+
+
+def first_two(rows):
+    return rows[:, :2] if isinstance(rows, np.ndarray) else [row[:2] for row in rows]
+
+
+# Rows that a conversion to int64 would truncate, wrap or parse.  The float
+# and str rows name valid bicliques, rectangles and compressed edges once
+# truncated or parsed; the message match tells the integer check from the
+# range checks for the rest.
+NON_INTEGER_ROWS = {
+    "float": [(1.0, 1.9, 3.7, 4)],
+    "integral float": [(1.0, 2.0, 3.0, 4.0)],
+    "float array": np.array([[1.9, 4.2, 5.5, 8.0], [2, 3, 6, 7]]),
+    "str": [("1", "2", "3", "4")],
+    "beyond int64": [(2 ** 63, 1, 2, 3)],
+    "far beyond int64": [(99999999999999999999, 1, 2, 3)],
+    "uint64 beyond int64": np.array([[2 ** 64 - 3, 1, 2, 3]], dtype=np.uint64),
+}
+
+ROW_READERS = {
+    "IntervalBicliquePartition": lambda rows: IntervalBicliquePartition(
+        LinearOrder.identity(9), rows),
+    "DagCompression edges": lambda rows: DagCompression(2, 9, first_two(rows), []),
+    "DagCompression compressed": lambda rows: DagCompression(2, 9, [], first_two(rows)),
+    "inclusion_forest": inclusion_forest,
+    "complement_partition holes": lambda rows: complement_partition((1, 9, 1, 9), rows),
+    "complement_partition outer": lambda rows: complement_partition(rows[0], []),
+}
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("rows", NON_INTEGER_ROWS.values(), ids=NON_INTEGER_ROWS)
+    @pytest.mark.parametrize("read", ROW_READERS.values(), ids=ROW_READERS)
+    def test_non_integer_rows_rejected(self, read, rows):
+        with pytest.raises(ValueError, match="expected rows of [24] integers"):
+            read(rows)
+
+    def test_rows_valid_as_integers(self):
+        with pytest.raises(ValueError, match="expected rows of 2 integers"):
+            DagCompression(2, 3, [(3, 1.5), (3, 2)], [])
+        DagCompression(2, 3, [(3, 1), (3, 2)], [])
+        DagCompression(2, 9, [], [(1, 1), (1, 2), (1, 4), (2, 3)])
+        IntervalBicliquePartition(LinearOrder.identity(9), [(1, 1, 3, 4), (1, 2, 3, 4)])
+        inclusion_forest(np.array([[1, 4, 5, 8], [2, 3, 6, 7]]))
+        complement_partition((1, 9, 1, 9), [(1, 1, 3, 4)])
+
+    def test_no_rows_accepted(self):
+        for rows in ([], np.zeros((0, 4), dtype=np.int64)):
+            assert IntervalBicliquePartition(LinearOrder.identity(9), rows).quads.shape == (0, 4)
+            assert DagCompression(2, 9, first_two(rows), first_two(rows)).size == 9
+            assert inclusion_forest(rows).keys.shape == (0, 4)
+            assert complement_partition((1, 9, 1, 9), rows).tolist() == [[1, 9, 1, 9]]
 
 
 class TestCoverSet:

@@ -92,6 +92,12 @@ class TestParseErrors:
         ("2 4 2 1\n4 1\n3 2\n", 3, "expected 2 edge and 1 compressed lines"),
         ("2 4 2\n", 1, "expected 4 fields, got 3"),
         ("2 4 -1 1\nC 1 2\n", 1, "negative edge count in '2 4 -1 1'"),
+        ("2 3 1 0\n99999999999999999999 1\n", 2,
+         "integer beyond int64 in '99999999999999999999 1'"),
+        ("2 3 1 1\n3 1\nC 1 -9223372036854775809\n", 3,
+         "integer beyond int64 in 'C 1 -9223372036854775809'"),
+        # the first bad line is named, whatever comes after it
+        ("2 3 2 0\n3 x\n99999999999999999999 1\n", 2, "non-integer field in '3 x'"),
     ])
     def test_dag_syntax(self, text, line, message):
         with pytest.raises(fio.FormatError) as e:
@@ -323,6 +329,12 @@ class TestCliDag:
         err = capsys.readouterr().err
         assert err.startswith(f"line {line}: ") and named in err
 
+    def test_oversized_dag_integer_exit2(self, tmp_path, capsys):
+        dag_f = tmp_path / "big.dag"
+        dag_f.write_text("2 3 1 0\n99999999999999999999 1\n")
+        assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
+        assert capsys.readouterr().err.startswith("line 2: integer beyond int64")
+
 
 class TestCliLoadPath:
     """Every .stm command parses once, checks the model once through
@@ -433,7 +445,8 @@ class TestArraysOnly:
         assert ibp_matvec(ibp, x) == ibp_matvec(ibp, x, GENERIC_INT64)
         g = ibp_to_graph(ibp)
         rows = [[(i * j) % 7 for j in range(n)] for i in range(n)]
-        prod = adjacency_matmul(g, LinearOrder.identity(n), rows, ibp, check=True)
+        assert graphs_equal(g, decode_bruteforce(model))
+        prod = adjacency_matmul(g, LinearOrder.identity(n), rows, ibp)
         assert prod[0] == [sum(rows[v - 1][j] for v in g.neighbors(1)) for j in range(n)]
 
     def test_cli(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmgraph import (INT64_GROUP, AdditiveGroup, InputError, LinearOrder,
-                      adjacency_matmul, decode_bruteforce, ibp_matvec,
-                      stm_to_ibp)
+                      adjacency_matmul, decode_bruteforce, graphs_equal,
+                      ibp_matvec, ibp_to_graph, stm_to_ibp)
 from stmgraph.gen import random_stm
 from stmgraph.matmul import _BLOCK, dense_matmul_oracle, dense_matvec_oracle
 
@@ -151,9 +151,10 @@ class TestAdjacencyMatmul:
             rng.shuffle(perm)
             order = LinearOrder.from_vertex_sequence(perm)
             N = [[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]
-            got = adjacency_matmul(g, order, N, ibp, check=True)
+            assert graphs_equal(ibp_to_graph(ibp), g), seed
+            got = adjacency_matmul(g, order, N, ibp)
             assert got == dense_matmul_oracle(g, order, N), seed
-            # unchecked, the product needs only the partition
+            # the product needs only the partition
             assert adjacency_matmul(None, order, N, ibp) == got, seed
 
     @settings(max_examples=60, deadline=None)
@@ -166,12 +167,6 @@ class TestAdjacencyMatmul:
         got = adjacency_matmul(None, order, N, ibp)
         assert got == adjacency_matmul(None, order, N, ibp, group=GENERIC_INT64)
         assert got == dense_matmul_oracle(decode_bruteforce(model), order, N)
-
-    def test_check_needs_graph(self, p3_model):
-        eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        with pytest.raises(InputError):
-            adjacency_matmul(None, LinearOrder.identity(3), eye,
-                             stm_to_ibp(p3_model), check=True)
 
     def test_chained_product(self):
         rng = random.Random(11)

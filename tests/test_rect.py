@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmgraph import (InputError, LaminarityError, Rect, complement_partition,
-                      inclusion_forest)
+from stmgraph import InputError, LaminarityError, complement_partition, inclusion_forest
 from stmgraph.rect import _SortedList
 
-from conftest import properly_overlap
+from conftest import area, contains, disjoint, properly_overlap
 
 
 def brute_forest_parents(rects):
-    """O(m^2) containment oracle: parent = smallest strictly-containing rect."""
+    """O(m^2) containment oracle: the index of the smallest strictly
+    containing key row, -1 for a root."""
     parents = []
     for i, r in enumerate(rects):
-        best = None
+        best = -1
         for j, s in enumerate(rects):
-            if j != i and s.contains(r) and s.key() != r.key():
-                if best is None or s.area < rects[best].area:
+            if j != i and contains(s, r) and s != r:
+                if best < 0 or area(s) < area(rects[best]):
                     best = j
         parents.append(best)
     return parents
@@ -30,47 +30,49 @@ def complement_partition_oracle(outer, holes):
     """The slab sweep that ``complement_partition`` replaced (oracle): at
     every hole boundary it refilters all active holes and rebuilds every
     free y-interval, closing the pieces of the intervals that changed in
-    the order they were opened."""
-    events = {outer.x1}
-    for h in holes:
-        events.add(h.x1)
-        if h.x2 + 1 <= outer.x2:
-            events.add(h.x2 + 1)
+    the order they were opened.  Key rows in, key rows out."""
+    ox1, ox2, oy1, oy2 = outer
+    events = {ox1}
+    for x1, x2, _, _ in holes:
+        events.add(x1)
+        if x2 + 1 <= ox2:
+            events.add(x2 + 1)
     out = []
     open_at = {}  # free y-interval -> slab start x
     active = []  # (y1, y2, x2), sorted
-    starts = sorted(holes, key=lambda h: h.x1)
+    starts = sorted(holes, key=lambda h: h[0])
     si = 0
     for x in sorted(events):
         active = [a for a in active if a[2] >= x]
-        while si < len(starts) and starts[si].x1 == x:
-            insort(active, (starts[si].y1, starts[si].y2, starts[si].x2))
+        while si < len(starts) and starts[si][0] == x:
+            x1, x2, y1, y2 = starts[si]
+            insort(active, (y1, y2, x2))
             si += 1
-        free, cur = [], outer.y1
+        free, cur = [], oy1
         for y1, y2, _ in active:
             if y1 > cur:
                 free.append((cur, y1 - 1))
             cur = max(cur, y2 + 1)
-        if cur <= outer.y2:
-            free.append((cur, outer.y2))
+        if cur <= oy2:
+            free.append((cur, oy2))
         for iv in [iv for iv in open_at if iv not in set(free)]:
-            out.append(Rect(open_at.pop(iv), x - 1, iv[0], iv[1]))
+            out.append((open_at.pop(iv), x - 1, iv[0], iv[1]))
         for iv in free:
             open_at.setdefault(iv, x)
-    out.extend(Rect(start, outer.x2, iv[0], iv[1]) for iv, start in open_at.items())
+    out.extend((start, ox2, iv[0], iv[1]) for iv, start in open_at.items())
     return out
 
 
 def disjoint_holes(rng, outer, count, size):
+    ox1, ox2, oy1, oy2 = outer
     holes = []
     for _ in range(4 * count):
         if len(holes) == count:
             break
-        x1 = rng.randint(outer.x1, outer.x2)
-        y1 = rng.randint(outer.y1, outer.y2)
-        h = Rect(x1, rng.randint(x1, min(x1 + size, outer.x2)),
-                 y1, rng.randint(y1, min(y1 + size, outer.y2)))
-        if all(h.disjoint(o) for o in holes):
+        x1 = rng.randint(ox1, ox2)
+        y1 = rng.randint(oy1, oy2)
+        h = (x1, rng.randint(x1, min(x1 + size, ox2)), y1, rng.randint(y1, min(y1 + size, oy2)))
+        if all(disjoint(h, o) for o in holes):
             holes.append(h)
     return holes
 
@@ -90,9 +92,9 @@ def random_laminar(rng, grid=64, target=60):
         tries -= 1
         x1 = rng.randint(1, grid)
         y1 = rng.randint(1, grid)
-        r = Rect(x1, rng.randint(x1, grid), y1, rng.randint(y1, grid))
+        r = (x1, rng.randint(x1, grid), y1, rng.randint(y1, grid))
         ok = not any(properly_overlap(r, s) for s in out)
-        if ok and all(r.key() != s.key() for s in out):
+        if ok and r not in out:
             out.append(r)
     return out
 
@@ -101,19 +103,22 @@ def random_laminar(rng, grid=64, target=60):
 def tiny_rects(draw, grid=8):
     x1 = draw(st.integers(1, grid))
     y1 = draw(st.integers(1, grid))
-    return Rect(x1, draw(st.integers(x1, grid)), y1, draw(st.integers(y1, grid)))
+    return (x1, draw(st.integers(x1, grid)), y1, draw(st.integers(y1, grid)))
 
 
-class TestRect:
+class TestKeyRows:
     def test_degenerate_rejected(self):
-        with pytest.raises(InputError):
-            Rect(2, 1, 1, 1)
+        with pytest.raises(InputError, match=r"degenerate rectangle \(2, 1, 1, 1\)"):
+            inclusion_forest([(1, 9, 1, 9), (2, 1, 1, 1)])
+        with pytest.raises(InputError, match=r"degenerate rectangle \(2, 1, 1, 1\)"):
+            complement_partition((2, 1, 1, 1), [])
 
-    def test_area_and_containment(self):
-        r = Rect(1, 4, 5, 8)
-        assert r.area == 16
-        assert r.contains(Rect(2, 3, 6, 7))
-        assert r.disjoint(Rect(5, 6, 5, 8))
+    @pytest.mark.parametrize("outer", [(1, 4, 5, 8), [1, 4, 5, 8], np.array([1, 4, 5, 8])])
+    def test_pieces_are_key_rows(self, outer):
+        for holes in ([], [(2, 3, 6, 7)], np.array([[2, 3, 6, 7]], dtype=np.int32)):
+            out = complement_partition(outer, holes)
+            assert isinstance(out, np.ndarray) and out.dtype == np.int64, (outer, holes)
+            assert out.shape == (1 if len(holes) == 0 else 4, 4), (outer, holes)
 
 
 class TestSortedList:
@@ -141,23 +146,22 @@ class TestSortedList:
 
 class TestInclusionForest:
     def test_two_children(self):
-        rects = [Rect(1, 10, 11, 20), Rect(2, 3, 12, 13), Rect(5, 6, 15, 16)]
+        rects = [(1, 10, 11, 20), (2, 3, 12, 13), (5, 6, 15, 16)]
         f = inclusion_forest(rects)
-        assert f.parent == [None, 0, 0]
-        assert f.roots == [0]
+        assert f.up.tolist() == [-1, 0, 0]
 
     def test_single(self):
-        f = inclusion_forest([Rect(1, 2, 3, 4)])
-        assert f.parent == [None] and f.roots == [0]
+        f = inclusion_forest([(1, 2, 3, 4)])
+        assert f.up.tolist() == [-1]
 
     def test_duplicate_rejected(self):
         with pytest.raises(LaminarityError):
-            inclusion_forest([Rect(1, 2, 3, 4), Rect(1, 2, 3, 4)])
+            inclusion_forest([(1, 2, 3, 4), (1, 2, 3, 4)])
 
     def test_non_laminar_detected(self):
         # [1,6]^2 contains both overlapping squares, so their overlap shows
         # only between siblings
-        rects = [Rect(1, 4, 1, 4), Rect(3, 6, 3, 6), Rect(1, 6, 1, 6)]
+        rects = [(1, 4, 1, 4), (3, 6, 3, 6), (1, 6, 1, 6)]
         with pytest.raises(LaminarityError) as info:
             inclusion_forest(rects)
         assert sorted(info.value.indices) == [0, 1]
@@ -168,8 +172,8 @@ class TestInclusionForest:
             rects = random_laminar(rng, grid=24, target=rng.randint(1, 30))
             # one random extra rectangle makes about half the families non-laminar
             x1, y1 = rng.randint(1, 24), rng.randint(1, 24)
-            extra = Rect(x1, rng.randint(x1, 24), y1, rng.randint(y1, 24))
-            if all(extra.key() != r.key() for r in rects):
+            extra = (x1, rng.randint(x1, 24), y1, rng.randint(y1, 24))
+            if extra not in rects:
                 rects.insert(rng.randrange(len(rects) + 1), extra)
             bad = any(properly_overlap(a, b)
                       for i, a in enumerate(rects) for b in rects[i + 1:])
@@ -180,22 +184,20 @@ class TestInclusionForest:
                 assert bad and properly_overlap(rects[i], rects[j]), seed
             else:
                 assert not bad, seed
-                assert f.parent == brute_forest_parents(rects), seed
+                assert f.up.tolist() == brute_forest_parents(rects), seed
 
     def test_small_blocks_match_bruteforce(self, small_blocks):
         for seed in range(50):
             rng = random.Random(seed)
             rects = random_laminar(rng, grid=40, target=50)
-            assert inclusion_forest(rects).parent == brute_forest_parents(rects), seed
+            assert inclusion_forest(rects).up.tolist() == brute_forest_parents(rects), seed
 
     def test_key_array_matches_rects(self):
         rects = random_laminar(random.Random(7), grid=40, target=50)
-        f = inclusion_forest(np.array([r.key() for r in rects]))
-        assert f.parent == inclusion_forest(rects).parent == brute_forest_parents(rects)
-        assert f.keys.tolist() == [list(r.key()) for r in rects]
-        assert f.roots == [i for i, p in enumerate(f.parent) if p is None]
-        assert f.children == [[j for j, p in enumerate(f.parent) if p == i]
-                              for i in range(len(rects))]
+        f = inclusion_forest(np.array(rects))
+        up = f.up.tolist()
+        assert up == inclusion_forest(rects).up.tolist() == brute_forest_parents(rects)
+        assert f.keys.dtype == np.int64 and f.keys.tolist() == list(map(list, rects))
 
     def test_degenerate_key_rejected(self):
         with pytest.raises(InputError, match=r"degenerate rectangle \(1, 2, 4, 3\)"):
@@ -206,7 +208,7 @@ class TestInclusionForest:
             rng = random.Random(seed)
             rects = random_laminar(rng, grid=40, target=50)
             f = inclusion_forest(rects)
-            assert f.parent == brute_forest_parents(rects), seed
+            assert f.up.tolist() == brute_forest_parents(rects), seed
 
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(tiny_rects(), max_size=10))
@@ -214,36 +216,36 @@ class TestInclusionForest:
         # an 8x8 grid forces shared edges, duplicates, equal y ranges with
         # nested x ranges and rectangles that end next to one another
         bad = [(i, j) for i, a in enumerate(rects) for j, b in enumerate(rects)
-               if i < j and (a.key() == b.key() or properly_overlap(a, b))]
+               if i < j and (a == b or properly_overlap(a, b))]
         try:
             f = inclusion_forest(rects)
         except LaminarityError as e:
             assert tuple(sorted(e.indices)) in bad
         else:
             assert not bad
-            assert f.parent == brute_forest_parents(rects)
+            assert f.up.tolist() == brute_forest_parents(rects)
 
 
 class TestComplementPartition:
     def test_spec_example(self):
-        outer = Rect(1, 4, 5, 8)
-        holes = [Rect(2, 3, 6, 7)]
-        out = complement_partition(outer, holes)
+        outer = (1, 4, 5, 8)
+        holes = [(2, 3, 6, 7)]
+        out = complement_partition(outer, holes).tolist()
         assert len(out) == 4
-        assert sum(r.area for r in out) == 12
+        assert sum(area(r) for r in out) == 12
         for i, a in enumerate(out):
-            assert a.disjoint(holes[0])
+            assert disjoint(a, holes[0])
             for b in out[i + 1:]:
-                assert a.disjoint(b)
+                assert disjoint(a, b)
 
     def test_no_holes(self):
-        outer = Rect(1, 5, 1, 5)
+        outer = (1, 5, 1, 5)
         out = complement_partition(outer, [])
-        assert len(out) == 1 and out[0].key() == outer.key()
+        assert out.tolist() == [list(outer)]
 
     def test_hole_escapes(self):
         with pytest.raises(InputError):
-            complement_partition(Rect(1, 4, 1, 4), [Rect(2, 5, 2, 3)])
+            complement_partition((1, 4, 1, 4), [(2, 5, 2, 3)])
 
     def test_degenerate_keys(self):
         for outer, holes in (((1, 4, 4, 1), np.zeros((0, 4))), ((1, 4, 1, 4), [[3, 2, 2, 2]])):
@@ -252,44 +254,43 @@ class TestComplementPartition:
 
     def test_overlapping_holes(self):
         with pytest.raises(InputError):
-            complement_partition(Rect(1, 9, 1, 9),
-                                 [Rect(2, 5, 2, 5), Rect(4, 7, 4, 7)])
+            complement_partition((1, 9, 1, 9), [(2, 5, 2, 5), (4, 7, 4, 7)])
 
-    @pytest.mark.parametrize("other", [Rect(3, 6, 5, 8), Rect(3, 6, 1, 2), Rect(5, 8, 5, 5),
-                                       Rect(2, 2, 2, 2), Rect(1, 2, 5, 9)])
+    @pytest.mark.parametrize("other", [(3, 6, 5, 8), (3, 6, 1, 2), (5, 8, 5, 5),
+                                       (2, 2, 2, 2), (1, 2, 5, 9)])
     def test_holes_sharing_one_cell(self, other):
         with pytest.raises(InputError, match="holes overlap"):
-            complement_partition(Rect(1, 9, 1, 9), [Rect(2, 5, 2, 5), other])
+            complement_partition((1, 9, 1, 9), [(2, 5, 2, 5), other])
 
     def test_holes_touching(self):
-        holes = [Rect(2, 5, 2, 5), Rect(3, 6, 6, 8), Rect(6, 8, 1, 3), Rect(2, 2, 1, 1)]
-        out = complement_partition(Rect(1, 9, 1, 9), holes)
-        assert [r.key() for r in out] == [r.key() for r in
-                                          complement_partition_oracle(Rect(1, 9, 1, 9), holes)]
-        self._grid_check(Rect(1, 9, 1, 9), holes, out)
+        holes = [(2, 5, 2, 5), (3, 6, 6, 8), (6, 8, 1, 3), (2, 2, 1, 1)]
+        out = complement_partition((1, 9, 1, 9), holes)
+        assert list(map(tuple, out.tolist())) == complement_partition_oracle((1, 9, 1, 9), holes)
+        self._grid_check((1, 9, 1, 9), holes, out)
 
     def _grid_check(self, outer, holes, out):
-        cover = np.zeros((outer.x2 + 2, outer.y2 + 2), dtype=np.int32)
-        for r in holes + out:
-            cover[r.x1:r.x2 + 1, r.y1:r.y2 + 1] += 1
-        inner = cover[outer.x1:outer.x2 + 1, outer.y1:outer.y2 + 1]
+        ox1, ox2, oy1, oy2 = outer
+        cover = np.zeros((ox2 + 2, oy2 + 2), dtype=np.int32)
+        for x1, x2, y1, y2 in holes + out.tolist():
+            cover[x1:x2 + 1, y1:y2 + 1] += 1
+        inner = cover[ox1:ox2 + 1, oy1:oy2 + 1]
         assert (inner == 1).all()
-        cover[outer.x1:outer.x2 + 1, outer.y1:outer.y2 + 1] = 0
+        cover[ox1:ox2 + 1, oy1:oy2 + 1] = 0
         assert (cover == 0).all()
 
     def test_random_exhaustive(self):
         for seed in range(60):
             rng = random.Random(seed)
-            outer = Rect(1, rng.randint(10, 64), 1, rng.randint(10, 64))
+            outer = (1, rng.randint(10, 64), 1, rng.randint(10, 64))
             holes = []
             tries = 200
             while len(holes) < 50 and tries:
                 tries -= 1
-                x1 = rng.randint(outer.x1, outer.x2)
-                y1 = rng.randint(outer.y1, outer.y2)
-                h = Rect(x1, rng.randint(x1, min(x1 + 8, outer.x2)),
-                         y1, rng.randint(y1, min(y1 + 8, outer.y2)))
-                if all(h.disjoint(o) for o in holes):
+                x1 = rng.randint(1, outer[1])
+                y1 = rng.randint(1, outer[3])
+                h = (x1, rng.randint(x1, min(x1 + 8, outer[1])),
+                     y1, rng.randint(y1, min(y1 + 8, outer[3])))
+                if all(disjoint(h, o) for o in holes):
                     holes.append(h)
             out = complement_partition(outer, holes)
             assert len(out) <= 3 * len(holes) + 1, seed
@@ -300,12 +301,12 @@ class TestComplementPartition:
         # start on the same rows, and shared edges
         for seed in range(400):
             rng = random.Random(seed)
-            outer = Rect(rng.randint(1, 3), rng.randint(4, 24), rng.randint(1, 3),
-                         rng.randint(4, 24))
+            outer = (rng.randint(1, 3), rng.randint(4, 24), rng.randint(1, 3),
+                     rng.randint(4, 24))
             holes = disjoint_holes(rng, outer, rng.randint(0, 40), rng.choice((0, 1, 3, 8)))
-            want = [r.key() for r in complement_partition_oracle(outer, holes)]
-            assert [r.key() for r in complement_partition(outer, holes)] == want, seed
-            keys = complement_partition(outer.key(), np.array([h.key() for h in holes]))
+            want = complement_partition_oracle(outer, holes)
+            assert list(map(tuple, complement_partition(outer, holes).tolist())) == want, seed
+            keys = complement_partition(np.array(outer), np.array(holes).reshape(-1, 4))
             assert keys.dtype == np.int64 and list(map(tuple, keys.tolist())) == want, seed
 
     def test_staircase_scaling(self):

@@ -11,10 +11,10 @@ from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
                       default_edit_log, graphs_equal, ibp_to_graph, insert_edit,
                       remove_loops, stm_to_ibp, validate)
 from stmgraph.gen import random_stm, random_stm_sparse
-from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest, pair_rects
+from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest
 
 from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, caterpillar_stm,
-                      perturbed_models, properly_overlap, random_loopy)
+                      pair_keys, perturbed_models, properly_overlap, random_loopy)
 
 
 def pairs_cross(stm, e1, e2):
@@ -182,14 +182,15 @@ class TestDecode:
         for seed in range(50):
             rng = random.Random(seed)
             model = random_stm(16, 40, seed=seed)
-            for a, b in itertools.combinations(pair_rects(model), 2):
+            for (a, _, _), (b, _, _) in itertools.combinations(pair_keys(model), 2):
                 assert not properly_overlap(a, b), seed
             extra = {model.canonical_pair(rng.randrange(1, 31), rng.randrange(1, 31))
                      for _ in range(20)}
             model = model.with_pairs(model.pairs_a, model.pairs_b | extra)
-            rects = [r for r in pair_rects(model) if is_transversal(model, r.payload[0])]
-            for a, b in itertools.combinations(rects, 2):
-                cross = pairs_cross(model, a.payload[0], b.payload[0])
+            rects = [(key, pair) for key, pair, _ in pair_keys(model)
+                     if is_transversal(model, pair)]
+            for (a, pa), (b, pb) in itertools.combinations(rects, 2):
+                cross = pairs_cross(model, pa, pb)
                 assert properly_overlap(a, b) == cross, seed
                 crossing += cross
         assert crossing > 0
@@ -272,11 +273,11 @@ class TestCleanSameSign:
             out = clean_same_sign(model)
             assert out.num_pairs <= model.num_pairs
             assert graphs_equal(decode_bruteforce(model), decode_bruteforce(out)), seed
-            rects = pair_rects(out)
-            forest = inclusion_forest(rects)
-            for i, p in enumerate(forest.parent):
-                if p is not None:
-                    assert rects[i].payload[1] != rects[p].payload[1], seed
+            rects = pair_keys(out)
+            forest = inclusion_forest([key for key, _, _ in rects])
+            for i, p in enumerate(forest.up.tolist()):
+                if p >= 0:
+                    assert rects[i][2] != rects[p][2], seed
 
     def test_carried_forest_matches_rebuilt(self):
         # the cleaned model keeps the spliced forest instead of building one
@@ -286,11 +287,12 @@ class TestCleanSameSign:
                                random.Random(seed + 1).randint(0, 120), seed=seed)
             pairs, sign, forest, violations = _checked_forest(clean_same_sign(model))
             assert violations == []
-            rects = pair_rects(clean_same_sign(model))
+            rects = pair_keys(clean_same_sign(model))
             assert ([(tuple(p), s) for p, s in zip(pairs.tolist(), sign.tolist())]
-                    == [r.payload for r in rects])
-            assert forest.keys.tolist() == [list(r.key()) for r in rects]
-            assert forest.parent == inclusion_forest(rects).parent, seed
+                    == [(pair, s) for _, pair, s in rects])
+            keys = [key for key, _, _ in rects]
+            assert forest.keys.tolist() == list(map(list, keys))
+            assert forest.up.tolist() == inclusion_forest(keys).up.tolist(), seed
 
     def test_invalid_model_rejected(self, p3_model):
         looped = p3_model.with_pairs(p3_model.pairs_a | {(1, 1)}, p3_model.pairs_b)
