@@ -23,13 +23,13 @@ order = LinearOrder.identity(n)
 
 N = [[rng.randrange(-100, 100) for _ in range(n)] for _ in range(n)]
 out = adjacency_matmul(g, order, N, ibp)
-assert out == dense_matmul_oracle(g, order, N)
+assert out.tolist() == dense_matmul_oracle(g, order, N)
 
 counters = {}
 ibp_matvec(ibp, [1] * n, counters=counters)
 print(f"adjacency multiply matches the dense oracle on n={n}")
 print(f"one matvec used {counters['ops']} group operations "
-      f"(budget 8(n+|B|) = {8 * (n + len(ibp.bicliques))})")
+      f"(budget 8(n+|B|) = {8 * (n + len(ibp.quads))})")
 
 dm = dag_to_distance_model(ibp_to_dag(ibp))
 X = sorted(rng.sample(range(1, n + 1), 12))

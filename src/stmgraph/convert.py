@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, InputError, LinearOrder, Rows, _int_rows
+from .graph import Graph, InputError, LinearOrder, Rows, _int_rows, _runs
 from .rect import complement_partition
 from .stm import SignedTreeModel, _checked_forest, clean_same_sign, remove_loops
 
@@ -217,20 +217,33 @@ def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
                                      np.concatenate(parts))
 
 
+def _first_repeat(key: np.ndarray) -> int:
+    """The least i with key[i] == key[j] for some j < i, or -1 if the keys
+    are distinct."""
+    s = np.argsort(key, kind="stable")  # equal keys stay in index order
+    again = s[1:][key[s[1:]] == key[s[:-1]]]
+    return int(again.min()) if again.size else -1
+
+
 def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
-    """Materialize the edge set; raises PartitionViolation on a duplicate edge."""
-    at = ibp.order.at
-    seen: set[tuple[int, int]] = set()
-    for a, b, c, d in zip(*ibp.quads.T.tolist()):
-        for i in range(a, b + 1):
-            u = at(i)
-            for j in range(c, d + 1):
-                v = at(j)
-                e = (u, v) if u < v else (v, u)
-                if e in seen:
-                    raise PartitionViolation(f"edge {e} emitted by two bicliques")
-                seen.add(e)
-    return Graph(ibp.n, seen)
+    """Materialize the edge set.
+
+    The bicliques emit their edges in turn, each row by row, as arrays; a
+    duplicate edge raises PartitionViolation naming the first edge in that
+    order that an earlier one emitted."""
+    a, b, c, d = ibp.quads.T
+    height = b - a + 1
+    width = np.repeat(d - c + 1, height)  # per row of each biclique
+    at = _positions(ibp.order)
+    # each edge's row and column vertex, then its smaller and larger end
+    lo, hi = at[np.repeat(_runs(a, height), width)], at[_runs(np.repeat(c, height), width)]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    # a call of its own, so that its key and sort arrays are freed before
+    # the Graph is built
+    e = _first_repeat(lo * (ibp.n + 1) + hi)
+    if e >= 0:
+        raise PartitionViolation(f"edge {(int(lo[e]), int(hi[e]))} emitted by two bicliques")
+    return Graph(ibp.n, zip(lo.tolist(), hi.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ def _int_rows(rows: Rows, width: int) -> np.ndarray:
     return out
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[q], starts[q] + 1, ..., starts[q] + counts[q] - 1,
+    one q after another, as one array."""
+    first = np.cumsum(counts) - counts  # where run q begins in the output
+    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n with sorted adjacency arrays.
 

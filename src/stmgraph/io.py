@@ -224,9 +224,12 @@ def parse_matrix(text: str) -> list[list[int]]:
     return [_ints(lines[i], i + 1, n) for i in range(1, n + 1)]
 
 
-def format_matrix(rows: Sequence[Sequence[int]]) -> str:
+def format_matrix(rows: np.ndarray | Sequence[Sequence[int]]) -> str:
+    """Line 1 "n", then the n rows, from an (n, n) integer array such as
+    ``adjacency_matmul``'s, converted one row at a time, or a sequence of
+    rows."""
     out = [str(len(rows))]
-    out.extend(" ".join(str(x) for x in row) for row in rows)
+    out.extend(" ".join(map(str, r.tolist() if isinstance(r, np.ndarray) else r)) for r in rows)
     return "\n".join(out) + "\n"
 
 
@@ -254,7 +257,9 @@ def parse_dag(text: str) -> DagCompression:
     child); c lines "C x y" (compressed edges).  A DAG that
     ``DagCompression`` rejects is a FormatError on the line of the edge it
     names, or on line 1 for a header defect; so is an integer beyond int64
-    on an edge line.
+    on an edge line.  A header whose num_nodes exceeds n + 2(e + c) is a
+    line-1 FormatError too: past that bound some node above n touches no
+    edge, and the header alone would size the distance model's arrays.
 
     The edge lines are read in one token pass straight into int64 arrays;
     only a malformed file is read again line by line, to name its first bad
@@ -265,6 +270,8 @@ def parse_dag(text: str) -> DagCompression:
     n, num_nodes, e, c = _ints(lines[0].rstrip(), 1, 4)
     if e < 0 or c < 0:
         raise FormatError(1, f"negative edge count in {lines[0].rstrip()!r}")
+    if num_nodes > n + 2 * (e + c):  # then some node above n touches no edge
+        raise FormatError(1, f"num_nodes {num_nodes} exceeds n + 2(e + c) = {n + 2 * (e + c)}")
     body = lines[1:1 + e + c]
     if len(body) < e + c:
         raise FormatError(len(lines), f"expected {e} edge and {c} compressed lines")

@@ -44,10 +44,13 @@ INT64_GROUP = AdditiveGroup(
     zero=0,
 )
 
-# Columns per int64 kernel call in adjacency_matmul: enough to amortize the
-# per-call work, few enough that the kernel's temporaries (at most two
-# |B| x _BLOCK int64 arrays at a time) stay small beside the n x n output.
-_BLOCK = 16
+# Columns per int64 kernel call in adjacency_matmul, picked by measurement:
+# over all blocks of a 1024 x 1024 matrix on random_stm_sparse(1024, 4096)
+# (2-CPU Xeon, best of 5) the kernel took 0.078 s at 64 columns, against
+# 0.090 s at 16, 0.083 s at 128 and 0.139 s at 1024.  Its temporaries, at
+# most three |B| x _BLOCK int64 arrays at a time (the block's biclique sums
+# and their two flat index arrays), stay small beside the n x n product.
+_BLOCK = 64
 
 
 def _int64_array(x) -> np.ndarray:
@@ -64,25 +67,32 @@ def _int64_array(x) -> np.ndarray:
 
 def _int64_matvec(ibp: IntervalBicliquePartition, x, counters: Optional[dict]):
     """The kernel in numpy int64 arithmetic, whose wrap-around is that of
-    INT64_GROUP; ``x`` is one vector or an (n, k) block of columns."""
+    INT64_GROUP; ``x`` is one vector or an (n, k) block of columns.
+
+    The difference rows are one flat (n + 2) * k array, entry (row, column)
+    at row * k + column, so each range update is a 1-D ``add.at`` or
+    ``subtract.at``, which numpy runs far faster than the 2-D form."""
     n = ibp.n
     xs = _int64_array(x)
-    quads = ibp.quads
+    k = xs.shape[1] if xs.ndim == 2 else 1
     prefix = np.zeros((n + 1,) + xs.shape[1:], dtype=np.int64)
     np.cumsum(xs, axis=0, out=prefix[1:])
-    diff = np.zeros((n + 2,) + xs.shape[1:], dtype=np.int64)
-    a, b, c, d = quads.T
+    diff = np.zeros((n + 2) * k, dtype=np.int64)
+    a, b, c, d = ibp.quads.T
     # the two orientations of each biclique in turn, which halves the
     # temporaries against stacking them: (a,b,c,d), then (c,d,a,b)
     for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):
         xbar = prefix[b2]  # a copy: fancy indexing
         xbar -= prefix[b1 - 1]
-        np.add.at(diff, a1, xbar)
-        np.subtract.at(diff, a2 + 1, xbar)  # row n+1 (a2 = n) is never read
-    out = np.cumsum(diff[1:n + 1], axis=0)
+        lo, hi = a1, a2 + 1  # row n+1 (a2 = n) is never read
+        if k != 1:
+            lo, hi = (np.add.outer(r * k, np.arange(k)).ravel() for r in (lo, hi))
+        np.add.at(diff, lo, xbar.ravel())
+        np.subtract.at(diff, hi, xbar.ravel())
+    out = np.cumsum(diff.reshape((n + 2,) + xs.shape[1:])[1:n + 1], axis=0)
     if counters is not None:
         # the count the Python loop in ibp_matvec makes on the same input
-        counters["ops"] = 2 * n + 4 * len(quads) + int(np.count_nonzero(quads[:, 1::2] < n))
+        counters["ops"] = 2 * n + 4 * len(a) + int((b < n).sum() + (d < n).sum())
     return out if xs.ndim == 2 else out.tolist()
 
 
@@ -97,8 +107,9 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
     D.  ``counters``, if given, receives the group-op count under "ops".
 
     Under INT64_GROUP the steps run as numpy int64 array calls; ``x`` may
-    then also be an (n, k) block of columns, and the result is an (n, k)
-    int64 array.  Any other group runs them as a Python loop.
+    then also be an (n, k) block of columns (``adjacency_matmul`` passes
+    ``_BLOCK`` at a time), and the result is an (n, k) int64 array.  Any
+    other group runs them as a Python loop.
     """
     n = ibp.n
     if len(x) != n:
@@ -112,17 +123,14 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
         prefix[i + 1] = add(prefix[i], x[i])
         ops += 1
     diff = [zero] * (n + 2)
-    sym = []
-    for a, b, c, d in zip(*ibp.quads.T.tolist()):
-        sym.append((a, b, c, d))
-        sym.append((c, d, a, b))
-    for a1, a2, b1, b2 in sym:
-        xbar = sub(prefix[b2], prefix[b1 - 1])
-        diff[a1] = add(diff[a1], xbar)
-        ops += 2
-        if a2 < n:
-            diff[a2 + 1] = sub(diff[a2 + 1], xbar)
-            ops += 1
+    for a, b, c, d in ibp.quads.tolist():
+        for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):  # both orientations
+            xbar = sub(prefix[b2], prefix[b1 - 1])
+            diff[a1] = add(diff[a1], xbar)
+            ops += 2
+            if a2 < n:
+                diff[a2 + 1] = sub(diff[a2 + 1], xbar)
+                ops += 1
     out = [zero] * n
     acc = zero
     for i in range(1, n + 1):
@@ -150,11 +158,15 @@ def dense_matvec_oracle(g: Graph, order: LinearOrder, x: Sequence,
 
 def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[Sequence],
                      ibp: IntervalBicliquePartition,
-                     group: AdditiveGroup = INT64_GROUP) -> list[list]:
+                     group: AdditiveGroup = INT64_GROUP) -> np.ndarray | list[list]:
     """adj(g) in the caller's ``order`` times ``n_matrix``: permute into the
-    partition's order, run the matvec kernel, permute back.  Under
-    INT64_GROUP the kernel takes blocks of columns; other groups go one
-    column at a time.
+    partition's order, run the matvec kernel, permute back.
+
+    Under INT64_GROUP, ``n_matrix`` (rows of integers or an (n, n) integer
+    array) is read once into an int64 array, wrapped as INT64_GROUP wraps,
+    the kernel runs on blocks of ``_BLOCK`` columns, and the product is an
+    (n, n) int64 array.  Any other group goes one column at a time and
+    returns a list of n lists.
 
     The product is computed from the partition alone, which is trusted to
     decode to g; g is only checked for its size, and may be None, so the
@@ -165,22 +177,18 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
         raise InputError("size mismatch between graph, order, and partition")
     if len(n_matrix) != n or any(len(row) != n for row in n_matrix):
         raise InputError(f"matrix is not {n}x{n}")
-    # vertex at kernel position q sits at caller position order.pos(vertex)
-    caller_pos = [order.pos(ibp.order.at(q)) for q in range(1, n + 1)]
-    rows = [n_matrix[p - 1] for p in caller_pos]
-    out = [[group.zero] * n for _ in range(n)]
-    dest = [out[p - 1] for p in caller_pos]
+    # row q of the kernel's operand is the caller's row rows[q], and the
+    # caller's row p is the kernel's row back[p]
+    rows = np.array(order.position, dtype=np.int64)[np.array(ibp.order.vertex_at) - 1] - 1
+    back = np.argsort(rows)
     if group is INT64_GROUP:
-        for j in range(0, n, _BLOCK):
-            cols = slice(j, j + _BLOCK)
-            res = ibp_matvec(ibp, [row[cols] for row in rows])
-            for row, vals in zip(dest, res.tolist()):
-                row[cols] = vals
-    else:
-        for j in range(n):
-            for row, v in zip(dest, ibp_matvec(ibp, [row[j] for row in rows], group)):
-                row[j] = v
-    return out
+        prod = _int64_array(n_matrix).reshape(n, n)[rows]
+        for j in range(0, n, _BLOCK):  # the kernel has read a block before it is overwritten
+            prod[:, j:j + _BLOCK] = ibp_matvec(ibp, prod[:, j:j + _BLOCK])
+        return prod[back]
+    src = [n_matrix[p] for p in rows.tolist()]
+    cols = [ibp_matvec(ibp, [row[j] for row in src], group) for j in range(n)]
+    return [[col[q] for col in cols] for q in back.tolist()]
 
 
 def dense_matmul_oracle(g: Graph, order: LinearOrder, n_matrix: Sequence[Sequence],

@@ -19,7 +19,7 @@ import numpy as np
 from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, MERGE, _cseq_complete,
                       ibp_to_dag, stm_to_ibp)
-from .graph import InputError
+from .graph import InputError, _runs
 from .stm import SignedTreeModel
 
 Representation = Union[SignedTreeModel, IntervalBicliquePartition, DagCompression]
@@ -128,11 +128,7 @@ def _out_edges(csr: tuple[np.ndarray, np.ndarray],
     offsets, targets = csr
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
-    # edge k of a node's run sits at its start + k; its gathered index is
-    # the run's first gathered index + k
-    first = np.cumsum(counts) - counts
-    idx = np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
-    return np.repeat(np.arange(len(nodes)), counts), targets[idx]
+    return np.repeat(np.arange(len(nodes)), counts), targets[_runs(starts, counts)]
 
 
 def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None) -> ZeroOneResult:

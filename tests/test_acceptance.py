@@ -191,7 +191,7 @@ def test_criterion_7_matrix_multiply():
             order = LinearOrder.from_vertex_sequence(perm)
             N = [[rng.randrange(-10 ** 9, 10 ** 9) for _ in range(n)]
                  for _ in range(n)]
-            assert adjacency_matmul(g, order, N, ibp) == \
+            assert adjacency_matmul(g, order, N, ibp).tolist() == \
                 dense_matmul_oracle(g, order, N), seed
             counters = {}
             ibp_matvec(ibp, [1] * n, counters=counters)

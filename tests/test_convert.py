@@ -313,8 +313,18 @@ class TestIbpToGraph:
     def test_duplicate_edge(self):
         ibp = IntervalBicliquePartition(LinearOrder.identity(3),
                                         [(1, 1, 2, 3), (1, 2, 3, 3)])
-        with pytest.raises(PartitionViolation):
+        with pytest.raises(PartitionViolation) as e:
             ibp_to_graph(ibp)
+        assert str(e.value) == "edge (1, 3) emitted by two bicliques"
+
+    def test_first_duplicate_in_emission_order(self):
+        # (1, 4) is emitted twice too, and is the smaller edge, but its
+        # second emission comes after that of (2, 4)
+        ibp = IntervalBicliquePartition(LinearOrder.identity(4),
+                                        [(2, 3, 4, 4), (1, 3, 4, 4), (1, 1, 2, 4)])
+        with pytest.raises(PartitionViolation) as e:
+            ibp_to_graph(ibp)
+        assert str(e.value) == "edge (2, 4) emitted by two bicliques"
 
     def test_invariant_rejected(self):
         with pytest.raises(InputError):

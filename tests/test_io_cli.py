@@ -48,6 +48,11 @@ class TestRoundTrips:
     def test_matrix(self):
         rows = [[1, -2, 3], [0, 5, -6], [7, 8, 9]]
         assert fio.parse_matrix(fio.format_matrix(rows)) == rows
+        # an int64 array, such as adjacency_matmul's product, prints the same
+        assert fio.format_matrix(np.array(rows)) == fio.format_matrix(rows)
+        ends = [[-2 ** 63, 2 ** 63 - 1], [0, -1]]
+        assert fio.format_matrix(np.array(ends, dtype=np.int64)) == \
+            "2\n-9223372036854775808 9223372036854775807\n0 -1\n"
 
     def test_dag(self, p3_model):
         dag = ibp_to_dag(stm_to_ibp(p3_model))
@@ -98,6 +103,11 @@ class TestParseErrors:
          "integer beyond int64 in 'C 1 -9223372036854775809'"),
         # the first bad line is named, whatever comes after it
         ("2 3 2 0\n3 x\n99999999999999999999 1\n", 2, "non-integer field in '3 x'"),
+        # a node above n that no edge touches: the header alone would size
+        # the distance model
+        ("2 99999999999999999999 1 0\n3 1\n", 1,
+         "num_nodes 99999999999999999999 exceeds n + 2(e + c) = 4"),
+        ("2 9000000000 1 0\n3 1\n", 1, "num_nodes 9000000000 exceeds n + 2(e + c) = 4"),
     ])
     def test_dag_syntax(self, text, line, message):
         with pytest.raises(fio.FormatError) as e:
@@ -335,6 +345,13 @@ class TestCliDag:
         assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
         assert capsys.readouterr().err.startswith("line 2: integer beyond int64")
 
+    @pytest.mark.parametrize("num_nodes", ["99999999999999999999", "9000000000"])
+    def test_num_nodes_past_edges_exit2(self, tmp_path, capsys, num_nodes):
+        dag_f = tmp_path / "huge.dag"
+        dag_f.write_text(f"2 {num_nodes} 1 0\n3 1\n")
+        assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"line 1: num_nodes {num_nodes} exceeds")
+
 
 class TestCliLoadPath:
     """Every .stm command parses once, checks the model once through
@@ -447,7 +464,7 @@ class TestArraysOnly:
         rows = [[(i * j) % 7 for j in range(n)] for i in range(n)]
         assert graphs_equal(g, decode_bruteforce(model))
         prod = adjacency_matmul(g, LinearOrder.identity(n), rows, ibp)
-        assert prod[0] == [sum(rows[v - 1][j] for v in g.neighbors(1)) for j in range(n)]
+        assert prod[0].tolist() == [sum(rows[v - 1][j] for v in g.neighbors(1)) for j in range(n)]
 
     def test_cli(self, tmp_path, capsys):
         stm_f, ibp_f, dag_f = tmp_path / "m.stm", tmp_path / "m.ibp", tmp_path / "m.dag"
