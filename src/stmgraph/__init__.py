@@ -23,15 +23,14 @@ from .rect import (InclusionForest, LaminarityError, complement_partition,
 from .sddegen import (CapExceeded, SdConfig, WidthReport, preset_symdiff,
                       preset_twinwidth, sd_sequence_greedy,
                       sd_sequence_randomized, validate_sequence)
-from .stm import (EditLog, InvalidModelError, SignedTreeModel,
-                  ValidationReport, clean_same_sign, decode_bruteforce,
-                  default_edit_log, insert_edit, remove_loops, validate)
+from .stm import (InvalidModelError, SignedTreeModel, ValidationReport,
+                  clean_same_sign, decode_bruteforce, remove_loops, validate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveGroup", "CapExceeded", "ConstructionSequence", "DagCompression",
-    "DistanceModel", "EditLog", "Graph", "INT64_GROUP",
+    "DistanceModel", "Graph", "INT64_GROUP",
     "InclusionForest", "InputError", "IntervalBicliquePartition",
     "InvalidModelError", "LaminarityError", "LinearOrder",
     "PartitionViolation", "SdConfig", "SdDegenSequence",
@@ -39,9 +38,9 @@ __all__ = [
     "ValidationReport", "WidthReport", "adjacency_matmul", "apsp",
     "bfs_sssp_oracle", "clean_same_sign", "complement_partition", "cover_set",
     "cseq_replay", "cseq_shorten", "cseq_to_stm", "dag_to_distance_model",
-    "dag_to_graph", "decode_bruteforce", "default_edit_log", "graphs_equal",
+    "dag_to_graph", "decode_bruteforce", "graphs_equal",
     "ibp_matvec", "ibp_to_dag", "ibp_to_graph", "ibp_to_positive_model",
-    "inclusion_forest", "insert_edit", "preset_symdiff",
+    "inclusion_forest", "preset_symdiff",
     "preset_twinwidth", "radius_r_width", "remove_loops",
     "scattered_maximal_subset", "sd_sequence_greedy", "sd_sequence_randomized",
     "sdseq_to_stm", "sssp", "stm_to_ibp",

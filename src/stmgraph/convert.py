@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, InputError, LinearOrder, Rows, _int_rows, _runs
+from .graph import (Graph, InputError, LinearOrder, Rows, _first_repeat, _int_rows,
+                    _runs)
 from .rect import complement_partition
 from .stm import SignedTreeModel, _checked_forest, clean_same_sign, remove_loops
 
@@ -213,16 +214,8 @@ def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
                   complement_partition(keys[i], keys[kids[end[i] - holes[i]:end[i]]])]
         done = j + 1
     parts.append(keys[positive[done:]])
-    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order),
+    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order.tolist()),
                                      np.concatenate(parts))
-
-
-def _first_repeat(key: np.ndarray) -> int:
-    """The least i with key[i] == key[j] for some j < i, or -1 if the keys
-    are distinct."""
-    s = np.argsort(key, kind="stable")  # equal keys stay in index order
-    again = s[1:][key[s[1:]] == key[s[:-1]]]
-    return int(again.min()) if again.size else -1
 
 
 def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
@@ -376,7 +369,7 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
     runs = np.split(cover, np.cumsum(np.bincount(owner, minlength=2 * len(ibp.quads)))[:-1])
     pairs_b = {(s, t) for si, sj in zip(runs[0::2], runs[1::2])
                for s in si.tolist() for t in sj.tolist()}
-    children = dict(enumerate(map(tuple, _skeleton(n, at).tolist()), n + 1))
+    children = dict(enumerate(_skeleton(n, at).tolist(), n + 1))
     return SignedTreeModel(n, children, (), pairs_b)
 
 

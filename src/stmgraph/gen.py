@@ -53,6 +53,7 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
     rng = random.Random(seed)
     children = random_full_tree(n, rng)
     base = SignedTreeModel(n, children)
+    parent, lo, hi = base.parent.tolist(), base.lo.tolist(), base.hi.tolist()
     num_nodes = 2 * n - 1
     accepted: list[tuple[int, int]] = []
     taken: set[tuple[int, int]] = set()
@@ -63,15 +64,15 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
 
     def crosses(pair: tuple[int, int]) -> bool:
         for side in (0, 1):
-            lo, hi = base.leaf_interval(pair[1 - side])
-            a = base.parent[pair[side]]
+            l, h = lo[pair[1 - side]], hi[pair[1 - side]]
+            a = parent[pair[side]]
             while a:
                 keys = partners.get((a, side), ())
-                # first key after (lo, -hi) is strictly inside [lo, hi] if any is
-                i = bisect_right(keys, (lo, -hi))
-                if i < len(keys) and keys[i][0] <= hi:
+                # first key after (l, -h) is strictly inside [l, h] if any is
+                i = bisect_right(keys, (l, -h))
+                if i < len(keys) and keys[i][0] <= h:
                     return True
-                a = base.parent[a]
+                a = parent[a]
         return False
 
     budget = tries_per_pair * num_pairs
@@ -81,16 +82,16 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
             break
         x = rng.randrange(1, num_nodes)  # the root cannot be transversal
         y = rng.randrange(1, num_nodes)
-        if x == y or base.is_ancestor(x, y) or base.is_ancestor(y, x):
+        if lo[x] <= hi[y] and lo[y] <= hi[x]:  # equal or nested: leaf intervals meet
             continue
-        pair = base.canonical_pair(x, y)
+        pair = (x, y) if lo[x] <= lo[y] else (y, x)
         if pair in taken:
             continue
         if crosses(pair):
             continue
         for side in (0, 1):
-            lo, hi = base.leaf_interval(pair[1 - side])
-            insort(partners.setdefault((pair[side], side), []), (lo, -hi))
+            insort(partners.setdefault((pair[side], side), []),
+                   (lo[pair[1 - side]], -hi[pair[1 - side]]))
         taken.add(pair)
         accepted.append(pair)
         signs.append(rng.choice((-1, 1)))
@@ -106,7 +107,6 @@ def random_stm_sparse(n: int, num_pairs: int, seed: int = 0) -> SignedTreeModel:
         raise InputError("need at least two leaves")
     rng = random.Random(seed)
     children = random_full_tree(n, rng)
-    base = SignedTreeModel(n, children)
     taken: set[tuple[int, int]] = set()
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
@@ -115,19 +115,17 @@ def random_stm_sparse(n: int, num_pairs: int, seed: int = 0) -> SignedTreeModel:
     while len(taken) < num_pairs and budget > 0:
         budget -= 1
         if rng.random() < 0.5:
-            t = rng.choice(internals)
-            pair = base.canonical_pair(*children[t])
+            pair = children[rng.choice(internals)]
         else:
-            u = rng.randrange(1, n + 1)
-            v = rng.randrange(1, n + 1)
-            if u == v:
+            pair = (rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+            if pair[0] == pair[1]:
                 continue
-            pair = base.canonical_pair(u, v)
-        if pair in taken:
+        key = (min(pair), max(pair))  # the model orders each pair's ends itself
+        if key in taken:
             continue
-        taken.add(pair)
+        taken.add(key)
         (pairs_b if rng.random() < 0.5 else pairs_a).append(pair)
-    return base.with_pairs(pairs_a, pairs_b)
+    return SignedTreeModel(n, children, pairs_a, pairs_b)
 
 
 def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequence]:

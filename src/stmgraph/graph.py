@@ -45,6 +45,14 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
 
 
+def _first_repeat(key: np.ndarray) -> int:
+    """The least i with key[i] == key[j] for some j < i, or -1 if the keys
+    are distinct."""
+    s = np.argsort(key, kind="stable")  # equal keys stay in index order
+    again = s[1:][key[s[1:]] == key[s[:-1]]]
+    return int(again.min()) if again.size else -1
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n with sorted adjacency arrays.
 

@@ -132,11 +132,9 @@ def stm_pair_line(text: str, message: str) -> int:
 
 
 def format_stm(stm: SignedTreeModel) -> str:
-    out = [str(stm.n)]
-    internal = sorted(t for t in stm.children if t != stm.root)
-    for t in internal + ([stm.root] if stm.n > 1 else []):
-        l, r = stm.children[t]
-        out.append(f"{t} {l} {r}")
+    rows = [(t, l, r) for t, (l, r) in enumerate(stm.kids.tolist(), stm.n + 1)]
+    rows.sort(key=lambda row: row[0] == stm.root)  # stable: the root's row last
+    out = [str(stm.n)] + [f"{t} {l} {r}" for t, l, r in rows]
     for x, y, sign in stm.pairs_signed():
         out.append(f"{'B' if sign > 0 else 'A'} {x} {y}")
     return "\n".join(out) + "\n"
@@ -259,7 +257,9 @@ def parse_dag(text: str) -> DagCompression:
     names, or on line 1 for a header defect; so is an integer beyond int64
     on an edge line.  A header whose num_nodes exceeds n + 2(e + c) is a
     line-1 FormatError too: past that bound some node above n touches no
-    edge, and the header alone would size the distance model's arrays.
+    edge, and the header alone would size the distance model's arrays.  So
+    is a num_nodes of 2^31 or more, which n isolated vertices can reach
+    with no edges at all.
 
     The edge lines are read in one token pass straight into int64 arrays;
     only a malformed file is read again line by line, to name its first bad
@@ -272,6 +272,8 @@ def parse_dag(text: str) -> DagCompression:
         raise FormatError(1, f"negative edge count in {lines[0].rstrip()!r}")
     if num_nodes > n + 2 * (e + c):  # then some node above n touches no edge
         raise FormatError(1, f"num_nodes {num_nodes} exceeds n + 2(e + c) = {n + 2 * (e + c)}")
+    if num_nodes >= 2 ** 31:  # it sizes the distance model's arrays
+        raise FormatError(1, f"num_nodes {num_nodes} is not below 2^31")
     body = lines[1:1 + e + c]
     if len(body) < e + c:
         raise FormatError(len(lines), f"expected {e} edge and {c} compressed lines")

@@ -1,5 +1,5 @@
-"""Signed tree models: representation, validation, brute-force decoding,
-cleaning transformations, and dynamic leaf-level edge edits.
+"""Signed tree models: representation, validation, brute-force decoding
+and cleaning transformations.
 
 A model is a full binary tree over n leaves (node ids: leaves 1..n, internal
 n+1..2n-1) plus two disjoint sets of non-crossing transversal node pairs:
@@ -17,12 +17,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, InputError
+from .graph import Graph, InputError, _first_repeat
 from . import rect
 from .rect import InclusionForest, LaminarityError
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 Pair = tuple[int, int]
 
@@ -45,26 +42,123 @@ class ValidationReport:
         return [m for _, m in self.violations]
 
 
-@dataclass(frozen=True)
-class EditLog:
-    """Counts leaf-pair edits since the last rebuild; rebuild forced at threshold."""
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    count: int
-    threshold: int
 
-    def bump(self) -> "EditLog":
-        return EditLog(self.count + 1, self.threshold)
+def _id_rows(rows: list, width: int) -> np.ndarray:
+    """``rows``, tuples of ``width`` node ids, as a (len(rows), width) int64
+    array.  An id beyond int64 reads as 0, which no id range holds, so
+    error messages quote ``rows`` as given."""
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64)
+    except OverflowError:
+        flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
+                            for v in chain.from_iterable(rows)), np.int64)
+    if flat.size != width * len(rows):
+        raise InputError(f"expected rows of {width} node ids")
+    return flat.reshape(-1, width)
 
-    @property
-    def rebuild_required(self) -> bool:
-        return self.count >= self.threshold
+
+def _tree(n: int, children: Mapping[int, tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The children of internal nodes n+1..2n-1 as an (n - 1, 2) array in id
+    order, the parent of every node id 0..2n-1 (0 for node 0 and the root),
+    and the root.
+
+    The checks are masks over ``children`` read as rows (t, left, right),
+    and the first defect in that order is raised: an internal id outside
+    (n, 2n-1], a child outside [1, 2n-1], a child seen before (its second
+    parent).  Then the tree must have one root.  With one root among 2n - 1
+    nodes, n - 1 distinct rows give 2n - 2 children, so every internal id
+    has children."""
+    num_nodes = 2 * n - 1
+    given = [(t, l, r) for t, (l, r) in children.items()]
+    rows = _id_rows(given, 3)
+    bad = np.flatnonzero((rows < [n + 1, 1, 1]) | (rows > num_nodes))
+    again = _first_repeat(rows[:, 1:].ravel())
+    # the first out-of-range id and the first second parent, as flat indices
+    # into ``given``; at one index the range check comes first
+    i = int(bad[0]) if bad.size else rows.size
+    j = again // 2 * 3 + 1 + again % 2 if again >= 0 else rows.size
+    if j < i:
+        raise InputError(f"node {given[j // 3][j % 3]} has two parents")
+    if i < rows.size:
+        t = given[i // 3][0]
+        raise InputError(f"internal node id {t} out of range ({n},{num_nodes}]" if i % 3 == 0
+                         else f"child id {given[i // 3][i % 3]} of node {t} out of range")
+    parent = np.zeros(num_nodes + 1, np.int64)
+    parent[rows[:, 1:]] = rows[:, :1]
+    roots = np.flatnonzero(parent[1:] == 0) + 1
+    if len(roots) != 1:
+        raise InputError(f"tree must have exactly one root, found {roots.tolist()}")
+    kids = np.empty((n - 1, 2), np.int64)
+    kids[rows[:, 0] - n - 1] = rows[:, 1:]
+    return kids, parent, int(roots[0])
+
+
+def _leaf_intervals(n: int, kids: np.ndarray, parent: np.ndarray,
+                    root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interval [lo[t], hi[t]] of leaf positions under every node t (0
+    for node 0) and the leaves left to right, from the Euler tour of the
+    tree (Tarjan & Vishkin 1985) ranked by pointer jumping (Wyllie 1979).
+
+    Node t has a down arc t and an up arc 2n + t.  Down into a leaf comes
+    back up; down into an internal node goes on down to its left child; up
+    from a left child goes down to its sibling; up from a right child goes
+    on up from the parent.  The tour runs from the root's down arc to its
+    up arc, 4n - 2 arcs, so ceil(log2(4n)) rounds of jumping give every arc
+    the number of leaf down arcs at or after it.  An arc that has not
+    reached the root's up arc by then lies on a cycle of internal nodes,
+    which the parent and root checks let through.
+    """
+    num_nodes = 2 * n - 1
+    node = np.arange(num_nodes + 1)
+    kid = np.zeros((num_nodes + 1, 2), np.int64)  # by node id; leaves and 0 get (0, 0)
+    kid[n + 1:] = kids
+    end = num_nodes + 1 + root
+    step = np.concatenate((np.where(node > n, kid[:, 0], node + num_nodes + 1),
+                           np.where(kid[parent, 0] == node, kid[parent, 1],
+                                    parent + num_nodes + 1)))
+    step[[0, num_nodes + 1, end]] = end
+    count = np.zeros(2 * num_nodes + 2, np.int64)
+    count[1:n + 1] = 1
+    for _ in range((4 * n).bit_length()):
+        count += count[step]
+        step = step[step]
+    if (step != end).any():
+        raise InputError("leaves must be exactly the ids 1..n")
+    lo = n + 1 - count[:num_nodes + 1]
+    hi = n - count[num_nodes + 1:]
+    lo[0] = hi[0] = 0
+    order = np.empty(n, np.int64)
+    order[lo[1:n + 1] - 1] = node[1:n + 1]
+    return lo, hi, order
 
 
 class SignedTreeModel:
-    """Immutable signed tree model.  All edit operations return new models."""
+    """Immutable signed tree model, stored as read-only int64 arrays only:
 
-    __slots__ = ("n", "children", "parent", "root", "pairs_a", "pairs_b",
-                 "leaf_order", "_lo", "_hi", "_checked")
+    - ``kids``: the (left, right) children of internal nodes n+1..2n-1, in
+      id order, an (n - 1, 2) array;
+    - ``parent``, ``lo`` and ``hi``, indexed by node id 0..2n-1 (entry 0
+      unused): each node's parent (0 for the root) and the interval of leaf
+      positions under it;
+    - ``leaf_order``: the leaves left to right;
+    - ``pairs``: a (p, 2) array, each pair with the end whose leaf interval
+      starts first as x, and ``sign`` beside it as int8 -1 or +1.  The pairs
+      are sorted, negatives first and by (x, y) within a sign, with
+      duplicates dropped within a sign.  A pair given with both signs is
+      there twice, which ``validate`` reports as an ``overlap``.
+
+    ``children``, ``pairs_a`` and ``pairs_b`` build a dict and frozensets of
+    tuples from these on each read.  The constructor takes a children
+    mapping and the two pair iterables, and raises InputError naming the
+    first defect."""
+
+    __slots__ = ("n", "root", "kids", "parent", "lo", "hi", "leaf_order",
+                 "pairs", "sign", "_checked")
 
     def __init__(self, n: int,
                  children: Mapping[int, tuple[int, int]],
@@ -73,115 +167,102 @@ class SignedTreeModel:
         if n < 1:
             raise InputError("a model needs at least one leaf")
         self.n = n
-        num_nodes = 2 * n - 1
-        self.children: dict[int, tuple[int, int]] = dict(children)
-        parent = [0] * (num_nodes + 1)
-        for t, (l, r) in self.children.items():
-            if not (n < t <= num_nodes):
-                raise InputError(f"internal node id {t} out of range ({n},{num_nodes}]")
-            for c in (l, r):
-                if not (1 <= c <= num_nodes):
-                    raise InputError(f"child id {c} of node {t} out of range")
-                if parent[c]:
-                    raise InputError(f"node {c} has two parents")
-                parent[c] = t
-        roots = [t for t in range(1, num_nodes + 1) if not parent[t]]
-        if len(roots) != 1:
-            raise InputError(f"tree must have exactly one root, found {roots}")
-        self.root = roots[0]
-        self.parent = tuple(parent)
-
-        # The leaf order, and the position interval spanned by each subtree.
-        # One root among 2n-1 nodes means n-1 child pairs, so every internal
-        # id n+1..2n-1 has children: the tree is full.
-        lo = [0] * (num_nodes + 1)
-        hi = [0] * (num_nodes + 1)
-        leaves: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                l, r = self.children[t]
-                lo[t] = lo[l]
-                hi[t] = hi[r]
-            elif t in self.children:
-                l, r = self.children[t]
-                stack.append((t, True))
-                stack.append((r, False))
-                stack.append((l, False))
-            else:
-                leaves.append(t)
-                lo[t] = hi[t] = len(leaves)
-        if sorted(leaves) != list(range(1, n + 1)):
-            raise InputError("leaves must be exactly the ids 1..n")
-        self._lo = tuple(lo)
-        self._hi = tuple(hi)
-        self.leaf_order = tuple(leaves)
-
-        self.pairs_a = self._canon(pairs_a)
-        self.pairs_b = self._canon(pairs_b)
+        self.kids, self.parent, self.root = _tree(n, children)
+        self.lo, self.hi, self.leaf_order = _leaf_intervals(n, self.kids, self.parent, self.root)
+        _frozen(self.kids, self.parent, self.lo, self.hi, self.leaf_order)
+        self.pairs, self.sign = _frozen(*self._canon(pairs_a, pairs_b))
         self._checked = None  # set by clean_same_sign, see _checked_forest
 
-    def _canon(self, pairs: Iterable[Pair]) -> frozenset[Pair]:
-        num_nodes = 2 * self.n - 1
-        out = set()
-        for x, y in pairs:
-            if not (1 <= x <= num_nodes and 1 <= y <= num_nodes):
-                raise InputError(f"pair ({x},{y}) references unknown nodes")
-            out.add(self.canonical_pair(x, y))
-        return frozenset(out)
+    def _canon(self, pairs_a: Iterable[Pair], pairs_b: Iterable[Pair]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs and signs in the stored form; InputError names the first
+        pair, negative ones first, with an end outside 1..2n-1."""
+        given = list(pairs_a)
+        k = len(given)
+        given += pairs_b
+        rows = _id_rows(given, 2)
+        bad = np.flatnonzero(((rows < 1) | (rows > 2 * self.n - 1)).any(axis=1))
+        if bad.size:
+            x, y = given[bad[0]]
+            raise InputError(f"pair ({x},{y}) references unknown nodes")
+        return self._sorted(rows, np.repeat(np.array([-1, 1], np.int8), (k, len(rows) - k)))
+
+    def _sorted(self, pairs: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of node ids with their signs in the stored order, each
+        canonical (see ``canonical_pair``), once per sign: one sort of
+        sign-x-y codes."""
+        x, y = pairs.T
+        first = self.lo[x] <= self.lo[y]
+        base = 2 * self.n  # above every node id
+        code = np.sort(((sign > 0) * base + np.where(first, x, y)) * base + np.where(first, y, x))
+        code = code[np.diff(code, prepend=-1) != 0]
+        return (np.column_stack((code // base % base, code % base)),
+                np.where(code < base * base, -1, 1).astype(np.int8))
+
+    # -- views, built on each read -----------------------------------------
+
+    @property
+    def children(self) -> dict[int, tuple[int, int]]:
+        """``kids`` as a dict, internal node id -> (left, right)."""
+        return dict(zip(range(self.n + 1, 2 * self.n), map(tuple, self.kids.tolist())))
+
+    @property
+    def pairs_a(self) -> frozenset[Pair]:
+        """The negative pairs as a frozenset of tuples."""
+        return frozenset(map(tuple, self.pairs[self.sign < 0].tolist()))
+
+    @property
+    def pairs_b(self) -> frozenset[Pair]:
+        """The positive pairs as a frozenset of tuples."""
+        return frozenset(map(tuple, self.pairs[self.sign > 0].tolist()))
 
     # -- structure queries ------------------------------------------------
-
-    def is_leaf(self, t: int) -> bool:
-        return t <= self.n
 
     def is_ancestor(self, x: int, y: int) -> bool:
         """True iff x is an ancestor of y (reflexively).  In a full binary
         tree distinct nodes have distinct leaf intervals, so that is when
         x's interval contains y's."""
-        return self._lo[x] <= self._lo[y] and self._hi[y] <= self._hi[x]
+        return bool(self.lo[x] <= self.lo[y] and self.hi[y] <= self.hi[x])
 
     def leaf_interval(self, t: int) -> tuple[int, int]:
         """Positions (inclusive) of the leaves under t, in left-to-right order."""
-        return self._lo[t], self._hi[t]
+        return int(self.lo[t]), int(self.hi[t])
 
     def canonical_pair(self, x: int, y: int) -> Pair:
         """Endpoint with the earlier-starting leaf interval first."""
-        return (x, y) if self._lo[x] <= self._lo[y] else (y, x)
+        return (x, y) if self.lo[x] <= self.lo[y] else (y, x)
 
     def pairs_signed(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (x, y, sign) with sign -1 for negative and +1 for positive pairs."""
-        for x, y in sorted(self.pairs_a):
-            yield x, y, -1
-        for x, y in sorted(self.pairs_b):
-            yield x, y, +1
+        """(x, y, sign) in the stored order, sign -1 for negative and +1 for
+        positive pairs."""
+        return zip(*self.pairs.T.tolist(), self.sign.tolist())
 
     @property
     def num_pairs(self) -> int:
-        return len(self.pairs_a) + len(self.pairs_b)
+        return len(self.pairs)
 
     def with_pairs(self, pairs_a: Iterable[Pair], pairs_b: Iterable[Pair]) -> "SignedTreeModel":
         """This model's tree with other pairs; the tree is shared, not walked again."""
-        return self._sharing_tree(self._canon(pairs_a), self._canon(pairs_b))
+        return self._sharing_tree(*self._canon(pairs_a, pairs_b))
 
-    def _sharing_tree(self, pairs_a: frozenset[Pair], pairs_b: frozenset[Pair]
-                      ) -> "SignedTreeModel":
+    def _sharing_tree(self, pairs: np.ndarray, sign: np.ndarray) -> "SignedTreeModel":
+        """This model's tree with ``pairs`` and ``sign``, already in the stored form."""
         out = copy.copy(self)
-        out.pairs_a, out.pairs_b, out._checked = pairs_a, pairs_b, None
+        out.pairs, out.sign = _frozen(pairs, sign)
+        out._checked = None
         return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SignedTreeModel)
-                and self.n == other.n and self.children == other.children
-                and self.pairs_a == other.pairs_a and self.pairs_b == other.pairs_b)
+        return (isinstance(other, SignedTreeModel) and self.n == other.n
+                and np.array_equal(self.kids, other.kids)
+                and np.array_equal(self.pairs, other.pairs) and np.array_equal(self.sign, other.sign))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.pairs_a, self.pairs_b))
+        return hash((self.n, self.pairs.tobytes(), self.sign.tobytes()))
 
     def __repr__(self) -> str:
-        return (f"SignedTreeModel(n={self.n}, |A|={len(self.pairs_a)}, "
-                f"|B|={len(self.pairs_b)})")
+        neg = int(np.count_nonzero(self.sign < 0))
+        return f"SignedTreeModel(n={self.n}, |A|={neg}, |B|={len(self.sign) - neg})"
 
 
 def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
@@ -212,12 +293,6 @@ def validate(stm: SignedTreeModel, strict: bool = True) -> ValidationReport:
     return ValidationReport(ok=not v, violations=v)
 
 
-def _sorted_pairs(pairs: frozenset[Pair]) -> np.ndarray:
-    """``pairs`` as a (p, 2) int64 array, in sorted order."""
-    rows = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-
-
 def _checked_forest(stm: SignedTreeModel) -> tuple[
         np.ndarray, np.ndarray, Optional[InclusionForest], list[tuple[str, str]]]:
     """The transversal pairs as a (p, 2) int64 array, each pair once and in
@@ -236,12 +311,12 @@ def _checked_forest(stm: SignedTreeModel) -> tuple[
     """
     if stm._checked is not None:
         return stm._checked
-    overlap = stm.pairs_a & stm.pairs_b
-    v = [("overlap", f"pair {p} is both positive and negative") for p in sorted(overlap)]
-    negative, positive = _sorted_pairs(stm.pairs_a), _sorted_pairs(stm.pairs_b)
-    pairs = np.concatenate((negative, positive))
-    sign = np.repeat(np.array([-1, 1]), (len(negative), len(positive)))
-    lo, hi = np.array(stm._lo), np.array(stm._hi)
+    pairs, sign, lo, hi = stm.pairs, stm.sign, stm.lo, stm.hi
+    k = int(np.count_nonzero(sign < 0))  # the negative pairs come first
+    code = pairs[:, 0] * (2 * stm.n) + pairs[:, 1]
+    overlap = np.isin(code[k:], code[:k])
+    v = [("overlap", f"pair {(x, y)} is both positive and negative")
+         for x, y in pairs[k:][overlap].tolist()]
     x, y = pairs.T
     loop = x == y
     nested = ~loop & (((lo[x] <= lo[y]) & (hi[y] <= hi[x]))
@@ -251,9 +326,7 @@ def _checked_forest(stm: SignedTreeModel) -> tuple[
         v.append(("loop", f"pair ({a},{b}) is a loop") if loop[i]
                  else ("transversal", f"pair ({a},{b}) is not transversal"))
     keep = ~(loop | nested)
-    if overlap:
-        code = pairs[:, 0] * (2 * stm.n) + pairs[:, 1]
-        keep[len(negative):] &= ~np.isin(code[len(negative):], code[:len(negative)])
+    keep[k:] &= ~overlap
     pairs, sign = pairs[keep], sign[keep]
     x, y = pairs.T
     keys = np.stack((lo[x], hi[x], lo[y], hi[y]), axis=1)
@@ -291,48 +364,45 @@ def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
         mask = area < block
         block[mask] = area
         sign[x1:x2 + 1, y1:y2 + 1][mask] = s
-    edges = []
+    order = stm.leaf_order.tolist()
     pos_i, pos_j = np.nonzero(np.triu(sign, k=1) > 0)
-    for i, j in zip(pos_i, pos_j):
-        edges.append((stm.leaf_order[i - 1], stm.leaf_order[j - 1]))
-    return Graph(n, edges)
+    return Graph(n, [(order[i - 1], order[j - 1]) for i, j in zip(pos_i.tolist(), pos_j.tolist())])
 
 
 def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
-    """Replace loops by equivalent sibling pairs (single top-down pass).
+    """Replace loops by equivalent sibling pairs.
 
     Each internal node whose children lack a transversal pair gets one with
     the sign of the nearest ancestor-or-self loop, if any; then all loops are
     dropped.  The added pairs form a matching on sibling pairs (at most n-1),
-    and the decoded graph is unchanged.  A model without loops is returned
-    as it is.
+    and the decoded graph is unchanged.  Every node's nearest
+    ancestor-or-self loop comes from pointer jumping on ``parent``, in
+    O(log depth) rounds.  A model without loops is returned as it is.
 
     Raises InvalidModelError, with ``validate``'s message, on a loop that is
     both positive and negative: it has no sign to hand down.
     """
-    loop_sign: dict[int, int] = {}
-    for x, y, s in stm.pairs_signed():
-        if x == y:
-            if x in loop_sign:
-                raise InvalidModelError(f"pair {(x, y)} is both positive and negative")
-            loop_sign[x] = s
-    if not loop_sign:
+    pairs, sign = stm.pairs, stm.sign
+    loop = pairs[:, 0] == pairs[:, 1]
+    if not loop.any():
         return stm
-    pairs_a = {p for p in stm.pairs_a if p[0] != p[1]}
-    pairs_b = {p for p in stm.pairs_b if p[0] != p[1]}
-    stack: list[tuple[int, int]] = [(stm.root, 0)]  # (node, sign carried from nearest loop)
-    while stack:
-        t, carried = stack.pop()
-        carried = loop_sign.get(t, carried)
-        if stm.is_leaf(t):
-            continue
-        l, r = stm.children[t]
-        sib = stm.canonical_pair(l, r)
-        if carried and sib not in pairs_a and sib not in pairs_b:
-            (pairs_b if carried > 0 else pairs_a).add(sib)
-        stack.append((l, carried))
-        stack.append((r, carried))
-    return stm.with_pairs(pairs_a, pairs_b)
+    ends = pairs[loop, 0]
+    again = _first_repeat(ends)  # the first positive loop that is negative too
+    if again >= 0:
+        t = int(ends[again])
+        raise InvalidModelError(f"pair {(t, t)} is both positive and negative")
+    carry = np.zeros(len(stm.parent), np.int8)
+    carry[ends] = sign[loop]
+    # nearest ancestor-or-self with a loop, or 0, by pointer jumping
+    near = np.where(carry != 0, np.arange(len(carry)), stm.parent)
+    while not np.array_equal(hop := near[near], near):
+        near = hop
+    carried = carry[near[stm.n + 1:]]  # per internal node, in id order
+    rest, base, add = pairs[~loop], 2 * stm.n, carried != 0
+    sib = stm.kids[add]  # a left child's leaves come first: (left, right) is canonical
+    new = ~np.isin(sib[:, 0] * base + sib[:, 1], rest[:, 0] * base + rest[:, 1])
+    rows = np.concatenate((rest, sib[new]))
+    return stm._sharing_tree(*stm._sorted(rows, np.concatenate((sign[~loop], carried[add][new]))))
 
 
 def clean_same_sign(stm: SignedTreeModel) -> SignedTreeModel:
@@ -360,34 +430,6 @@ def clean_same_sign(stm: SignedTreeModel) -> SignedTreeModel:
     kept = np.flatnonzero(~drop)
     kept_up = up[kept]
     new_up = np.where(kept_up >= 0, (np.cumsum(~drop) - 1)[near[kept_up]], -1)
-    pairs, sign = pairs[kept], sign[kept]
-    cleaned = stm._sharing_tree(*(frozenset(zip(*pairs[sign == s].T.tolist())) for s in (-1, 1)))
-    cleaned._checked = (pairs, sign, InclusionForest(forest.keys[kept], new_up), [])
+    cleaned = stm._sharing_tree(pairs[kept], sign[kept])
+    cleaned._checked = (cleaned.pairs, cleaned.sign, InclusionForest(forest.keys[kept], new_up), [])
     return cleaned
-
-
-def default_edit_log(stm: SignedTreeModel) -> EditLog:
-    """Fresh edit log with the default rebuild threshold max(n, pair count)."""
-    return EditLog(count=0, threshold=max(stm.n, stm.num_pairs))
-
-
-def insert_edit(stm: SignedTreeModel, u: int, v: int, sign: str,
-                log: EditLog) -> tuple[SignedTreeModel, EditLog, bool]:
-    """Flip or add the leaf pair {u,v} with the given sign.
-
-    Leaf pairs cannot cross anything (leaves have no strict descendants), so
-    the model stays valid.  Returns (model, log, rebuild_required); once the
-    log hits its threshold the caller is expected to rebuild from scratch.
-    """
-    if sign not in (POSITIVE, NEGATIVE):
-        raise InputError(f"sign must be {POSITIVE!r} or {NEGATIVE!r}")
-    if not (1 <= u <= stm.n and 1 <= v <= stm.n):
-        raise InputError(f"({u},{v}) is not a leaf pair")
-    if u == v:
-        raise InputError("cannot edit a leaf pair with equal endpoints")
-    pair = stm.canonical_pair(u, v)
-    pairs_a = set(stm.pairs_a) - {pair}
-    pairs_b = set(stm.pairs_b) - {pair}
-    (pairs_b if sign == POSITIVE else pairs_a).add(pair)
-    new_log = log.bump()
-    return stm.with_pairs(pairs_a, pairs_b), new_log, new_log.rebuild_required

@@ -213,7 +213,7 @@ class TestStmToRects:
 
     def test_p3(self, p3_model):
         _, sign, forest, _ = _checked_forest(p3_model)
-        assert p3_model.leaf_order == (2, 1, 3)
+        assert p3_model.leaf_order.tolist() == [2, 1, 3]
         keys = dict(zip(map(tuple, forest.keys.tolist()), sign.tolist()))
         # leaf order 2,1,3: pair {1,3} at positions 2,3; pair {2,p1} at 1 x [2,3]
         assert keys == {(2, 2, 3, 3): -1, (1, 1, 2, 3): 1}

@@ -108,11 +108,34 @@ class TestParseErrors:
         ("2 99999999999999999999 1 0\n3 1\n", 1,
          "num_nodes 99999999999999999999 exceeds n + 2(e + c) = 4"),
         ("2 9000000000 1 0\n3 1\n", 1, "num_nodes 9000000000 exceeds n + 2(e + c) = 4"),
+        # n isolated vertices need no edges, so only a cap bounds the header
+        ("9000000000 9000000000 0 0\n", 1, "num_nodes 9000000000 is not below 2^31"),
+        ("99999999999999999999 99999999999999999999 0 0\n", 1,
+         "num_nodes 99999999999999999999 is not below 2^31"),
     ])
     def test_dag_syntax(self, text, line, message):
         with pytest.raises(fio.FormatError) as e:
             fio.parse_dag(text)
         assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        # node 3 is the one root, and internal nodes 4 and 5 are each
+        # other's parent
+        ("3\n4 5 1\n5 4 2\n", "leaves must be exactly the ids 1..n"),
+        ("2\n99999999999999999999 1 2\n",
+         "internal node id 99999999999999999999 out of range (2,3]"),
+        ("2\n3 1 -99999999999999999999\n",
+         "child id -99999999999999999999 of node 3 out of range"),
+        ("2\n3 1 2\nB 1 2\nA 1 99999999999999999999\n",
+         "pair (1,99999999999999999999) references unknown nodes"),
+        # an out-of-range child is named before a later second parent
+        ("3\n4 1 9\n5 1 3\n", "child id 9 of node 4 out of range"),
+        ("3\n4 1 2\n5 1 9\n", "node 1 has two parents"),
+    ])
+    def test_stm_syntax(self, text, message):
+        with pytest.raises(fio.FormatError) as e:
+            fio.parse_stm(text)
+        assert (e.value.line, str(e.value)) == (1, f"line 1: {message}")
 
     def test_dag_lenient_text(self):
         """CRLF endings, extra blank space, signed integers and lines past
@@ -351,6 +374,22 @@ class TestCliDag:
         dag_f.write_text(f"2 {num_nodes} 1 0\n3 1\n")
         assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"line 1: num_nodes {num_nodes} exceeds")
+
+
+    @pytest.mark.parametrize("text", ["9000000000 9000000000 0 0\n",
+                                      "99999999999999999999 99999999999999999999 0 0\n"])
+    def test_num_nodes_cap_exit2(self, tmp_path, capsys, text):
+        dag_f = tmp_path / "huge.dag"
+        dag_f.write_text(text)
+        assert main(["sssp", str(dag_f), "--kind", "dag", "--source", "1"]) == 2
+        assert capsys.readouterr().err.startswith("line 1: num_nodes ")
+
+    @pytest.mark.parametrize("text", ["3\n4 5 1\n5 4 2\n", "2\n3 1 2\nA 1 99999999999999999999\n"])
+    def test_malformed_stm_exit2(self, tmp_path, capsys, text):
+        stm_f = tmp_path / "bad.stm"
+        stm_f.write_text(text)
+        assert main(["decode", str(stm_f)]) == 2
+        assert capsys.readouterr().err.startswith("line 1: ")
 
 
 class TestCliLoadPath:

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from stmgraph import (InputError, InvalidModelError, SignedTreeModel,
                       ValidationReport, clean_same_sign, decode_bruteforce,
-                      default_edit_log, graphs_equal, ibp_to_graph, insert_edit,
-                      remove_loops, stm_to_ibp, validate)
-from stmgraph.gen import random_stm, random_stm_sparse
-from stmgraph.stm import NEGATIVE, POSITIVE, _checked_forest
+                      graphs_equal, ibp_to_graph, remove_loops, stm_to_ibp, validate)
+from stmgraph.gen import random_full_tree, random_stm, random_stm_sparse
+from stmgraph.stm import _checked_forest
 
 from conftest import (FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, caterpillar_stm,
                       pair_keys, perturbed_models, properly_overlap, random_loopy)
+from test_convert import seed_family_models
 
 
 def pairs_cross(stm, e1, e2):
@@ -75,9 +75,104 @@ class TestConstruction:
             SignedTreeModel(2, {3: (1, 2)}, pairs_b=[(1, 9)])
 
     def test_leaf_order(self, p3_model):
-        assert p3_model.leaf_order == (2, 1, 3)
+        assert p3_model.leaf_order.tolist() == [2, 1, 3]
         assert p3_model.leaf_interval(4) == (2, 3)
         assert p3_model.canonical_pair(4, 2) == (2, 4)
+
+
+def tree_walk_oracle(n, children):
+    """Parent, lo, hi (indexed by node id, entry 0 unused) and the leaf
+    order of a valid tree, from one depth-first walk with a stack."""
+    parent = [0] * (2 * n)
+    for t, (l, r) in children.items():
+        parent[l] = parent[r] = t
+    root = next(t for t in range(1, 2 * n) if not parent[t])
+    lo, hi, leaves = [0] * (2 * n), [0] * (2 * n), []
+    stack = [(root, False)]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            l, r = children[t]
+            lo[t], hi[t] = lo[l], hi[r]
+        elif t in children:
+            l, r = children[t]
+            stack += [(t, True), (r, False), (l, False)]
+        else:
+            leaves.append(t)
+            lo[t] = hi[t] = len(leaves)
+    return parent, lo, hi, leaves
+
+
+def relabelled_tree(n, seed):
+    """A random full binary tree whose internal ids are shuffled, so the
+    root and the children's ids fall anywhere in n+1..2n-1."""
+    rng = random.Random(seed)
+    children = random_full_tree(n, rng)
+    new = list(range(n + 1, 2 * n))
+    rng.shuffle(new)
+    label = dict(zip(range(n + 1, 2 * n), new))
+    return {label[t]: tuple(label.get(c, c) for c in lr) for t, lr in children.items()}
+
+
+class TestTreeArrays:
+    """``parent``, ``lo``, ``hi`` and ``leaf_order`` from the Euler tour
+    equal the stack walk's."""
+
+    @staticmethod
+    def check(model):
+        parent, lo, hi, leaves = tree_walk_oracle(model.n, model.children)
+        assert model.parent.tolist() == parent
+        assert model.lo.tolist() == lo
+        assert model.hi.tolist() == hi
+        assert model.leaf_order.tolist() == leaves
+
+    def test_seed_family(self):
+        for model in seed_family_models():
+            self.check(model)
+
+    def test_caterpillar(self):
+        self.check(caterpillar_stm(1 << 12, 1 << 12, seed=0))
+
+    def test_random_trees(self):
+        for n in range(1, 65):
+            for seed in range(4):
+                self.check(SignedTreeModel(n, relabelled_tree(n, seed)))
+
+    def test_pairs_stored_form(self):
+        """Each pair ordered by its ends' leaf intervals, once per sign, in
+        sorted order with the negative pairs first; a pair given with both
+        signs stays in both."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 24)
+            model = SignedTreeModel(n, relabelled_tree(n, seed))
+            _, lo, _, _ = tree_walk_oracle(n, model.children)
+            given = [[(rng.randint(1, 2 * n - 1), rng.randint(1, 2 * n - 1))
+                      for _ in range(rng.randint(0, 3 * n))] for _ in range(2)]
+            given[1] += rng.sample(given[0], len(given[0]) // 3)
+            canon = [{(x, y) if lo[x] <= lo[y] else (y, x) for x, y in g} for g in given]
+            out = model.with_pairs(*given)
+            assert list(out.pairs_signed()) == ([(x, y, -1) for x, y in sorted(canon[0])]
+                                                + [(x, y, 1) for x, y in sorted(canon[1])]), seed
+            assert (out.pairs_a, out.pairs_b) == tuple(map(frozenset, canon)), seed
+
+    def test_stored_arrays_read_only(self, fig1_model):
+        for a in (fig1_model.kids, fig1_model.parent, fig1_model.lo, fig1_model.hi,
+                  fig1_model.leaf_order, fig1_model.pairs, fig1_model.sign):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @pytest.mark.parametrize("children, pairs_b, message", [
+        # one root (leaf 3), and internal nodes 4 and 5 are each other's parent
+        ({4: (5, 1), 5: (4, 2)}, [], "leaves must be exactly the ids 1..n"),
+        ({4: (4, 1), 5: (2, 3)}, [], "leaves must be exactly the ids 1..n"),
+        ({2 ** 64: (1, 2)}, [], "internal node id 18446744073709551616 out of range (3,5]"),
+        ({4: (1, 2), 5: (-2 ** 70, 3)}, [], f"child id {-2 ** 70} of node 5 out of range"),
+        ({4: (1, 2), 5: (4, 3)}, [(1, 2 ** 63)], f"pair (1,{2 ** 63}) references unknown nodes"),
+    ])
+    def test_rejected(self, children, pairs_b, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            SignedTreeModel(3, children, (), pairs_b)
 
 
 class TestValidate:
@@ -196,7 +291,31 @@ class TestDecode:
         assert crossing > 0
 
 
+def remove_loops_oracle(model):
+    """``remove_loops`` by a walk from the root that carries the sign of
+    the nearest loop above, on Python sets."""
+    loop_sign = {x: s for x, y, s in model.pairs_signed() if x == y}
+    pairs = [{p for p in ps if p[0] != p[1]} for ps in (model.pairs_a, model.pairs_b)]
+    children = model.children
+    stack = [(next(t for t in range(1, 2 * model.n) if not model.parent[t]), 0)]
+    while stack:
+        t, carried = stack.pop()
+        carried = loop_sign.get(t, carried)
+        if t in children:
+            sib = model.canonical_pair(*children[t])
+            if carried and sib not in pairs[0] and sib not in pairs[1]:
+                pairs[carried > 0].add(sib)
+            stack += [(c, carried) for c in children[t]]
+    return pairs
+
+
 class TestRemoveLoops:
+    def test_matches_walk_oracle(self):
+        for seed in range(300):
+            model = random_loopy(random.Random(seed).randint(1, 24), seed)
+            out = remove_loops(model)
+            assert [out.pairs_a, out.pairs_b] == remove_loops_oracle(model), seed
+
     def test_noop(self, p3_model):
         assert remove_loops(p3_model) == p3_model
         assert remove_loops(p3_model) is p3_model  # no O(n + p) rebuild
@@ -298,51 +417,3 @@ class TestCleanSameSign:
         looped = p3_model.with_pairs(p3_model.pairs_a | {(1, 1)}, p3_model.pairs_b)
         with pytest.raises(InvalidModelError, match=r"pair \(1,1\) is a loop"):
             clean_same_sign(looped)
-
-
-class TestInsertEdit:
-    def test_insert_positive(self, p3_model):
-        log = default_edit_log(p3_model)
-        out, log, rebuild = insert_edit(p3_model, 1, 3, POSITIVE, log)
-        assert decode_bruteforce(out).has_edge(1, 3)
-        assert validate(out).ok
-        assert log.count == 1
-
-    def test_insert_negative_shadows(self, p3_model):
-        log = default_edit_log(p3_model)
-        out, log, _ = insert_edit(p3_model, 2, 1, NEGATIVE, log)
-        assert not decode_bruteforce(out).has_edge(1, 2)
-        assert decode_bruteforce(out).has_edge(2, 3)
-
-    def test_overwrite(self, p3_model):
-        log = default_edit_log(p3_model)
-        m1, log, _ = insert_edit(p3_model, 1, 2, POSITIVE, log)
-        m2, log, _ = insert_edit(m1, 1, 2, NEGATIVE, log)
-        m3, log, _ = insert_edit(p3_model, 1, 2, NEGATIVE, default_edit_log(p3_model))
-        assert m2 == m3
-
-    def test_rebuild_flag(self, p3_model):
-        log = default_edit_log(p3_model)
-        rebuild = False
-        model = p3_model
-        for i in range(log.threshold):
-            model, log, rebuild = insert_edit(model, 1, 2,
-                                              POSITIVE if i % 2 else NEGATIVE, log)
-        assert rebuild
-
-    def test_non_leaf_rejected(self, p3_model):
-        with pytest.raises(InputError):
-            insert_edit(p3_model, 1, 4, POSITIVE, default_edit_log(p3_model))
-
-    def test_never_crossing(self):
-        for seed in range(50):
-            rng = random.Random(seed)
-            model = random_stm(10, 20, seed=seed)
-            log = default_edit_log(model)
-            u = rng.randint(1, 10)
-            v = rng.randint(1, 10)
-            if u == v:
-                continue
-            out, log, _ = insert_edit(model, u, v,
-                                      rng.choice((POSITIVE, NEGATIVE)), log)
-            assert validate(out).ok, seed
