@@ -33,6 +33,12 @@ class SequenceError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _bad_quads(quads: np.ndarray, n: int) -> np.ndarray:
+    """Which rows (a, b, c, d) of ``quads`` break a <= b < c <= d in [1, n]."""
+    a, b, c, d = quads.T
+    return (a < 1) | (a > b) | (b >= c) | (c > d) | (d > n)
+
+
 class IntervalBicliquePartition:
     """A vertex order plus edge-disjoint bicliques with interval sides.
 
@@ -49,8 +55,7 @@ class IntervalBicliquePartition:
         self.order = order
         n = order.n
         self.quads = _int_rows(bicliques, 4)
-        a, b, c, d = self.quads.T
-        bad = (a < 1) | (a > b) | (b >= c) | (c > d) | (d > n)
+        bad = _bad_quads(self.quads, n)
         if bad.any():
             a, b, c, d = self.quads[np.flatnonzero(bad)[0]].tolist()
             raise InputError(f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d in [1,{n}]")
@@ -81,6 +86,15 @@ class DagEdgeError(InputError):
         self.row = row
 
 
+def _check_dag_size(n: int, num_nodes: int, m: int) -> None:
+    """Raise InputError unless num_nodes meets ``DagCompression``'s bounds
+    for n graph vertices and m edges of both kinds."""
+    if num_nodes > n + 2 * m:
+        raise InputError(f"num_nodes {num_nodes} exceeds n + 2(e + c) = {n + 2 * m}")
+    if num_nodes >= 2 ** 31:
+        raise InputError(f"num_nodes {num_nodes} is not below 2^31")
+
+
 class DagCompression:
     """A DAG whose sinks are the graph vertices, plus compressed edges.
 
@@ -93,6 +107,11 @@ class DagCompression:
     higher id.  The constructor checks this on every edge, and that each
     compressed edge joins two nodes in [1, num_nodes], and names the first
     bad one.
+
+    The ids also bound num_nodes, since it sizes the distance model's
+    arrays: num_nodes <= n + 2(e + c) for e edges and c compressed edges
+    (past that, some node above n touches no edge), and num_nodes < 2^31
+    (which n isolated vertices reach with no edges at all).
 
     Both edge lists are given as sequences of pairs or as (m, 2) integer
     arrays.  ``edge_rows`` and ``compressed_rows`` hold them as read-only
@@ -108,6 +127,7 @@ class DagCompression:
         self.n = n
         self.num_nodes = num_nodes
         self.edge_rows, self.compressed_rows = _int_rows(edges, 2), _int_rows(compressed, 2)
+        _check_dag_size(n, num_nodes, len(self.edge_rows) + len(self.compressed_rows))
         x, y = self.edge_rows.T
         bad = np.flatnonzero((x <= n) | (x > num_nodes) | (y < 1) | (y >= x))
         if bad.size:

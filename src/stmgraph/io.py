@@ -1,8 +1,19 @@
 """Text codecs for every on-disk format.
 
-All formats are line-oriented ASCII.  Parsers raise FormatError carrying a
-1-based line number; formatters produce newline-terminated text that parses
-back to an equal value.
+All formats are line-oriented text of whitespace-separated fields.  One
+reader, ``_read``, reads every block of integer rows, so the lexical rules
+are the same in every format:
+
+- blank space around fields and CRLF line endings are accepted;
+- a field is whatever ``int`` accepts: a sign, ``1_0``, non-ASCII digits;
+- lines past a counted block are ignored;
+- blank lines are skipped only between "A x y" / "B x y" pair lines and
+  sequence lines (``.cseq``, ``.sdseq``); anywhere else they are a
+  malformed line.
+
+Parsers raise FormatError carrying the 1-based number of the first bad
+line; formatters produce newline-terminated text that parses back to an
+equal value.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ import numpy as np
 
 from .convert import (ConstructionSequence, DagCompression, DagEdgeError,
                       IntervalBicliquePartition, MERGE, RESOLVE_NEG,
-                      RESOLVE_POS, SdDegenSequence)
-from .graph import Graph, LinearOrder
+                      RESOLVE_POS, SdDegenSequence, _bad_quads, _check_dag_size)
+from .graph import Graph, InputError, LinearOrder, _first_repeat
 from .paths import ShortestPathTree
 from .stm import SignedTreeModel, validate
 
@@ -34,80 +45,138 @@ class CrossingPairError(FormatError):
     syntax defect; callers may treat it as a validation failure)."""
 
 
-def _lines(text: str) -> list[str]:
-    return [ln.rstrip() for ln in text.splitlines()]
+# The leading tags a row may carry, and how a message names the rows they allow.
+_PAIR = ("A", "B"), "'A x y' or 'B x y'"
+_COMPRESSED = ("C",), "'C x y'"
+_OP = (MERGE, RESOLVE_POS, RESOLVE_NEG), "'M i j', 'R+ i j' or 'R- i j'"
 
 
-def _ints(line: str, lineno: int, count: Optional[int] = None) -> list[int]:
-    parts = line.split()
-    if count is not None and len(parts) != count:
-        raise FormatError(lineno, f"expected {count} fields, got {len(parts)}")
+def _read(block: list[str], first: int, width: int, tags: Optional[tuple] = None,
+          skip_blank: bool = False, rule: Optional[tuple] = None) -> tuple[np.ndarray, list[str]]:
+    """The rows of ``block``, whose first line is line ``first``: each line
+    is ``width`` integers, after a leading tag from ``tags`` if given.
+    Returns them as a (rows, width) array and their tags as a list.  Blank
+    lines are skipped if ``skip_blank`` is set.  A ``rule``, for a block
+    without blank lines, is a function from such an array to a mask of its
+    bad rows, and the message of a bad row, which ``str.format`` fills with
+    the row's fields and its ``line``.
+
+    The block is read in one token pass.  A ";" closes every line, so a
+    well-formed block is, per line, a tag slot (if tagged), ``width``
+    integer slots and a ";" slot.  Suppose the token count is that, every
+    tag slot holds a tag and every integer slot an integer.  Then every ";"
+    is in a ";" slot, so every line has that layout.
+
+    Any failure, and any row ``rule`` marks, sends the block to a second
+    reading, line by line, with ``int`` and a tag check per line.  It
+    raises a FormatError on the first bad line, whether the line itself is
+    malformed or ``rule`` marks its row.  If the only failure was an
+    integer beyond int64, it returns the rows as an object array of Python
+    ints instead.
+    """
+    lines = list(filter(str.strip, block)) if skip_blank else block
+    per = width + 1 + bool(tags)  # tokens per line, with its ";"
+    tok = " ;\n".join(lines + [""]).split()
     try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(lineno, f"non-integer field in {line!r}") from None
+        if len(tok) != per * len(lines):
+            raise ValueError
+        kinds = tok[0::per] if tags else []
+        if tags and not frozenset(tags[0]).issuperset(kinds):
+            raise ValueError
+        del tok[per - 1::per]
+        if tags:
+            del tok[0::per - 1]
+        rows = np.fromiter(map(int, tok), np.int64, len(tok)).reshape(len(lines), width)
+        if rule is None or not rule[0](rows).any():
+            return rows, kinds
+    except (ValueError, OverflowError):
+        pass
+    rows, kinds, error = [], [], None
+    for i, line in enumerate(block, start=first):
+        line = line.rstrip()
+        parts = line.split()
+        if skip_blank and not parts:
+            continue
+        if tags:
+            if len(parts) != width + 1 or parts[0] not in tags[0]:
+                error = FormatError(i, f"expected {tags[1]}, got {line!r}")
+                break
+            kinds.append(parts.pop(0))
+        if len(parts) != width:
+            error = FormatError(i, f"expected {width} fields, got {len(parts)}")
+            break
+        try:
+            rows.append([int(p) for p in parts])
+        except ValueError:
+            error = FormatError(i, f"non-integer field in {' '.join(parts) if tags else line!r}")
+            break
+    if rule is not None and rows:
+        bad = np.flatnonzero(rule[0](np.array(rows, dtype=object)))
+        if bad.size:  # before the bad line, if there is one
+            i = bad[0]
+            raise FormatError(first + i, rule[1].format(*rows[i], line=block[i].rstrip()))
+    if error is not None:
+        raise error
+    return np.array(rows, dtype=object).reshape(len(rows), width), kinds
+
+
+def _header(lines: list[str], width: int) -> list[int]:
+    """Line 1's ``width`` integers."""
+    if not lines:
+        raise FormatError(1, "empty input")
+    return _read(lines[:1], 1, width)[0][0].tolist()
+
+
+def _format_rows(fmt: str, rows) -> str:
+    """``fmt``, one line's %-format, filled once per row of ``rows`` (an
+    (m, k) array or a sequence of k-tuples) by one ``%``."""
+    flat = rows.ravel().tolist() if isinstance(rows, np.ndarray) else chain.from_iterable(rows)
+    return (fmt * len(rows)) % tuple(flat)
 
 
 # -- graphs -----------------------------------------------------------------
 
+_ORDERED = (lambda r: r[:, 0] >= r[:, 1], "edge ({0},{1}) must satisfy u < v")
+
+
 def parse_graph(text: str) -> Graph:
     """Format: line 1 "n m"; then m lines "u v" with u < v."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError(1, "empty input")
-    n, m = _ints(lines[0], 1, 2)
+    lines = text.splitlines()
+    n, m = _header(lines, 2)
     if len(lines) < m + 1:
         raise FormatError(len(lines), f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for i in range(1, m + 1):
-        u, v = _ints(lines[i], i + 1, 2)
-        if not u < v:
-            raise FormatError(i + 1, f"edge ({u},{v}) must satisfy u < v")
-        edges.append((u, v))
+    edges, _ = _read(lines[1:1 + max(m, 0)], 2, 2, rule=_ORDERED)
     try:
-        return Graph(n, edges)
+        return Graph(n, edges.tolist())
     except ValueError as e:
         raise FormatError(1, str(e)) from None
 
 
 def format_graph(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    return f"{g.n} {g.m}\n" + _format_rows("%s %s\n", list(g.edges()))
 
 
 # -- signed tree models -----------------------------------------------------
+
+_DISTINCT = (lambda r: np.arange(len(r)) == _first_repeat(r[:, 0]),
+             "internal node {0} defined twice")
+
 
 def parse_stm(text: str, check_crossing: bool = True) -> SignedTreeModel:
     """Format: line 1 "n"; n-1 lines "id left right" (internal nodes, root
     last); then lines "A x y" / "B x y".  Crossing pairs are rejected with a
     line-numbered diagnostic unless ``check_crossing`` is off."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError(1, "empty input")
-    (n,) = _ints(lines[0], 1, 1)
+    lines = text.splitlines()
+    (n,) = _header(lines, 1)
     if n < 1:
         raise FormatError(1, f"leaf count {n} must be positive")
-    children: dict[int, tuple[int, int]] = {}
-    for i in range(1, n):
-        if i >= len(lines):
-            raise FormatError(len(lines), f"expected {n - 1} internal-node lines")
-        t, l, r = _ints(lines[i], i + 1, 3)
-        if t in children:
-            raise FormatError(i + 1, f"internal node {t} defined twice")
-        children[t] = (l, r)
-    pairs_a: list[tuple[int, int]] = []
-    pairs_b: list[tuple[int, int]] = []
-    for i in range(n, len(lines)):
-        if not lines[i]:
-            continue
-        parts = lines[i].split()
-        if len(parts) != 3 or parts[0] not in ("A", "B"):
-            raise FormatError(i + 1, f"expected 'A x y' or 'B x y', got {lines[i]!r}")
-        x, y = _ints(" ".join(parts[1:]), i + 1, 2)
-        (pairs_a if parts[0] == "A" else pairs_b).append((x, y))
+    tree, _ = _read(lines[1:n], 2, 3, rule=_DISTINCT)
+    if len(tree) < n - 1:
+        raise FormatError(len(lines), f"expected {n - 1} internal-node lines")
+    pairs, kinds = _read(lines[n:], n + 1, 2, _PAIR, skip_blank=True)
+    positive = np.fromiter(map("B".__eq__, kinds), bool, len(kinds))
     try:
-        model = SignedTreeModel(n, children, pairs_a, pairs_b)
+        model = SignedTreeModel(n, tree, pairs[~positive], pairs[positive])
     except ValueError as e:
         raise FormatError(1, str(e)) from None
     if check_crossing:
@@ -121,23 +190,23 @@ def stm_pair_line(text: str, message: str) -> int:
     """The 1-based line of the first "A x y" / "B x y" line of the parsed
     .stm ``text`` whose pair, in either order, is named in ``message`` as
     "(x,y)" or "(x, y)"; 1 if none is.  Only error paths call this."""
-    named = {tuple(sorted(map(int, p)))
-             for p in re.findall(r"\((\d+),\s*(\d+)\)", message)}
-    for i, line in enumerate(_lines(text), start=1):
-        parts = line.split()
-        if (len(parts) == 3 and parts[0] in ("A", "B")
-                and tuple(sorted(map(int, parts[1:]))) in named):
-            return i
-    return 1
+    lines = text.splitlines()
+    (n,) = _header(lines, 1)
+    pairs, _ = _read(lines[n:], n + 1, 2, _PAIR, skip_blank=True)
+    named = np.array([sorted(map(int, p)) for p in re.findall(r"\((\d+),\s*(\d+)\)", message)])
+    hit = (np.sort(pairs, axis=1)[:, None] == named.reshape(-1, 2)).all(axis=2).any(axis=1)
+    if not hit.any():
+        return 1
+    return n + 1 + int(np.flatnonzero(list(map(str.strip, lines[n:])))[hit.argmax()])
 
 
 def format_stm(stm: SignedTreeModel) -> str:
-    rows = [(t, l, r) for t, (l, r) in enumerate(stm.kids.tolist(), stm.n + 1)]
-    rows.sort(key=lambda row: row[0] == stm.root)  # stable: the root's row last
-    out = [str(stm.n)] + [f"{t} {l} {r}" for t, l, r in rows]
-    for x, y, sign in stm.pairs_signed():
-        out.append(f"{'B' if sign > 0 else 'A'} {x} {y}")
-    return "\n".join(out) + "\n"
+    ids = np.arange(stm.n + 1, 2 * stm.n)
+    # stable: the root's row last
+    tree = np.column_stack((ids, stm.kids))[np.argsort(ids == stm.root, kind="stable")]
+    tags = np.where(stm.sign > 0, "B", "A").tolist()
+    return (f"{stm.n}\n" + _format_rows("%s %s %s\n", tree)
+            + _format_rows("%s %s %s\n", list(zip(tags, *stm.pairs.T.tolist()))))
 
 
 # -- interval biclique partitions -------------------------------------------
@@ -145,32 +214,26 @@ def format_stm(stm: SignedTreeModel) -> str:
 def parse_ibp(text: str) -> IntervalBicliquePartition:
     """Format: line 1 "n k"; line 2 the vertices in order, left to right;
     then k lines "a b c d" (order positions)."""
-    lines = _lines(text)
+    lines = text.splitlines()
     if len(lines) < 2:
         raise FormatError(max(1, len(lines)), "expected header and order lines")
-    n, k = _ints(lines[0], 1, 2)
-    seq = _ints(lines[1], 2, n)
+    n, k = _header(lines, 2)
+    seq = _read(lines[1:2], 2, n)[0][0].tolist()
     try:
         order = LinearOrder.from_vertex_sequence(seq)
     except (ValueError, IndexError):
         raise FormatError(2, f"{seq} is not a permutation of 1..{n}") from None
     if len(lines) < k + 2:
         raise FormatError(len(lines), f"expected {k} biclique lines")
-    bicliques = []
-    for i in range(2, k + 2):
-        a, b, c, d = _ints(lines[i], i + 1, 4)
-        if not (1 <= a <= b < c <= d <= n):
-            raise FormatError(i + 1, f"biclique ({a},{b},{c},{d}) violates a<=b<c<=d")
-        bicliques.append((a, b, c, d))
-    return IntervalBicliquePartition(order, bicliques)
+    quads, _ = _read(lines[2:2 + max(k, 0)], 3, 4, rule=(
+        lambda r: _bad_quads(r, n), "biclique ({0},{1},{2},{3}) violates a<=b<c<=d"))
+    return IntervalBicliquePartition(order, quads)
 
 
 def format_ibp(ibp: IntervalBicliquePartition) -> str:
     """The ``parse_ibp`` format, one line per row of ``ibp.quads``."""
-    out = [f"{ibp.n} {len(ibp.quads)}",
-           " ".join(str(v) for v in ibp.order.vertex_at)]
-    out.extend(f"{a} {b} {c} {d}" for a, b, c, d in zip(*ibp.quads.T.tolist()))
-    return "\n".join(out) + "\n"
+    order = " ".join(map(str, ibp.order.vertex_at))
+    return f"{ibp.n} {len(ibp.quads)}\n{order}\n" + _format_rows("%s %s %s %s\n", ibp.quads)
 
 
 # -- sequences --------------------------------------------------------------
@@ -178,48 +241,35 @@ def format_ibp(ibp: IntervalBicliquePartition) -> str:
 def parse_cseq(text: str, n: int) -> ConstructionSequence:
     """Format: lines "M i j" | "R+ i j" | "R- i j".  The vertex count n is
     not inferable from the operations and must be supplied."""
-    ops = []
-    for i, ln in enumerate(_lines(text), start=1):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] not in (MERGE, RESOLVE_POS, RESOLVE_NEG):
-            raise FormatError(i, f"expected 'M i j', 'R+ i j' or 'R- i j', got {ln!r}")
-        a, b = _ints(" ".join(parts[1:]), i, 2)
-        ops.append((parts[0], a, b))
-    return ConstructionSequence(n, tuple(ops))
+    ops, kinds = _read(text.splitlines(), 1, 2, _OP, skip_blank=True)
+    return ConstructionSequence(n, tuple(zip(kinds, *ops.T.tolist())))
 
 
 def format_cseq(seq: ConstructionSequence) -> str:
-    return "".join(f"{k} {i} {j}\n" for k, i, j in seq.ops)
+    return _format_rows("%s %s %s\n", seq.ops)
 
 
 def parse_sdseq(text: str) -> SdDegenSequence:
     """Format: n-1 lines "u v"."""
-    pairs = []
-    for i, ln in enumerate(_lines(text), start=1):
-        if not ln:
-            continue
-        u, v = _ints(ln, i, 2)
-        pairs.append((u, v))
-    return SdDegenSequence(tuple(pairs))
+    pairs, _ = _read(text.splitlines(), 1, 2, skip_blank=True)
+    return SdDegenSequence(tuple(map(tuple, pairs.tolist())))
 
 
 def format_sdseq(seq: SdDegenSequence) -> str:
-    return "".join(f"{u} {v}\n" for u, v in seq.pairs)
+    return _format_rows("%s %s\n", seq.pairs)
 
 
 # -- matrices and path outputs ----------------------------------------------
 
 def parse_matrix(text: str) -> list[list[int]]:
-    """Format: line 1 "n"; then n rows of n signed decimals."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError(1, "empty input")
-    (n,) = _ints(lines[0], 1, 1)
+    """Format: line 1 "n"; then n rows of n signed decimals, which may lie
+    beyond int64 (the int64 product wraps them)."""
+    lines = text.splitlines()
+    (n,) = _header(lines, 1)
     if len(lines) < n + 1:
         raise FormatError(len(lines), f"expected {n} matrix rows")
-    return [_ints(lines[i], i + 1, n) for i in range(1, n + 1)]
+    n = max(n, 0)  # a negative n reads as an empty matrix
+    return _read(lines[1:1 + n], 2, n)[0].tolist()
 
 
 def format_matrix(rows: np.ndarray | Sequence[Sequence[int]]) -> str:
@@ -241,73 +291,43 @@ def format_distance_matrix(rows: np.ndarray | Sequence[Sequence[int]], n: int) -
 
 def format_spt(tree: ShortestPathTree, n: int) -> str:
     """n lines "v dist parent"; dist -1 and parent 0 for unreachable."""
-    out = []
-    for v in range(1, n + 1):
-        d = tree.dist[v - 1]
-        out.append(f"{v} {-1 if d >= n else d} {tree.parent[v - 1]}")
-    return "\n".join(out) + "\n"
+    dist = [-1 if d >= n else d for d in tree.dist[:n]]
+    return _format_rows("%s %s %s\n", list(zip(range(1, n + 1), dist, tree.parent)))
 
 
 # -- DAG compressions -------------------------------------------------------
+
+# only an object array can hold an integer beyond int64
+_INT64 = (lambda r: ((r < -2 ** 63) | (r >= 2 ** 63)).any(axis=1) if r.dtype == object
+          else np.zeros(len(r), bool), "integer beyond int64 in {line!r}")
+
 
 def parse_dag(text: str) -> DagCompression:
     """Format: line 1 "n num_nodes e c"; e lines "x y" (DAG edges, parent to
     child); c lines "C x y" (compressed edges).  A DAG that
     ``DagCompression`` rejects is a FormatError on the line of the edge it
     names, or on line 1 for a header defect; so is an integer beyond int64
-    on an edge line.  A header whose num_nodes exceeds n + 2(e + c) is a
-    line-1 FormatError too: past that bound some node above n touches no
-    edge, and the header alone would size the distance model's arrays.  So
-    is a num_nodes of 2^31 or more, which n isolated vertices can reach
-    with no edges at all.
-
-    The edge lines are read in one token pass straight into int64 arrays;
-    only a malformed file is read again line by line, to name its first bad
-    line."""
+    on an edge line.  The header's bounds on num_nodes (see
+    ``DagCompression``) are checked before the edge lines are read."""
     lines = text.splitlines()
-    if not lines:
-        raise FormatError(1, "empty input")
-    n, num_nodes, e, c = _ints(lines[0].rstrip(), 1, 4)
+    n, num_nodes, e, c = _header(lines, 4)
     if e < 0 or c < 0:
         raise FormatError(1, f"negative edge count in {lines[0].rstrip()!r}")
-    if num_nodes > n + 2 * (e + c):  # then some node above n touches no edge
-        raise FormatError(1, f"num_nodes {num_nodes} exceeds n + 2(e + c) = {n + 2 * (e + c)}")
-    if num_nodes >= 2 ** 31:  # it sizes the distance model's arrays
-        raise FormatError(1, f"num_nodes {num_nodes} is not below 2^31")
-    body = lines[1:1 + e + c]
-    if len(body) < e + c:
-        raise FormatError(len(lines), f"expected {e} edge and {c} compressed lines")
-    # ";" closes every line, so a well-formed body reads "x y ;" e times,
-    # then "C x y ;" c times.  Any other layout puts a ";" in an x or y
-    # slot, which must parse as an integer, or a token other than "C" in a
-    # "C" slot.
-    tok = " ;\n".join(body + [""]).split()
-    m = 3 * e
     try:
-        if tok[m::4] != ["C"] * c:
-            raise ValueError
-        xy = np.fromiter(map(int, chain(tok[0:m:3], tok[1:m:3], tok[m + 1::4], tok[m + 2::4])),
-                         dtype=np.int64, count=2 * (e + c))
-    except (ValueError, OverflowError):  # read line by line to name the first bad line
-        for i, line in enumerate(body, start=2):
-            parts = line.split()
-            if i > e + 1 and (len(parts) != 3 or parts[0] != "C"):
-                raise FormatError(i, f"expected 'C x y', got {line.rstrip()!r}") from None
-            fields = _ints(line.rstrip() if i <= e + 1 else " ".join(parts[1:]), i, 2)
-            if not all(-2 ** 63 <= v < 2 ** 63 for v in fields):
-                raise FormatError(i, f"integer beyond int64 in {line.rstrip()!r}") from None
-    try:
-        return DagCompression(n, num_nodes, xy[:2 * e].reshape(2, e).T, xy[2 * e:].reshape(2, c).T)
+        _check_dag_size(n, num_nodes, e + c)
+        if len(lines) < e + c + 1:
+            raise FormatError(len(lines), f"expected {e} edge and {c} compressed lines")
+        edges, _ = _read(lines[1:1 + e], 2, 2, rule=_INT64)
+        compressed, _ = _read(lines[1 + e:1 + e + c], 2 + e, 2, _COMPRESSED, rule=_INT64)
+        return DagCompression(n, num_nodes, edges, compressed)
     except DagEdgeError as exc:
         raise FormatError(2 + exc.row, str(exc)) from None
-    except ValueError as exc:
+    except InputError as exc:  # a header defect
         raise FormatError(1, str(exc)) from None
 
 
 def format_dag(dc: DagCompression) -> str:
     """The ``parse_dag`` format, one line per row of ``dc.edge_rows``, then
     of ``dc.compressed_rows``."""
-    out = [f"{dc.n} {dc.num_nodes} {len(dc.edge_rows)} {len(dc.compressed_rows)}"]
-    out.extend(f"{x} {y}" for x, y in zip(*dc.edge_rows.T.tolist()))
-    out.extend(f"C {x} {y}" for x, y in zip(*dc.compressed_rows.T.tolist()))
-    return "\n".join(out) + "\n"
+    return (f"{dc.n} {dc.num_nodes} {len(dc.edge_rows)} {len(dc.compressed_rows)}\n"
+            + _format_rows("%s %s\n", dc.edge_rows) + _format_rows("C %s %s\n", dc.compressed_rows))

@@ -9,6 +9,7 @@ array calls, on one vector or on a block of columns at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -55,14 +56,22 @@ _BLOCK = 64
 
 def _int64_array(x) -> np.ndarray:
     """``x`` (a vector or a block of rows) as int64, every entry reduced into
-    the 64-bit group exactly as INT64_GROUP reduces it."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "biu":
-        # ints outside int64 come back as object or (when mixed) lossy float
-        # arrays, so wrap the originals; a non-integer entry raises TypeError
-        flat = chain.from_iterable(x) if a.ndim == 2 else x
-        a = np.array([_wrap(v) for v in flat], dtype=np.int64).reshape(a.shape)
-    return a.astype(np.int64, copy=False)  # from uint64 this wraps, as _wrap does
+    the 64-bit group exactly as INT64_GROUP reduces it.
+
+    Entries not in an integer array are read one by one through
+    ``operator.index``, which refuses a non-integer with TypeError as
+    ``_wrap`` does; ``np.asarray`` would first infer a dtype entry by
+    entry."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biu":
+        return x.astype(np.int64, copy=False)  # from uint64 this wraps, as _wrap does
+    shape = (len(x),) + np.shape(x[0]) if len(x) else (0,)
+    if len(shape) == 2 and len(set(map(len, x))) != 1:
+        raise InputError("rows of unequal length")
+    entries = chain.from_iterable if len(shape) == 2 else iter
+    try:
+        return np.fromiter(map(operator.index, entries(x)), np.int64, np.prod(shape)).reshape(shape)
+    except OverflowError:  # an entry beyond int64
+        return np.array([_wrap(operator.index(v)) for v in entries(x)], np.int64).reshape(shape)
 
 
 def _int64_matvec(ibp: IntervalBicliquePartition, x, counters: Optional[dict]):

@@ -22,6 +22,7 @@ from . import rect
 from .rect import InclusionForest, LaminarityError
 
 Pair = tuple[int, int]
+Pairs = Iterable[Pair] | np.ndarray  # pairs, or their (p, 2) array
 
 
 class InvalidModelError(ValueError):
@@ -48,42 +49,52 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _id_rows(rows: list, width: int) -> np.ndarray:
-    """``rows``, tuples of ``width`` node ids, as a (len(rows), width) int64
-    array.  An id beyond int64 reads as 0, which no id range holds, so
-    error messages quote ``rows`` as given."""
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64)
-    except OverflowError:
-        flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
-                            for v in chain.from_iterable(rows)), np.int64)
+def _id_rows(rows, width: int) -> np.ndarray:
+    """``rows``, a list of ``width``-tuples of node ids or an array of such
+    rows, as a (len(rows), width) int64 array; an int64 array passes
+    through as it is.  An id beyond int64 (in a list or an object array)
+    reads as 0, which no id range holds, so error messages quote ``rows``
+    as given."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+        flat = rows.astype(np.int64, copy=False).ravel()
+    else:
+        try:
+            flat = np.fromiter(chain.from_iterable(rows), np.int64)
+        except OverflowError:
+            flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
+                                for v in chain.from_iterable(rows)), np.int64)
     if flat.size != width * len(rows):
         raise InputError(f"expected rows of {width} node ids")
     return flat.reshape(-1, width)
 
 
-def _tree(n: int, children: Mapping[int, tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, int]:
+def _tree(n: int, children) -> tuple[np.ndarray, np.ndarray, int]:
     """The children of internal nodes n+1..2n-1 as an (n - 1, 2) array in id
     order, the parent of every node id 0..2n-1 (0 for node 0 and the root),
-    and the root.
+    and the root, from a mapping t -> (left, right) or an array of rows
+    (t, left, right).
 
-    The checks are masks over ``children`` read as rows (t, left, right),
-    and the first defect in that order is raised: an internal id outside
-    (n, 2n-1], a child outside [1, 2n-1], a child seen before (its second
+    The checks are masks over the rows (t, left, right), and the first
+    defect in that order is raised: an internal id outside (n, 2n-1] or
+    seen before, a child outside [1, 2n-1], a child seen before (its second
     parent).  Then the tree must have one root.  With one root among 2n - 1
     nodes, n - 1 distinct rows give 2n - 2 children, so every internal id
     has children."""
     num_nodes = 2 * n - 1
-    given = [(t, l, r) for t, (l, r) in children.items()]
+    given = (children if isinstance(children, np.ndarray)
+             else [(t, l, r) for t, (l, r) in children.items()])
     rows = _id_rows(given, 3)
     bad = np.flatnonzero((rows < [n + 1, 1, 1]) | (rows > num_nodes))
-    again = _first_repeat(rows[:, 1:].ravel())
-    # the first out-of-range id and the first second parent, as flat indices
-    # into ``given``; at one index the range check comes first
+    # an internal id or a child seen before; negated, the internal ids meet
+    # the children only where some id is out of range at that index or before
+    again = _first_repeat((rows * [-1, 1, 1]).ravel())
+    # the first out-of-range id and the first repeat, as flat indices into
+    # ``given``; at one index the range check comes first
     i = int(bad[0]) if bad.size else rows.size
-    j = again // 2 * 3 + 1 + again % 2 if again >= 0 else rows.size
+    j = again if again >= 0 else rows.size
     if j < i:
-        raise InputError(f"node {given[j // 3][j % 3]} has two parents")
+        raise InputError(f"internal node {given[j // 3][0]} defined twice" if j % 3 == 0
+                         else f"node {given[j // 3][j % 3]} has two parents")
     if i < rows.size:
         t = given[i // 3][0]
         raise InputError(f"internal node id {t} out of range ({n},{num_nodes}]" if i % 3 == 0
@@ -153,17 +164,18 @@ class SignedTreeModel:
       there twice, which ``validate`` reports as an ``overlap``.
 
     ``children``, ``pairs_a`` and ``pairs_b`` build a dict and frozensets of
-    tuples from these on each read.  The constructor takes a children
-    mapping and the two pair iterables, and raises InputError naming the
-    first defect."""
+    tuples from these on each read.  The constructor takes the tree as a
+    mapping t -> (left, right) or as an (n - 1, 3) array of rows (t, left,
+    right), and the negative and positive pairs each as an iterable of
+    pairs or a (p, 2) array.  It raises InputError naming the first
+    defect."""
 
     __slots__ = ("n", "root", "kids", "parent", "lo", "hi", "leaf_order",
                  "pairs", "sign", "_checked")
 
     def __init__(self, n: int,
-                 children: Mapping[int, tuple[int, int]],
-                 pairs_a: Iterable[Pair] = (),
-                 pairs_b: Iterable[Pair] = ()):
+                 children: Mapping[int, tuple[int, int]] | np.ndarray,
+                 pairs_a: Pairs = (), pairs_b: Pairs = ()):
         if n < 1:
             raise InputError("a model needs at least one leaf")
         self.n = n
@@ -173,19 +185,16 @@ class SignedTreeModel:
         self.pairs, self.sign = _frozen(*self._canon(pairs_a, pairs_b))
         self._checked = None  # set by clean_same_sign, see _checked_forest
 
-    def _canon(self, pairs_a: Iterable[Pair], pairs_b: Iterable[Pair]
-               ) -> tuple[np.ndarray, np.ndarray]:
+    def _canon(self, pairs_a: Pairs, pairs_b: Pairs) -> tuple[np.ndarray, np.ndarray]:
         """The pairs and signs in the stored form; InputError names the first
         pair, negative ones first, with an end outside 1..2n-1."""
-        given = list(pairs_a)
-        k = len(given)
-        given += pairs_b
-        rows = _id_rows(given, 2)
+        a, b = (p if isinstance(p, np.ndarray) else list(p) for p in (pairs_a, pairs_b))
+        rows = np.concatenate((_id_rows(a, 2), _id_rows(b, 2)))
         bad = np.flatnonzero(((rows < 1) | (rows > 2 * self.n - 1)).any(axis=1))
         if bad.size:
-            x, y = given[bad[0]]
+            x, y = [*a, *b][bad[0]]
             raise InputError(f"pair ({x},{y}) references unknown nodes")
-        return self._sorted(rows, np.repeat(np.array([-1, 1], np.int8), (k, len(rows) - k)))
+        return self._sorted(rows, np.repeat(np.array([-1, 1], np.int8), (len(a), len(b))))
 
     def _sorted(self, pairs: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of node ids with their signs in the stored order, each
@@ -241,7 +250,7 @@ class SignedTreeModel:
     def num_pairs(self) -> int:
         return len(self.pairs)
 
-    def with_pairs(self, pairs_a: Iterable[Pair], pairs_b: Iterable[Pair]) -> "SignedTreeModel":
+    def with_pairs(self, pairs_a: Pairs, pairs_b: Pairs) -> "SignedTreeModel":
         """This model's tree with other pairs; the tree is shared, not walked again."""
         return self._sharing_tree(*self._canon(pairs_a, pairs_b))
 

@@ -129,8 +129,8 @@ def compressions(draw):
         return ibp_to_dag(IntervalBicliquePartition(order, quads))
     num_nodes = n + draw(st.integers(0, 8))
     edges = []
-    for x in range(n + 1, num_nodes + 1):
-        edges += [(x, y) for y in draw(st.sets(st.integers(1, x - 1), max_size=3))]
+    for x in range(n + 1, num_nodes + 1):  # an edge at least, as num_nodes' bound asks
+        edges += [(x, y) for y in draw(st.sets(st.integers(1, x - 1), min_size=1, max_size=3))]
     edges = draw(st.permutations(edges))
     node = st.integers(1, num_nodes)
     compressed = draw(st.lists(st.tuples(node, node), max_size=8))
@@ -153,6 +153,9 @@ BAD_DAGS = {
     "compressed edge past num_nodes": (2, 3, [(3, 1), (3, 2)], [(4, 1)], "(4,1)"),
     "compressed edge far past num_nodes": (2, 3, [(3, 1), (3, 2)], [(9, 1)], "(9,1)"),
     "num_nodes < n": (5, 3, [], [], "n=5, num_nodes=3"),
+    # num_nodes sizes the distance model's arrays
+    "num_nodes past the edges": (2, 5, [(3, 1)], [], "num_nodes 5 exceeds n + 2(e + c) = 4"),
+    "num_nodes at 2^31": (2 ** 31, 2 ** 31, [], [], "num_nodes 2147483648 is not below 2^31"),
 }
 
 

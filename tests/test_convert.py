@@ -413,7 +413,7 @@ class TestIntegerRows:
     def test_no_rows_accepted(self):
         for rows in ([], np.zeros((0, 4), dtype=np.int64)):
             assert IntervalBicliquePartition(LinearOrder.identity(9), rows).quads.shape == (0, 4)
-            assert DagCompression(2, 9, first_two(rows), first_two(rows)).size == 9
+            assert DagCompression(2, 2, first_two(rows), first_two(rows)).size == 2
             assert inclusion_forest(rows).keys.shape == (0, 4)
             assert complement_partition((1, 9, 1, 9), rows).tolist() == [[1, 9, 1, 9]]
 

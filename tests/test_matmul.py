@@ -8,7 +8,7 @@ from stmgraph import (INT64_GROUP, AdditiveGroup, InputError, LinearOrder,
                       adjacency_matmul, decode_bruteforce, graphs_equal,
                       ibp_matvec, ibp_to_graph, stm_to_ibp)
 from stmgraph.gen import random_stm
-from stmgraph.matmul import _BLOCK, dense_matmul_oracle, dense_matvec_oracle
+from stmgraph.matmul import _BLOCK, _int64_array, dense_matmul_oracle, dense_matvec_oracle
 
 # INT64_GROUP's operations under another identity, which takes the generic
 # Python path instead of the numpy int64 kernel
@@ -101,6 +101,31 @@ class TestIbpMatvec:
         assert ibp_matvec(ibp, x) == ibp_matvec(ibp, x, GENERIC_INT64)
         with pytest.raises(TypeError):
             ibp_matvec(ibp, [1.5, 0, 0])
+
+    def test_int64_array(self):
+        """Python rows and vectors read as the int64 array numpy gives for
+        the same entries, wrapped as INT64_GROUP wraps them; a non-integer
+        entry raises TypeError."""
+        cases = [
+            ([[1, -2], [2 ** 63, 2 ** 64 + 3]], [[1, -2], [-2 ** 63, 3]]),
+            ([[-2 ** 90 - 1, 0], [2 ** 63 - 1, -2 ** 63]], [[-1, 0], [2 ** 63 - 1, -2 ** 63]]),
+            ([[True, False], [False, True]], [[1, 0], [0, 1]]),
+            ([(np.uint64(2 ** 64 - 1), np.uint64(1)), (0, np.int8(-3))], [[-1, 1], [0, -3]]),
+            (np.array([[2 ** 64 - 1, 1]], dtype=np.uint64), [[-1, 1]]),
+            (np.array([[2 ** 64 + 3, -1]], dtype=object), [[3, -1]]),
+            ([2 ** 64 + 3, -1, True], [3, -1, 1]),
+            ([], []),
+        ]
+        for rows, want in cases:
+            got = _int64_array(rows)
+            assert got.dtype == np.int64 and got.tolist() == want, rows
+        for rows in ([[1.5, 0], [0, 0]], [["3", 0], [0, 0]], [[1.0, 2 ** 64]], [1.5, 0], ["3"],
+                     np.array([[1.0, 2.0]])):
+            with pytest.raises(TypeError):
+                _int64_array(rows)
+        for rows in ([[1, 2], [3]], [[1], [2, 3]]):  # ragged
+            with pytest.raises(ValueError):
+                _int64_array(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())

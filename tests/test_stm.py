@@ -3,6 +3,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +157,16 @@ class TestTreeArrays:
                                                 + [(x, y, 1) for x, y in sorted(canon[1])]), seed
             assert (out.pairs_a, out.pairs_b) == tuple(map(frozenset, canon)), seed
 
+    def test_arrays_given(self):
+        """A tree given as rows (t, left, right) and pairs given as arrays
+        build the model their tuples build."""
+        children = {5: (1, 2), 6: (3, 4), 7: (5, 6)}
+        want = SignedTreeModel(4, children, [(1, 2)], [(3, 4), (1, 3)])
+        assert SignedTreeModel(4, children, [(1, 2)], np.array([[3, 4], [1, 3]])) == want
+        assert want.with_pairs(np.array([[1, 2]]), np.array([[3, 4], [1, 3]])) == want
+        rows = np.array([(t, l, r) for t, (l, r) in children.items()])
+        assert SignedTreeModel(4, rows, np.array([[1, 2]]), [(3, 4), (1, 3)]) == want
+
     def test_stored_arrays_read_only(self, fig1_model):
         for a in (fig1_model.kids, fig1_model.parent, fig1_model.lo, fig1_model.hi,
                   fig1_model.leaf_order, fig1_model.pairs, fig1_model.sign):
@@ -169,6 +180,8 @@ class TestTreeArrays:
         ({2 ** 64: (1, 2)}, [], "internal node id 18446744073709551616 out of range (3,5]"),
         ({4: (1, 2), 5: (-2 ** 70, 3)}, [], f"child id {-2 ** 70} of node 5 out of range"),
         ({4: (1, 2), 5: (4, 3)}, [(1, 2 ** 63)], f"pair (1,{2 ** 63}) references unknown nodes"),
+        # rows (t, left, right) in an array may repeat an internal id
+        (np.array([[4, 1, 2], [4, 5, 3]]), [], "internal node 4 defined twice"),
     ])
     def test_rejected(self, children, pairs_b, message):
         with pytest.raises(InputError, match=re.escape(message)):
