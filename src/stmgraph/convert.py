@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, InputError, LinearOrder, Rows, _first_repeat, _int_rows,
-                    _runs)
+from .graph import (ID_LIMIT, Graph, InputError, LinearOrder, Rows, _first_repeat,
+                    _int_rows, _runs)
 from .rect import complement_partition
 from .stm import SignedTreeModel, _checked_forest, clean_same_sign, remove_loops
 
@@ -91,7 +91,7 @@ def _check_dag_size(n: int, num_nodes: int, m: int) -> None:
     for n graph vertices and m edges of both kinds."""
     if num_nodes > n + 2 * m:
         raise InputError(f"num_nodes {num_nodes} exceeds n + 2(e + c) = {n + 2 * m}")
-    if num_nodes >= 2 ** 31:
+    if num_nodes >= ID_LIMIT:
         raise InputError(f"num_nodes {num_nodes} is not below 2^31")
 
 
@@ -256,7 +256,7 @@ def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
     e = _first_repeat(lo * (ibp.n + 1) + hi)
     if e >= 0:
         raise PartitionViolation(f"edge {(int(lo[e]), int(hi[e]))} emitted by two bicliques")
-    return Graph(ibp.n, zip(lo.tolist(), hi.tolist()))
+    return Graph(ibp.n, np.column_stack((lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,27 +357,20 @@ def dag_to_graph(dc: DagCompression) -> Graph:
     """Reachability brute force: decode adjacency from compressed edges.
 
     Every edge (x, y) has y < x, so in ascending order of x each ``reach[y]``
-    is final by the time it is read."""
+    is final by the time it is read.  Each compressed edge {x, y} then
+    joins every sink under x to every sink under y, as arrays."""
     reach = [0] * (dc.num_nodes + 1)  # bitsets over sinks
     for v in range(1, dc.n + 1):
         reach[v] = 1 << v
     for x, y in zip(*dc.edge_rows[np.argsort(dc.edge_rows[:, 0])].T.tolist()):
         reach[x] |= reach[y]
-    edges = set()
-    for x, y in zip(*dc.compressed_rows.T.tolist()):
-        u = reach[x]
-        while u:
-            ub = u & -u
-            ui = ub.bit_length() - 1
-            v = reach[y]
-            while v:
-                vb = v & -v
-                vi = vb.bit_length() - 1
-                if ui != vi:
-                    edges.add((min(ui, vi), max(ui, vi)))
-                v ^= vb
-            u ^= ub
-    return Graph(dc.n, edges)
+    size = dc.n // 8 + 1  # bytes of a bitset over bits 0..n
+    sinks = [np.flatnonzero(np.unpackbits(np.frombuffer(reach[x].to_bytes(size, "little"), np.uint8),
+                                          bitorder="little"))
+             for x in dc.compressed_rows.ravel().tolist()]
+    rows = np.concatenate([np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+                           for a, b in zip(sinks[0::2], sinks[1::2])] + [np.zeros((0, 2), np.int64)])
+    return Graph(dc.n, rows[rows[:, 0] != rows[:, 1]])
 
 
 def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
@@ -409,7 +402,7 @@ def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
     if n < 1:
         raise InputError("empty graph")
     seq.check_structure(n)
-    adj: list[set[int]] = [set(g.neighbors(v)) if v else set() for v in range(n + 1)]
+    adj = list(map(set, g.adjacency))
     node_of = list(range(n + 1))
     children: dict[int, tuple[int, int]] = {}
     pairs_a: list[tuple[int, int]] = []
@@ -462,12 +455,13 @@ def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
 
 
 def cseq_replay(seq: ConstructionSequence) -> Graph:
-    """Direct replay of the construction semantics (oracle): resolves turn
-    unresolved part-pairs into edges/non-edges; output is (V, E_final)."""
+    """Direct replay of the construction semantics (oracle): each resolve
+    turns the vertex pairs across its two parts that no earlier resolve
+    decided into edges (R+) or non-edges (R-); output is (V, E_final).  The
+    resolves' pairs are arrays, and a stable sort finds each pair's first."""
     n = seq.n
-    parts: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
-    resolved: set[tuple[int, int]] = set()
-    edges: set[tuple[int, int]] = set()
+    parts = {v: np.array([v]) for v in range(1, n + 1)}
+    decided = [np.zeros((0, 3), np.int64)]  # rows (u, v, positive), in op order
     next_id = n
     for step, (kind, i, j) in enumerate(seq.ops, start=1):
         if i not in parts or j not in parts:
@@ -476,22 +470,19 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
             if i == j:
                 raise SequenceError(f"step {step}: cannot merge a part with itself")
             next_id += 1
-            parts[next_id] = parts.pop(i) + parts.pop(j)
+            parts[next_id] = np.concatenate((parts.pop(i), parts.pop(j)))
         elif kind in (RESOLVE_POS, RESOLVE_NEG):
-            a, b = parts[i], parts[j]
-            for u in a:
-                for v in b:
-                    if u == v:
-                        continue
-                    e = (u, v) if u < v else (v, u)
-                    if e in resolved:
-                        continue
-                    resolved.add(e)
-                    if kind == RESOLVE_POS:
-                        edges.add(e)
+            u, v = (a.ravel() for a in np.meshgrid(parts[i], parts[j], indexing="ij"))
+            decided.append(np.column_stack((np.minimum(u, v), np.maximum(u, v),
+                                            np.full(len(u), kind == RESOLVE_POS))))
         else:
             raise SequenceError(f"step {step}: unknown op kind {kind!r}")
-    return Graph(n, edges)
+    u, v, positive = np.concatenate(decided).T
+    key = u * (n + 1) + v
+    order = np.argsort(key, kind="stable")
+    first = order[np.diff(key[order], prepend=-1) != 0]  # each pair's first resolve
+    first = first[(u[first] < v[first]) & (positive[first] == 1)]
+    return Graph(n, np.column_stack((u[first], v[first])))
 
 
 def cseq_to_stm(seq: ConstructionSequence) -> SignedTreeModel:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right, insort
 
+import numpy as np
+
 from .convert import (ConstructionSequence, MERGE, RESOLVE_NEG, RESOLVE_POS,
                       SdDegenSequence)
 from .graph import Graph, InputError
@@ -159,11 +161,10 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
         rev_pairs.append((u, v))
     relabel = list(range(1, n + 1))
     rng.shuffle(relabel)
-    label = {old: new for old, new in zip(range(1, n + 1), relabel)}
-    edges = {(min(label[u], label[w]), max(label[u], label[w]))
-             for u, nbrs in adj.items() for w in nbrs if u < w}
-    seq = SdDegenSequence(tuple((label[u], label[v]) for u, v in reversed(rev_pairs)))
-    return Graph(n, edges), seq
+    label = np.array([0] + relabel)  # label[old] = new
+    keys = np.fromiter((u * (n + 1) + w for u, nbrs in adj.items() for w in nbrs), np.int64)
+    seq = SdDegenSequence(tuple((relabel[u - 1], relabel[v - 1]) for u, v in reversed(rev_pairs)))
+    return Graph(n, label[np.column_stack(np.divmod(keys, n + 1))]), seq
 
 
 def random_cseq(n: int, num_resolves: int, seed: int = 0) -> ConstructionSequence:
@@ -195,6 +196,6 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     if not 0 <= p <= 1:
         raise InputError("edge probability must be in [0,1]")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p]
-    return Graph(n, edges)
+    keys = np.fromiter((u * (n + 1) + v for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                        if rng.random() < p), np.int64)
+    return Graph(n, np.column_stack(np.divmod(keys, n + 1)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -19,6 +20,34 @@ class InputError(ValueError):
 
 
 Rows = Union[Sequence[tuple[int, ...]], np.ndarray]
+
+# Vertex counts and DAG node counts stay below this, since they size arrays.
+ID_LIMIT = 2 ** 31
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _id_rows(rows, width: int) -> np.ndarray:
+    """``rows``, a list of ``width``-tuples of node ids or an array of such
+    rows, as a (len(rows), width) int64 array; an int64 array passes
+    through as it is.  Rows of another width raise InputError.  An id
+    beyond int64 (in a list or an object array) reads as 0, which no id
+    range holds, so error messages quote ``rows`` as given."""
+    if not ((rows.shape[1:] == (width,) or rows.size == 0) if isinstance(rows, np.ndarray)
+            else set(map(len, rows)) <= {width}):
+        raise InputError(f"expected rows of {width} node ids")
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+        return rows.astype(np.int64, copy=False).reshape(-1, width)
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    except OverflowError:
+        flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
+                            for v in chain.from_iterable(rows)), np.int64, width * len(rows))
+    return flat.reshape(-1, width)
 
 
 def _int_rows(rows: Rows, width: int) -> np.ndarray:
@@ -33,9 +62,7 @@ def _int_rows(rows: Rows, width: int) -> np.ndarray:
     if (out.ndim != 2 or out.shape[1] != width or kind not in "biu"
             or (kind == "u" and out.max() > np.iinfo(np.int64).max)):
         raise ValueError(f"expected rows of {width} integers")
-    out = out.astype(np.int64, copy=False)
-    out.flags.writeable = False
-    return out
+    return _frozen(out.astype(np.int64, copy=False))[0]
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -43,6 +70,15 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     one q after another, as one array."""
     first = np.cumsum(counts) - counts  # where run q begins in the output
     return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+
+
+def _check_vertices(n: int) -> None:
+    """Raise InputError unless 0 <= n < 2^31, the vertex counts ``Graph``
+    takes."""
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    if n >= ID_LIMIT:
+        raise InputError(f"vertex count {n} is not below 2^31")
 
 
 def _first_repeat(key: np.ndarray) -> int:
@@ -54,55 +90,75 @@ def _first_repeat(key: np.ndarray) -> int:
 
 
 class Graph:
-    """Undirected simple graph on vertices 1..n with sorted adjacency arrays.
+    """Undirected simple graph on vertices 1..n, n < 2^31, stored only as
+    read-only int64 arrays in CSR form: the neighbors of v, ascending, are
+    ``targets[offsets[v]:offsets[v + 1]]`` for 0 <= v <= n (vertex 0 has
+    none), so ``offsets`` has n + 2 entries and ``targets`` holds every
+    edge once per direction.
+
+    Edges are given as an iterable of pairs or an (m, 2) integer array;
+    repeated and reversed edges are merged.  The first edge in input order
+    with an end outside [1, n], or else a self-loop, raises InputError
+    quoting the edge as given.  ``neighbors`` slices the arrays on each
+    call and ``adjacency`` builds every vertex's tuple on each read, so a
+    loop over many vertices reads ``adjacency`` once.
 
     Immutable after construction; safe to share across workers.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "offsets", "targets")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
+    def __init__(self, n: int, edges: Rows | Iterable[tuple[int, int]] = ()):
+        _check_vertices(n)
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InputError(f"edge ({u},{v}) out of range [1,{n}]")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(adj[v])) for v in range(n + 1)
-        )
+        given = edges if isinstance(edges, np.ndarray) else list(edges)
+        rows = _id_rows(given, 2)
+        out = ((rows < 1) | (rows > n)).any(axis=1)
+        bad = np.flatnonzero(out | (rows[:, 0] == rows[:, 1]))
+        if bad.size:
+            u, v = given[bad[0]]
+            raise InputError(f"edge ({u},{v}) out of range [1,{n}]" if out[bad[0]]
+                             else f"self-loop at vertex {u}")
+        # one key u(n + 1) + v per edge and direction, sorted, each key once;
+        # vertex v's keys start where the keys reach v(n + 1)
+        keys = np.sort((rows @ [[n + 1, 1], [1, n + 1]]).ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.offsets, self.targets = _frozen(np.searchsorted(keys, np.arange(n + 2) * (n + 1)),
+                                             keys % (n + 1))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples, indexed 1..n (index 0 unused)."""
-        return self._adj
+        """Per-vertex sorted neighbor tuples, indexed 1..n (index 0 empty),
+        built on each read."""
+        at, targets = self.offsets.tolist(), self.targets.tolist()
+        return tuple(tuple(targets[i:j]) for i, j in zip(at, at[1:]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self.targets[self.offsets[v]:self.offsets[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.offsets[v + 1] - self.offsets[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self._adj[u]
-        i = bisect_left(nb, v)
-        return i < len(nb) and nb[i] == v
+        lo, hi = self.offsets[u], self.offsets[u + 1]
+        i = bisect_left(self.targets, v, lo, hi)
+        return bool(i < hi and self.targets[i] == v)
+
+    @property
+    def edge_rows(self) -> np.ndarray:
+        """The edges (u, v), u < v, lexicographically, as an (m, 2) int64
+        array built on each read."""
+        ends = np.repeat(np.arange(self.n + 1), np.diff(self.offsets))
+        up = ends < self.targets
+        return np.column_stack((ends[up], self.targets[up]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, lexicographically."""
-        for u in range(1, self.n + 1):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        return zip(*self.edge_rows.T.tolist())
 
     @property
     def m(self) -> int:
-        return sum(len(self._adj[v]) for v in range(1, self.n + 1)) // 2
+        return len(self.targets) // 2
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -132,6 +188,8 @@ class LinearOrder:
         """Build from the vertices listed left to right."""
         pos = [0] * len(seq)
         for p, v in enumerate(seq, start=1):
+            if not 1 <= v <= len(seq):
+                raise InputError("vertex sequence is not a permutation")
             pos[v - 1] = p
         return cls(pos)
 
@@ -159,17 +217,19 @@ def bfs_sssp_oracle(g: Graph, source: int) -> list[int]:
     if not 1 <= source <= g.n:
         raise InputError(f"source {source} out of range [1,{g.n}]")
     unreach = g.n
-    dist = [unreach] * g.n
-    dist[source - 1] = 0
+    dist = [unreach] * (g.n + 1)  # by vertex, entry 0 unused
+    dist[source] = 0
+    # the CSR arrays read in place: a memoryview slice copies nothing
+    at, targets = g.offsets.tolist(), memoryview(g.targets)
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        du = dist[u - 1]
-        for v in g.neighbors(u):
-            if dist[v - 1] == unreach and v != source:
-                dist[v - 1] = du + 1
+        du = dist[u] + 1
+        for v in targets[at[u]:at[u + 1]]:
+            if dist[v] == unreach:
+                dist[v] = du
                 queue.append(v)
-    return dist
+    return dist[1:]
 
 
 def symmetric_difference(g: Graph, u: int, v: int) -> int:
@@ -186,5 +246,6 @@ def symmetric_difference(g: Graph, u: int, v: int) -> int:
 
 
 def graphs_equal(g1: Graph, g2: Graph) -> bool:
-    """True iff same vertex count and same edge sets."""
-    return g1.n == g2.n and g1.adjacency == g2.adjacency
+    """True iff same vertex count and same edge sets: equal ``offsets``
+    (n + 2 entries each) and ``targets``."""
+    return np.array_equal(g1.offsets, g2.offsets) and np.array_equal(g1.targets, g2.targets)

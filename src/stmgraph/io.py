@@ -27,7 +27,7 @@ import numpy as np
 from .convert import (ConstructionSequence, DagCompression, DagEdgeError,
                       IntervalBicliquePartition, MERGE, RESOLVE_NEG,
                       RESOLVE_POS, SdDegenSequence, _bad_quads, _check_dag_size)
-from .graph import Graph, InputError, LinearOrder, _first_repeat
+from .graph import Graph, InputError, LinearOrder, _check_vertices, _first_repeat
 from .paths import ShortestPathTree
 from .stm import SignedTreeModel, validate
 
@@ -58,8 +58,8 @@ def _read(block: list[str], first: int, width: int, tags: Optional[tuple] = None
     Returns them as a (rows, width) array and their tags as a list.  Blank
     lines are skipped if ``skip_blank`` is set.  A ``rule``, for a block
     without blank lines, is a function from such an array to a mask of its
-    bad rows, and the message of a bad row, which ``str.format`` fills with
-    the row's fields and its ``line``.
+    bad rows, and a function from a bad row's fields and its ``line`` to
+    its message (such as a ``str.format``).
 
     The block is read in one token pass.  A ";" closes every line, so a
     well-formed block is, per line, a tag slot (if tagged), ``width``
@@ -114,7 +114,7 @@ def _read(block: list[str], first: int, width: int, tags: Optional[tuple] = None
         bad = np.flatnonzero(rule[0](np.array(rows, dtype=object)))
         if bad.size:  # before the bad line, if there is one
             i = bad[0]
-            raise FormatError(first + i, rule[1].format(*rows[i], line=block[i].rstrip()))
+            raise FormatError(first + i, rule[1](*rows[i], line=block[i].rstrip()))
     if error is not None:
         raise error
     return np.array(rows, dtype=object).reshape(len(rows), width), kinds
@@ -136,30 +136,34 @@ def _format_rows(fmt: str, rows) -> str:
 
 # -- graphs -----------------------------------------------------------------
 
-_ORDERED = (lambda r: r[:, 0] >= r[:, 1], "edge ({0},{1}) must satisfy u < v")
-
-
 def parse_graph(text: str) -> Graph:
-    """Format: line 1 "n m"; then m lines "u v" with u < v."""
+    """Format: line 1 "n m"; then m lines "u v" with 1 <= u < v <= n.  The
+    vertex count (``Graph`` takes n < 2^31) is checked before the edge
+    lines are read, and an edge line that breaks u < v or the range is
+    reported as the line it is."""
     lines = text.splitlines()
     n, m = _header(lines, 2)
+    try:
+        _check_vertices(n)
+    except InputError as e:
+        raise FormatError(1, str(e)) from None
     if len(lines) < m + 1:
         raise FormatError(len(lines), f"expected {m} edge lines, got {len(lines) - 1}")
-    edges, _ = _read(lines[1:1 + max(m, 0)], 2, 2, rule=_ORDERED)
-    try:
-        return Graph(n, edges.tolist())
-    except ValueError as e:
-        raise FormatError(1, str(e)) from None
+    edges, _ = _read(lines[1:1 + max(m, 0)], 2, 2, rule=(
+        lambda r: (r[:, 0] >= r[:, 1]) | (r[:, 0] < 1) | (r[:, 1] > n),
+        lambda u, v, line: (f"edge ({u},{v}) must satisfy u < v" if u >= v
+                            else f"edge ({u},{v}) out of range [1,{n}]")))
+    return Graph(n, edges)
 
 
 def format_graph(g: Graph) -> str:
-    return f"{g.n} {g.m}\n" + _format_rows("%s %s\n", list(g.edges()))
+    return f"{g.n} {g.m}\n" + _format_rows("%s %s\n", g.edge_rows)
 
 
 # -- signed tree models -----------------------------------------------------
 
 _DISTINCT = (lambda r: np.arange(len(r)) == _first_repeat(r[:, 0]),
-             "internal node {0} defined twice")
+             "internal node {0} defined twice".format)
 
 
 def parse_stm(text: str, check_crossing: bool = True) -> SignedTreeModel:
@@ -221,12 +225,12 @@ def parse_ibp(text: str) -> IntervalBicliquePartition:
     seq = _read(lines[1:2], 2, n)[0][0].tolist()
     try:
         order = LinearOrder.from_vertex_sequence(seq)
-    except (ValueError, IndexError):
+    except ValueError:
         raise FormatError(2, f"{seq} is not a permutation of 1..{n}") from None
     if len(lines) < k + 2:
         raise FormatError(len(lines), f"expected {k} biclique lines")
     quads, _ = _read(lines[2:2 + max(k, 0)], 3, 4, rule=(
-        lambda r: _bad_quads(r, n), "biclique ({0},{1},{2},{3}) violates a<=b<c<=d"))
+        lambda r: _bad_quads(r, n), "biclique ({0},{1},{2},{3}) violates a<=b<c<=d".format))
     return IntervalBicliquePartition(order, quads)
 
 
@@ -299,7 +303,7 @@ def format_spt(tree: ShortestPathTree, n: int) -> str:
 
 # only an object array can hold an integer beyond int64
 _INT64 = (lambda r: ((r < -2 ** 63) | (r >= 2 ** 63)).any(axis=1) if r.dtype == object
-          else np.zeros(len(r), bool), "integer beyond int64 in {line!r}")
+          else np.zeros(len(r), bool), "integer beyond int64 in {line!r}".format)
 
 
 def parse_dag(text: str) -> DagCompression:

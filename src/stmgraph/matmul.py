@@ -156,10 +156,11 @@ def dense_matvec_oracle(g: Graph, order: LinearOrder, x: Sequence,
     """Quadratic reference: adj in ``order`` positions times x."""
     n = g.n
     out = [group.zero] * n
+    adj = g.adjacency
     for p in range(1, n + 1):
         v = order.at(p)
         acc = group.zero
-        for w in g.neighbors(v):
+        for w in adj[v]:
             acc = group.add(acc, x[order.pos(w) - 1])
         out[p - 1] = acc
     return out

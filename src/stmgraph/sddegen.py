@@ -79,7 +79,7 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
     if n < 2:
         raise InputError("need at least two vertices")
     rng = random.Random(cfg.seed)
-    adj: list[set[int]] = [set(g.neighbors(v)) if v else set() for v in range(n + 1)]
+    adj = list(map(set, g.adjacency))
     alive = list(range(1, n + 1))
     pairs: list[tuple[int, int]] = []
     loop_sds: list[int] = []
@@ -157,7 +157,7 @@ def sd_sequence_greedy(g: Graph) -> tuple[SdDegenSequence, WidthReport]:
     n = g.n
     if n < 2:
         raise InputError("need at least two vertices")
-    adj: list[set[int]] = [set(g.neighbors(v)) if v else set() for v in range(n + 1)]
+    adj = list(map(set, g.adjacency))
     alive = list(range(1, n + 1))
     pairs: list[tuple[int, int]] = []
     sds: list[int] = []
@@ -182,7 +182,7 @@ def validate_sequence(g: Graph, seq: SdDegenSequence) -> WidthReport:
     """Replay the deletions, checking structure and computing every step's
     symmetric difference in the current induced subgraph."""
     seq.check_structure(g.n)
-    adj: list[set[int]] = [set(g.neighbors(v)) if v else set() for v in range(g.n + 1)]
+    adj = list(map(set, g.adjacency))
     sds: list[int] = []
     for u, v in seq.pairs:
         sds.append(_sd(adj, u, v))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, InputError, _first_repeat
+from .graph import Graph, InputError, _first_repeat, _frozen, _id_rows
 from . import rect
 from .rect import InclusionForest, LaminarityError
 
@@ -41,31 +40,6 @@ class ValidationReport:
 
     def messages(self) -> list[str]:
         return [m for _, m in self.violations]
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _id_rows(rows, width: int) -> np.ndarray:
-    """``rows``, a list of ``width``-tuples of node ids or an array of such
-    rows, as a (len(rows), width) int64 array; an int64 array passes
-    through as it is.  An id beyond int64 (in a list or an object array)
-    reads as 0, which no id range holds, so error messages quote ``rows``
-    as given."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
-        flat = rows.astype(np.int64, copy=False).ravel()
-    else:
-        try:
-            flat = np.fromiter(chain.from_iterable(rows), np.int64)
-        except OverflowError:
-            flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
-                                for v in chain.from_iterable(rows)), np.int64)
-    if flat.size != width * len(rows):
-        raise InputError(f"expected rows of {width} node ids")
-    return flat.reshape(-1, width)
 
 
 def _tree(n: int, children) -> tuple[np.ndarray, np.ndarray, int]:
@@ -373,9 +347,8 @@ def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
         mask = area < block
         block[mask] = area
         sign[x1:x2 + 1, y1:y2 + 1][mask] = s
-    order = stm.leaf_order.tolist()
-    pos_i, pos_j = np.nonzero(np.triu(sign, k=1) > 0)
-    return Graph(n, [(order[i - 1], order[j - 1]) for i, j in zip(pos_i.tolist(), pos_j.tolist())])
+    # leaf positions 1..n of the adjacent pairs, as the leaves at them
+    return Graph(n, stm.leaf_order[np.argwhere(np.triu(sign, k=1) > 0) - 1])
 
 
 def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:

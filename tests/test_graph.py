@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,150 @@ from stmgraph import (Graph, InputError, LinearOrder, bfs_sssp_oracle,
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+# -- the oracle ------------------------------------------------------------------
+
+class OracleInputError(ValueError):
+    pass
+
+
+class SetGraph:
+    """``Graph`` as it was before its CSR form, sharing no code with it:
+    each edge goes into two Python sets, in input order, and each set is
+    sorted into a tuple."""
+
+    def __init__(self, n, edges=()):
+        if n < 0:
+            raise OracleInputError("vertex count must be nonnegative")
+        self.n = n
+        adj = [set() for _ in range(n + 1)]
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise OracleInputError(f"edge ({u},{v}) out of range [1,{n}]")
+            if u == v:
+                raise OracleInputError(f"self-loop at vertex {u}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+
+    @property
+    def m(self):
+        return sum(map(len, self.adjacency)) // 2
+
+    def edges(self):
+        for u in range(1, self.n + 1):
+            for v in self.adjacency[u]:
+                if u < v:
+                    yield (u, v)
+
+    def has_edge(self, u, v):
+        return v in self.adjacency[u]
+
+
+def graph_outcome(make, probes):
+    """What a graph built by ``make`` shows, or the (type, message) it raised."""
+    try:
+        g = make()
+    except ValueError as e:
+        return type(e).__name__.replace("Oracle", ""), str(e)
+    return (g.n, g.m, repr(g.adjacency), repr(list(g.edges())),
+            [g.has_edge(u, v) for u, v in probes])
+
+
+def random_edges(rng, n):
+    """Edges with repeats, both orientations and, now and then, a self-loop,
+    an end just outside [1, n] or an end of +-2^64."""
+    edges = []
+    for _ in range(rng.randint(0, 3 * n + 2)):
+        if edges and rng.random() < 0.2:  # a repeat, maybe reversed
+            u, v = rng.choice(edges)
+            edges.append((v, u) if rng.random() < 0.5 else (u, v))
+            continue
+        u, v = rng.randint(1, max(n, 1)), rng.randint(1, max(n, 1))
+        r = rng.random()
+        if r < 0.03:
+            v = u
+        elif r < 0.06:
+            v = rng.choice([0, -1, n + 1, 2 ** 64, -2 ** 64])
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    return edges
+
+
+class TestAgainstSetGraph:
+    """The CSR ``Graph`` against the set-based one, on every input form."""
+
+    FORMS = {
+        "list": list,
+        "set": set,
+        "generator": lambda edges: (e for e in edges),
+        "array": lambda edges: np.array(edges).reshape(-1, 2),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_random(self, form):
+        rng = random.Random(form)
+        errors = 0
+        for _ in range(1500):
+            n = rng.choice([0, 1, 2, rng.randint(0, 12), rng.randint(20, 300)])
+            edges = random_edges(rng, n)
+            given = self.FORMS[form](edges)
+            # the oracle reads the edges in the order the new graph iterates them
+            ordered = list(given) if form == "set" else edges
+            probes = [(rng.randint(1, n), rng.randint(0, n + 1)) for _ in range(20)] if n else []
+            got = graph_outcome(lambda: Graph(n, given), probes)
+            assert got == graph_outcome(lambda: SetGraph(n, ordered), probes), (n, edges)
+            errors += len(got) == 2
+        assert 0 < errors < 1500  # both graphs and errors were compared
+
+    def test_edge_cases(self):
+        for n, edges in [(0, []), (1, []), (0, [(1, 1)]), (1, [(1, 1)]), (1, [(1, 2)]),
+                         (2, [(1, 2), (2, 1)]), (2, [(2, 1), (3, 3)]), (2, [(3, 3), (2, 2)]),
+                         (-1, []), (-1, [(1, 2)]), (3, [(2 ** 64, 2 ** 64)]),
+                         (3, [(1, -2 ** 64), (1, 1)])]:
+            for form in self.FORMS.values():
+                given = form(edges)
+                ordered = list(given) if isinstance(given, set) else edges
+                assert (graph_outcome(lambda: Graph(n, given), [])
+                        == graph_outcome(lambda: SetGraph(n, ordered), [])), (n, edges)
+
+    def test_large(self):
+        rng = np.random.default_rng(3)
+        for n in (257, 1000):
+            edges = rng.integers(1, n + 1, size=(20 * n, 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            g, want = Graph(n, edges), SetGraph(n, edges.tolist())
+            assert g.adjacency == want.adjacency and g.m == want.m
+            assert list(g.edges()) == list(want.edges())
+            assert graphs_equal(g, Graph(n, edges[::-1, ::-1]))
+
+    def test_stored_form(self):
+        g = Graph(4, [(3, 1), (1, 2), (2, 1)])
+        assert g.__slots__ == ("n", "offsets", "targets")
+        assert g.offsets.tolist() == [0, 0, 2, 3, 4, 4] and g.targets.tolist() == [2, 3, 1, 1]
+        for a in (g.offsets, g.targets):
+            assert a.dtype == np.int64
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert g.adjacency == ((), (2, 3), (1,), (1,), ())
+        assert g.edge_rows.tolist() == [[1, 2], [1, 3]]
+        assert all(type(v) is int for e in g.edges() for v in e)
+        assert all(type(v) is int for v in g.neighbors(1))
+        assert g.has_edge(1, 3) is True and g.has_edge(2, 3) is False
+        assert g.degree(1) == 2 and g.degree(4) == 0
+
+    # n far past the cap, so that a graph without it fails fast instead of
+    # allocating offsets; parse_graph's tests pin the cap at 2^31 exactly
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64])
+    def test_vertex_cap(self, n):
+        with pytest.raises(InputError, match=f"vertex count {n} is not below 2\\^31"):
+            Graph(n)
+
+    @pytest.mark.parametrize("edges", [[(1, 2, 3), (1,)], [(1, 2), (3,)], np.array([1, 2, 3, 4]),
+                                       np.ones((2, 3), int)])
+    def test_rows_of_another_width(self, edges):
+        with pytest.raises(InputError, match="expected rows of 2"):
+            Graph(4, edges)
 
 
 class TestGraph:
@@ -40,6 +187,11 @@ class TestLinearOrder:
     def test_rejects_non_permutation(self):
         with pytest.raises(InputError):
             LinearOrder([1, 1, 3])
+
+    @pytest.mark.parametrize("seq", [[0, 1, 2], [-1, 1, 3], [1, 2, 4], [1, 1, 3]])
+    def test_vertex_sequence_outside_1_to_n(self, seq):
+        with pytest.raises(InputError):
+            LinearOrder.from_vertex_sequence(seq)
 
 
 class TestBfsOracle:

@@ -82,6 +82,29 @@ class TestParseErrors:
             fio.parse_graph("")
 
     @pytest.mark.parametrize("text, line, message", [
+        ("3 3\n1 2\n2 3\n2 4\n", 4, "edge (2,4) out of range [1,3]"),
+        ("3 2\n0 2\n3 1\n", 2, "edge (0,2) out of range [1,3]"),
+        ("3 1\n1 99999999999999999999\n", 2, "edge (1,99999999999999999999) out of range [1,3]"),
+        # a bad edge line after the header, so that a parser that skips the
+        # header check fails there instead of allocating offsets
+        ("3000000000 1\n1 x\n", 1, "vertex count 3000000000 is not below 2^31"),
+        ("2147483648 1\n1 x\n", 1, "vertex count 2147483648 is not below 2^31"),
+        ("99999999999999999999 1\n1 x\n", 1,
+         "vertex count 99999999999999999999 is not below 2^31"),
+        ("-1 1\n1 2\n", 1, "vertex count must be nonnegative"),
+    ])
+    def test_graph_rules(self, text, line, message):
+        with pytest.raises(fio.FormatError) as e:
+            fio.parse_graph(text)
+        assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("order", ["0 1 2", "-1 1 3", "1 2 4", "2 2 3"])
+    def test_ibp_order_outside_1_to_n(self, order):
+        with pytest.raises(fio.FormatError) as e:
+            fio.parse_ibp(f"3 1\n{order}\n1 1 2 3\n")
+        assert str(e.value) == f"line 2: [{order.replace(' ', ', ')}] is not a permutation of 1..3"
+
+    @pytest.mark.parametrize("text, line, message", [
         ("2 4 2 0\n4 1 7\n3 4\n", 2, "expected 2 fields, got 3"),
         # the two lines' field counts sum to the right total
         ("2 4 2 0\n4 1\n3 4 1\n4\n", 3, "expected 2 fields, got 3"),
@@ -178,6 +201,17 @@ class TestCli:
         junk = tmp_path / "junk.stm"
         junk.write_text("hello\n")
         assert main(["decode", str(junk)]) == 2
+
+    @pytest.mark.parametrize("argv, text, line", [
+        (["apsp", "--kind", "ibp"], "3 1\n0 1 2\n1 1 2 3\n", 2),
+        (["sdseq"], "3000000000 1\n1 x\n", 1),
+        (["sdseq"], "3 3\n1 2\n2 3\n2 4\n", 4),
+    ])
+    def test_bad_ids_exit2(self, tmp_path, capsys, argv, text, line):
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        assert main(argv[:1] + [str(f)] + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith(f"line {line}: ")
 
     def test_decode(self, files, capsys):
         stm_f, g_f, _ = files

@@ -55,10 +55,17 @@ def _ints(line: str, lineno: int, count: Optional[int] = None) -> list[int]:
 
 
 def parse_graph_oracle(text):
+    """The line-by-line parser, with the vertex count checked on line 1
+    before the edge lines, and each edge's range checked on its own line
+    right after u < v."""
     lines = _lines(text)
     if not lines:
         raise OracleFormatError(1, "empty input")
     n, m = _ints(lines[0], 1, 2)
+    if n < 0:
+        raise OracleFormatError(1, "vertex count must be nonnegative")
+    if n >= 2 ** 31:
+        raise OracleFormatError(1, f"vertex count {n} is not below 2^31")
     if len(lines) < m + 1:
         raise OracleFormatError(len(lines), f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
@@ -66,11 +73,10 @@ def parse_graph_oracle(text):
         u, v = _ints(lines[i], i + 1, 2)
         if not u < v:
             raise OracleFormatError(i + 1, f"edge ({u},{v}) must satisfy u < v")
+        if not (1 <= u and v <= n):
+            raise OracleFormatError(i + 1, f"edge ({u},{v}) out of range [1,{n}]")
         edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except ValueError as e:
-        raise OracleFormatError(1, str(e)) from None
+    return Graph(n, edges)
 
 
 def parse_stm_oracle(text, check_crossing=True):
@@ -422,8 +428,8 @@ def rule_and_syntax(text, rng):
 
 
 def graph_header_small(text):
-    """Whether a .g text's vertex count is small: ``Graph`` allocates per
-    vertex before it checks the edges, on both sides."""
+    """Whether a .g text's vertex count is small: ``Graph`` allocates 8 B of
+    ``offsets`` per vertex, on both sides."""
     head = (text.splitlines() or [""])[0].split()
     try:
         return abs(int(head[0])) < 10 ** 4
@@ -468,6 +474,18 @@ class TestAgainstOracles:
         ("stm", "3\n4 1 x\n4 3 5\n", 2),
         ("dag", "2 4 2 0\n99999999999999999999 1\n3 x\n", 2),
         ("dag", "2 4 2 0\n3 x\n99999999999999999999 1\n", 2),
+        # a graph edge out of range is a row-rule defect on its own line
+        ("graph", "3 3\n1 2\n2 3\n2 4\n", 4),
+        ("graph", "3 2\n1 4\n2 1\n", 2),
+        ("graph", "3 2\n2 1\n1 4\n", 2),
+        ("graph", "3 2\n0 1\n1 x\n", 2),
+        ("graph", "3 2\n1 x\n0 1\n", 2),
+        ("graph", "3 1\n5 4\n", 2),
+        ("graph", "3 1\n1 99999999999999999999\n", 2),
+        # the vertex count, on line 1, before the edge lines
+        ("graph", "-1 1\n2 1\n", 1),
+        ("graph", "2147483648 2\n1 x\n", 1),
+        ("graph", "-1 5\n", 1),
         # blank lines: skipped between pairs and sequence lines only
         ("stm", "2\n3 1 2\n\nB 1 2\n  \nA 1 x\n", 6),
         ("sdseq", "1 2\n\n2 3 4\n", 3),
