@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (ID_LIMIT, Graph, InputError, LinearOrder, Rows, _first_repeat,
-                    _int_rows, _runs)
+                    _frozen, _int_rows, _runs)
 from .rect import complement_partition
 from .stm import SignedTreeModel, _checked_forest, clean_same_sign, remove_loops
 
@@ -54,7 +54,7 @@ class IntervalBicliquePartition:
     def __init__(self, order: LinearOrder, bicliques: Rows):
         self.order = order
         n = order.n
-        self.quads = _int_rows(bicliques, 4)
+        (self.quads,) = _frozen(np.array(_int_rows(bicliques, 4)))
         bad = _bad_quads(self.quads, n)
         if bad.any():
             a, b, c, d = self.quads[np.flatnonzero(bad)[0]].tolist()
@@ -126,7 +126,8 @@ class DagCompression:
             raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
         self.n = n
         self.num_nodes = num_nodes
-        self.edge_rows, self.compressed_rows = _int_rows(edges, 2), _int_rows(compressed, 2)
+        self.edge_rows, self.compressed_rows = _frozen(np.array(_int_rows(edges, 2)),
+                                                       np.array(_int_rows(compressed, 2)))
         _check_dag_size(n, num_nodes, len(self.edge_rows) + len(self.compressed_rows))
         x, y = self.edge_rows.T
         bad = np.flatnonzero((x <= n) | (x > num_nodes) | (y < 1) | (y >= x))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -31,38 +31,45 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _id_rows(rows, width: int) -> np.ndarray:
-    """``rows``, a list of ``width``-tuples of node ids or an array of such
-    rows, as a (len(rows), width) int64 array; an int64 array passes
-    through as it is.  Rows of another width raise InputError.  An id
-    beyond int64 (in a list or an object array) reads as 0, which no id
-    range holds, so error messages quote ``rows`` as given."""
-    if not ((rows.shape[1:] == (width,) or rows.size == 0) if isinstance(rows, np.ndarray)
-            else set(map(len, rows)) <= {width}):
-        raise InputError(f"expected rows of {width} node ids")
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
-        return rows.astype(np.int64, copy=False).reshape(-1, width)
+def _int_rows(rows: Rows | Iterable[Sequence[int]], width: int) -> np.ndarray:
+    """Integer rows as an (m, width) int64 array, from an (m, width) array
+    of bool, int or uint dtype or from an iterable of ``width``-sequences
+    of integers, an object array of Python ints included; an int64 array
+    comes back as it is, not copied, and input of size 0 reads as no rows.
+    An integer is what ``operator.index`` takes, so the first row of
+    another width, or holding a non-integer (a float, even 1.0, a str,
+    None) or an integer beyond int64, raises InputError naming the row as
+    given."""
+    given = rows if isinstance(rows, np.ndarray) else list(rows)
+    if len(given) == 0:
+        return np.zeros((0, width), np.int64)
     try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
-    except OverflowError:
-        flat = np.fromiter((v if -2 ** 63 <= v < 2 ** 63 else 0
-                            for v in chain.from_iterable(rows)), np.int64, width * len(rows))
-    return flat.reshape(-1, width)
+        out = np.asarray(given)
+    except ValueError:  # ragged rows
+        out = np.zeros(0)
+    if (out.shape[1:] == (width,) and out.dtype.kind in "biu"
+            and (out.dtype.kind != "u" or out.max() < 2 ** 63)):
+        return out.astype(np.int64, copy=False)
+    flat = []  # otherwise each value goes through operator.index, row by row
+    for row in given:
+        try:
+            values = list(map(index, row))
+        except TypeError:  # a non-integer, or a row that is no sequence
+            values = []
+        if len(values) != width or not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+            shown = tuple(row.tolist()) if isinstance(row, np.ndarray) else row
+            raise InputError(f"expected rows of {width} integers, got {shown}")
+        flat += values
+    return np.array(flat, np.int64).reshape(-1, width)
 
 
-def _int_rows(rows: Rows, width: int) -> np.ndarray:
-    """Integer rows, a sequence of equal-length tuples or an (m, width)
-    integer array, as a read-only (m, width) int64 array of its own.  Rows
-    of any other shape, of non-integer values (floats, strings) or of
-    values beyond int64 raise ValueError; no rows at all are accepted."""
-    out = np.array(rows)
-    if out.shape == (0,):  # no rows at all
-        out = out.reshape(0, width)
-    kind = out.dtype.kind if out.size else "i"
-    if (out.ndim != 2 or out.shape[1] != width or kind not in "biu"
-            or (kind == "u" and out.max() > np.iinfo(np.int64).max)):
-        raise ValueError(f"expected rows of {width} integers")
-    return _frozen(out.astype(np.int64, copy=False))[0]
+def _csr(num_nodes: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, targets) for edges src -> tgt between nodes 0..num_nodes:
+    the edges out of node u are targets[offsets[u]:offsets[u + 1]], in
+    their order in ``src``."""
+    offsets = np.zeros(num_nodes + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes + 1), out=offsets[1:])
+    return offsets, tgt[np.argsort(src, kind="stable")]
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -96,10 +103,10 @@ class Graph:
     none), so ``offsets`` has n + 2 entries and ``targets`` holds every
     edge once per direction.
 
-    Edges are given as an iterable of pairs or an (m, 2) integer array;
-    repeated and reversed edges are merged.  The first edge in input order
-    with an end outside [1, n], or else a self-loop, raises InputError
-    quoting the edge as given.  ``neighbors`` slices the arrays on each
+    Edges are given as an iterable of pairs or an (m, 2) integer array,
+    read by ``_int_rows``; repeated and reversed edges are merged.  The
+    first edge in input order with an end outside [1, n], or else a
+    self-loop, raises InputError.  ``neighbors`` slices the arrays on each
     call and ``adjacency`` builds every vertex's tuple on each read, so a
     loop over many vertices reads ``adjacency`` once.
 
@@ -111,20 +118,21 @@ class Graph:
     def __init__(self, n: int, edges: Rows | Iterable[tuple[int, int]] = ()):
         _check_vertices(n)
         self.n = n
-        given = edges if isinstance(edges, np.ndarray) else list(edges)
-        rows = _id_rows(given, 2)
+        rows = _int_rows(edges, 2)
         out = ((rows < 1) | (rows > n)).any(axis=1)
         bad = np.flatnonzero(out | (rows[:, 0] == rows[:, 1]))
         if bad.size:
-            u, v = given[bad[0]]
+            u, v = rows[bad[0]].tolist()
             raise InputError(f"edge ({u},{v}) out of range [1,{n}]" if out[bad[0]]
                              else f"self-loop at vertex {u}")
-        # one key u(n + 1) + v per edge and direction, sorted, each key once;
-        # vertex v's keys start where the keys reach v(n + 1)
+        # one key u(n + 1) + v per edge and direction, sorted, each key once
         keys = np.sort((rows @ [[n + 1, 1], [1, n + 1]]).ravel())
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.offsets, self.targets = _frozen(np.searchsorted(keys, np.arange(n + 2) * (n + 1)),
-                                             keys % (n + 1))
+        fresh = np.ones(len(keys), bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        keys = keys[fresh]
+        # the targets overwrite the keys, which the sources were taken from
+        self.offsets, self.targets = _frozen(*_csr(n, keys // (n + 1),
+                                                   np.remainder(keys, n + 1, out=keys)))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -165,13 +173,15 @@ class Graph:
 
 
 class LinearOrder:
-    """A bijection between vertices 1..n and positions 1..n."""
+    """A bijection between vertices 1..n and positions 1..n, given as
+    integers that ``_int_rows`` reads as rows of width 1."""
 
     __slots__ = ("n", "position", "vertex_at")
 
     def __init__(self, position: Sequence[int]):
-        self.n = len(position)
-        self.position = tuple(position)  # position[v-1] = position of vertex v
+        # position[v-1] = position of vertex v
+        self.position = tuple(_int_rows(zip(position), 1)[:, 0].tolist())
+        self.n = len(self.position)
         inv = [0] * self.n
         for v, p in enumerate(self.position, start=1):
             if not 1 <= p <= self.n or inv[p - 1]:
@@ -186,6 +196,7 @@ class LinearOrder:
     @classmethod
     def from_vertex_sequence(cls, seq: Sequence[int]) -> "LinearOrder":
         """Build from the vertices listed left to right."""
+        seq = _int_rows(zip(seq), 1)[:, 0].tolist()
         pos = [0] * len(seq)
         for p, v in enumerate(seq, start=1):
             if not 1 <= v <= len(seq):

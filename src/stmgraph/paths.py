@@ -19,18 +19,10 @@ import numpy as np
 from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, MERGE, _cseq_complete,
                       ibp_to_dag, stm_to_ibp)
-from .graph import InputError, _runs
+from .graph import InputError, _csr, _int_rows, _runs
 from .stm import SignedTreeModel
 
 Representation = Union[SignedTreeModel, IntervalBicliquePartition, DagCompression]
-
-
-def _csr(num_nodes: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, targets): the edges out of node u are
-    targets[offsets[u]:offsets[u + 1]], in their order in ``src``."""
-    offsets = np.zeros(num_nodes + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes + 1), out=offsets[1:])
-    return offsets, tgt[np.argsort(src, kind="stable")]
 
 
 class DistanceModel:
@@ -43,7 +35,7 @@ class DistanceModel:
     each an (offsets, targets) pair of int64 arrays: the edges of that
     weight out of node u run to targets[offsets[u]:offsets[u + 1]], in the
     order they were given.  ``edges`` is any iterable of (x, y, w) triples,
-    an (m, 3) integer array included.
+    an (m, 3) integer array included, read by ``_int_rows``.
     """
 
     __slots__ = ("n", "num_nodes", "zero", "one")
@@ -51,12 +43,7 @@ class DistanceModel:
     def __init__(self, n: int, num_nodes: int, edges: Iterable[tuple[int, int, int]]):
         if not 0 <= n <= num_nodes:
             raise InputError(f"need 0 <= n <= num_nodes, got n={n}, num_nodes={num_nodes}")
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        if e.size == 0:
-            e = np.zeros((0, 3), dtype=np.int64)
-        if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind not in "biu":
-            raise InputError("edges must be (x, y, w) triples of integers")
-        x, y, w = e.astype(np.int64, copy=False).T
+        x, y, w = _int_rows(edges, 3).T
         bad = (w < 0) | (w > 1) | (x < 1) | (x > num_nodes) | (y < 1) | (y > num_nodes)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

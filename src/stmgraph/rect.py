@@ -15,7 +15,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graph import InputError, Rows, _int_rows
+from .graph import InputError, Rows, _frozen, _int_rows
 
 _last = itemgetter(-1)
 
@@ -32,9 +32,10 @@ class LaminarityError(ValueError):
 
 
 def _keys(rows: Rows) -> np.ndarray:
-    """The key rows as a read-only (m, 4) int64 array (ValueError as for
-    ``_int_rows``); InputError if a key row is degenerate."""
-    keys = _int_rows(rows, 4)
+    """The key rows as a read-only (m, 4) int64 array of its own, read by
+    ``_int_rows`` (InputError for rows that are not 4 integers in int64);
+    InputError if a key row is degenerate."""
+    (keys,) = _frozen(np.array(_int_rows(rows, 4)))
     bad = np.flatnonzero((keys[:, 0] > keys[:, 1]) | (keys[:, 2] > keys[:, 3]))
     if bad.size:
         raise InputError(f"degenerate rectangle {tuple(keys[bad[0]].tolist())}")

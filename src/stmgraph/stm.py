@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, InputError, _first_repeat, _frozen, _id_rows
+from .graph import Graph, InputError, _first_repeat, _frozen, _int_rows
 from . import rect
 from .rect import InclusionForest, LaminarityError
 
@@ -55,24 +55,23 @@ def _tree(n: int, children) -> tuple[np.ndarray, np.ndarray, int]:
     nodes, n - 1 distinct rows give 2n - 2 children, so every internal id
     has children."""
     num_nodes = 2 * n - 1
-    given = (children if isinstance(children, np.ndarray)
-             else [(t, l, r) for t, (l, r) in children.items()])
-    rows = _id_rows(given, 3)
+    rows = _int_rows(children if isinstance(children, np.ndarray)
+                     else [(t, l, r) for t, (l, r) in children.items()], 3)
     bad = np.flatnonzero((rows < [n + 1, 1, 1]) | (rows > num_nodes))
     # an internal id or a child seen before; negated, the internal ids meet
     # the children only where some id is out of range at that index or before
     again = _first_repeat((rows * [-1, 1, 1]).ravel())
     # the first out-of-range id and the first repeat, as flat indices into
-    # ``given``; at one index the range check comes first
+    # ``rows``; at one index the range check comes first
     i = int(bad[0]) if bad.size else rows.size
     j = again if again >= 0 else rows.size
     if j < i:
-        raise InputError(f"internal node {given[j // 3][0]} defined twice" if j % 3 == 0
-                         else f"node {given[j // 3][j % 3]} has two parents")
+        raise InputError(f"internal node {rows.flat[j]} defined twice" if j % 3 == 0
+                         else f"node {rows.flat[j]} has two parents")
     if i < rows.size:
-        t = given[i // 3][0]
+        t = rows.flat[i - i % 3]
         raise InputError(f"internal node id {t} out of range ({n},{num_nodes}]" if i % 3 == 0
-                         else f"child id {given[i // 3][i % 3]} of node {t} out of range")
+                         else f"child id {rows.flat[i]} of node {t} out of range")
     parent = np.zeros(num_nodes + 1, np.int64)
     parent[rows[:, 1:]] = rows[:, :1]
     roots = np.flatnonzero(parent[1:] == 0) + 1
@@ -162,11 +161,11 @@ class SignedTreeModel:
     def _canon(self, pairs_a: Pairs, pairs_b: Pairs) -> tuple[np.ndarray, np.ndarray]:
         """The pairs and signs in the stored form; InputError names the first
         pair, negative ones first, with an end outside 1..2n-1."""
-        a, b = (p if isinstance(p, np.ndarray) else list(p) for p in (pairs_a, pairs_b))
-        rows = np.concatenate((_id_rows(a, 2), _id_rows(b, 2)))
+        a, b = _int_rows(pairs_a, 2), _int_rows(pairs_b, 2)
+        rows = np.concatenate((a, b))
         bad = np.flatnonzero(((rows < 1) | (rows > 2 * self.n - 1)).any(axis=1))
         if bad.size:
-            x, y = [*a, *b][bad[0]]
+            x, y = rows[bad[0]].tolist()
             raise InputError(f"pair ({x},{y}) references unknown nodes")
         return self._sorted(rows, np.repeat(np.array([-1, 1], np.int8), (len(a), len(b))))
 

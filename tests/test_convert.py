@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from stmgraph import (ConstructionSequence, Graph, InputError,
+from stmgraph import (ConstructionSequence, DistanceModel, Graph, InputError,
                       InvalidModelError, PartitionViolation, SdDegenSequence,
                       SequenceError, SignedTreeModel, clean_same_sign,
                       complement_partition, cover_set, cseq_replay,
@@ -365,40 +365,60 @@ class TestIbpToGraph:
             DagCompression(2, 4, [], reshaped((1, 2)))
 
 
-def first_two(rows):
-    return rows[:, :2] if isinstance(rows, np.ndarray) else [row[:2] for row in rows]
+def first(rows, k):
+    return rows[:, :k] if isinstance(rows, np.ndarray) else [row[:k] for row in rows]
+
+
+def tree_of(rows):
+    """Rows (t, left, right, ...) as a tree in the form ``SignedTreeModel``
+    takes: an array of rows (t, left, right), or a mapping t -> (left, right)."""
+    return rows[:, :3] if isinstance(rows, np.ndarray) else {t: (l, r) for t, l, r, _ in rows}
 
 
 # Rows that a conversion to int64 would truncate, wrap or parse.  The float
-# and str rows name valid bicliques, rectangles and compressed edges once
-# truncated or parsed; the message match tells the integer check from the
-# range checks for the rest.
+# and str rows name valid bicliques, rectangles, compressed edges, graph
+# edges, model pairs and (the "id" rows) a model's tree once truncated or
+# parsed; the message match tells the integer check from the range checks
+# for the rest.
 NON_INTEGER_ROWS = {
     "float": [(1.0, 1.9, 3.7, 4)],
     "integral float": [(1.0, 2.0, 3.0, 4.0)],
     "float array": np.array([[1.9, 4.2, 5.5, 8.0], [2, 3, 6, 7]]),
     "str": [("1", "2", "3", "4")],
+    "float id": [(1.7, 2, 1, 3)],
+    "integral float id": [(3.0, 1, 2, 4)],
+    "str id": [(3, "1", 2, 4)],
     "beyond int64": [(2 ** 63, 1, 2, 3)],
     "far beyond int64": [(99999999999999999999, 1, 2, 3)],
     "uint64 beyond int64": np.array([[2 ** 64 - 3, 1, 2, 3]], dtype=np.uint64),
 }
 
+# name -> (row width, a reader of the rows); the LinearOrder readers take the
+# first row as the sequence
 ROW_READERS = {
-    "IntervalBicliquePartition": lambda rows: IntervalBicliquePartition(
-        LinearOrder.identity(9), rows),
-    "DagCompression edges": lambda rows: DagCompression(2, 9, first_two(rows), []),
-    "DagCompression compressed": lambda rows: DagCompression(2, 9, [], first_two(rows)),
-    "inclusion_forest": inclusion_forest,
-    "complement_partition holes": lambda rows: complement_partition((1, 9, 1, 9), rows),
-    "complement_partition outer": lambda rows: complement_partition(rows[0], []),
+    "IntervalBicliquePartition": (4, lambda rows: IntervalBicliquePartition(
+        LinearOrder.identity(9), rows)),
+    "DagCompression edges": (2, lambda rows: DagCompression(2, 9, first(rows, 2), [])),
+    "DagCompression compressed": (2, lambda rows: DagCompression(2, 9, [], first(rows, 2))),
+    "inclusion_forest": (4, inclusion_forest),
+    "complement_partition holes": (4, lambda rows: complement_partition((1, 9, 1, 9), rows)),
+    "complement_partition outer": (4, lambda rows: complement_partition(rows[0], [])),
+    "Graph": (2, lambda rows: Graph(9, first(rows, 2))),
+    "SignedTreeModel tree": (3, lambda rows: SignedTreeModel(2, tree_of(rows))),
+    "SignedTreeModel pairs": (2, lambda rows: SignedTreeModel(2, {3: (1, 2)}, [],
+                                                              first(rows, 2))),
+    "DistanceModel": (3, lambda rows: DistanceModel(9, 9, first(rows, 3))),
+    "LinearOrder": (1, lambda rows: LinearOrder(rows[0])),
+    "LinearOrder.from_vertex_sequence": (1, lambda rows: LinearOrder.from_vertex_sequence(
+        rows[0])),
 }
 
 
 class TestIntegerRows:
     @pytest.mark.parametrize("rows", NON_INTEGER_ROWS.values(), ids=NON_INTEGER_ROWS)
-    @pytest.mark.parametrize("read", ROW_READERS.values(), ids=ROW_READERS)
-    def test_non_integer_rows_rejected(self, read, rows):
-        with pytest.raises(ValueError, match="expected rows of [24] integers"):
+    @pytest.mark.parametrize("width, read", ROW_READERS.values(), ids=ROW_READERS)
+    def test_non_integer_rows_rejected(self, width, read, rows):
+        with pytest.raises(InputError, match=f"expected rows of {width} integers, got "):
             read(rows)
 
     def test_rows_valid_as_integers(self):
@@ -409,11 +429,30 @@ class TestIntegerRows:
         IntervalBicliquePartition(LinearOrder.identity(9), [(1, 1, 3, 4), (1, 2, 3, 4)])
         inclusion_forest(np.array([[1, 4, 5, 8], [2, 3, 6, 7]]))
         complement_partition((1, 9, 1, 9), [(1, 1, 3, 4)])
+        # an object array of Python ints, as parse_stm hands over when another
+        # field of its block is beyond int64, reads when every value fits;
+        # so do uint and bool arrays
+        for dtype in (object, np.uint64):
+            assert Graph(3, np.array([[1, 3]], dtype)).edge_rows.tolist() == [[1, 3]]
+            assert SignedTreeModel(2, np.array([[3, 1, 2]], dtype), [],
+                                   np.array([[1, 2]], dtype)).pairs.tolist() == [[1, 2]]
+            assert DistanceModel(3, 3, np.array([[1, 3, 1]], dtype)).one[1].tolist() == [3]
+            assert LinearOrder(np.array([2, 1], dtype)).vertex_at == (2, 1)
+        assert DistanceModel(1, 1, np.ones((1, 3), bool)).one[1].tolist() == [1]
+
+    def test_stored_rows_are_their_own(self):
+        rows = np.array([[1, 1, 2, 3], [3, 2, 1, 1]])
+        stored = (IntervalBicliquePartition(LinearOrder.identity(3), rows[:1]).quads,
+                  DagCompression(2, 3, rows[1:, :2], rows[:1, :2]).edge_rows,
+                  inclusion_forest(rows[:1]).keys)
+        rows[:] = 0
+        assert [a.tolist() for a in stored] == [[[1, 1, 2, 3]], [[3, 2]], [[1, 1, 2, 3]]]
+        assert rows.flags.writeable and not any(a.flags.writeable for a in stored)
 
     def test_no_rows_accepted(self):
         for rows in ([], np.zeros((0, 4), dtype=np.int64)):
             assert IntervalBicliquePartition(LinearOrder.identity(9), rows).quads.shape == (0, 4)
-            assert DagCompression(2, 2, first_two(rows), first_two(rows)).size == 2
+            assert DagCompression(2, 2, first(rows, 2), first(rows, 2)).size == 2
             assert inclusion_forest(rows).keys.shape == (0, 4)
             assert complement_partition((1, 9, 1, 9), rows).tolist() == [[1, 9, 1, 9]]
 

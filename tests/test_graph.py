@@ -21,12 +21,17 @@ class OracleInputError(ValueError):
 class SetGraph:
     """``Graph`` as it was before its CSR form, sharing no code with it:
     each edge goes into two Python sets, in input order, and each set is
-    sorted into a tuple."""
+    sorted into a tuple.  Before that, every edge must be two Python ints
+    in int64, the rule ``Graph``'s row reader applies."""
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise OracleInputError("vertex count must be nonnegative")
         self.n = n
+        edges = list(edges)
+        for e in edges:
+            if len(e) != 2 or not all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in e):
+                raise OracleInputError(f"expected rows of 2 integers, got {e}")
         adj = [set() for _ in range(n + 1)]
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):

@@ -146,11 +146,11 @@ class TestParseErrors:
         # other's parent
         ("3\n4 5 1\n5 4 2\n", "leaves must be exactly the ids 1..n"),
         ("2\n99999999999999999999 1 2\n",
-         "internal node id 99999999999999999999 out of range (2,3]"),
+         "expected rows of 3 integers, got (99999999999999999999, 1, 2)"),
         ("2\n3 1 -99999999999999999999\n",
-         "child id -99999999999999999999 of node 3 out of range"),
+         "expected rows of 3 integers, got (3, 1, -99999999999999999999)"),
         ("2\n3 1 2\nB 1 2\nA 1 99999999999999999999\n",
-         "pair (1,99999999999999999999) references unknown nodes"),
+         "expected rows of 2 integers, got (1, 99999999999999999999)"),
         # an out-of-range child is named before a later second parent
         ("3\n4 1 9\n5 1 3\n", "child id 9 of node 4 out of range"),
         ("3\n4 1 2\n5 1 9\n", "node 1 has two parents"),

@@ -177,9 +177,9 @@ class TestTreeArrays:
         # one root (leaf 3), and internal nodes 4 and 5 are each other's parent
         ({4: (5, 1), 5: (4, 2)}, [], "leaves must be exactly the ids 1..n"),
         ({4: (4, 1), 5: (2, 3)}, [], "leaves must be exactly the ids 1..n"),
-        ({2 ** 64: (1, 2)}, [], "internal node id 18446744073709551616 out of range (3,5]"),
-        ({4: (1, 2), 5: (-2 ** 70, 3)}, [], f"child id {-2 ** 70} of node 5 out of range"),
-        ({4: (1, 2), 5: (4, 3)}, [(1, 2 ** 63)], f"pair (1,{2 ** 63}) references unknown nodes"),
+        ({2 ** 64: (1, 2)}, [], "expected rows of 3 integers, got (18446744073709551616, 1, 2)"),
+        ({4: (1, 2), 5: (-2 ** 70, 3)}, [], f"expected rows of 3 integers, got (5, {-2 ** 70}, 3)"),
+        ({4: (1, 2), 5: (4, 3)}, [(1, 2 ** 63)], f"expected rows of 2 integers, got (1, {2 ** 63})"),
         # rows (t, left, right) in an array may repeat an internal id
         (np.array([[4, 1, 2], [4, 5, 3]]), [], "internal node 4 defined twice"),
     ])
