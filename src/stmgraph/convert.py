@@ -235,7 +235,7 @@ def stm_to_ibp(stm: SignedTreeModel) -> IntervalBicliquePartition:
                   complement_partition(keys[i], keys[kids[end[i] - holes[i]:end[i]]])]
         done = j + 1
     parts.append(keys[positive[done:]])
-    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order.tolist()),
+    return IntervalBicliquePartition(LinearOrder.from_vertex_sequence(stm.leaf_order),
                                      np.concatenate(parts))
 
 
@@ -327,7 +327,7 @@ def _covers(n: int, intervals: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, 
 
 def _positions(order: LinearOrder) -> np.ndarray:
     """``at``: the vertex at each position 1..n, with at[0] unused."""
-    return np.array((0,) + order.vertex_at, dtype=np.int64)
+    return np.concatenate(([0], order.vertex_at))
 
 
 def cover_set(n: int, a: int, b: int) -> list[int]:
@@ -429,9 +429,8 @@ def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
     """Check each op as it is walked, then append merges (smallest live part
     ids first) until one part remains.
 
-    Raises SequenceError, with ``cseq_replay``'s messages, on an op over a
-    part that is not alive, a merge of a part with itself, or an unknown
-    op kind.
+    Raises SequenceError on an op over a part that is not alive, a merge
+    of a part with itself, or an unknown op kind, naming the step.
     """
     alive = set(range(1, seq.n + 1))
     next_id = seq.n
@@ -459,25 +458,24 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
     """Direct replay of the construction semantics (oracle): each resolve
     turns the vertex pairs across its two parts that no earlier resolve
     decided into edges (R+) or non-edges (R-); output is (V, E_final).  The
-    resolves' pairs are arrays, and a stable sort finds each pair's first."""
+    resolves' pairs are arrays, and a stable sort finds each pair's first.
+
+    Raises SequenceError on an op over a part that is not alive, a merge
+    of a part with itself, or an unknown op kind.
+    """
+    _cseq_complete(seq)  # checks every op; the replay runs seq's own ops
     n = seq.n
     parts = {v: np.array([v]) for v in range(1, n + 1)}
     decided = [np.zeros((0, 3), np.int64)]  # rows (u, v, positive), in op order
     next_id = n
-    for step, (kind, i, j) in enumerate(seq.ops, start=1):
-        if i not in parts or j not in parts:
-            raise SequenceError(f"step {step}: part {i if i not in parts else j} is not alive")
+    for kind, i, j in seq.ops:
         if kind == MERGE:
-            if i == j:
-                raise SequenceError(f"step {step}: cannot merge a part with itself")
             next_id += 1
             parts[next_id] = np.concatenate((parts.pop(i), parts.pop(j)))
-        elif kind in (RESOLVE_POS, RESOLVE_NEG):
+        else:
             u, v = (a.ravel() for a in np.meshgrid(parts[i], parts[j], indexing="ij"))
             decided.append(np.column_stack((np.minimum(u, v), np.maximum(u, v),
                                             np.full(len(u), kind == RESOLVE_POS))))
-        else:
-            raise SequenceError(f"step {step}: unknown op kind {kind!r}")
     u, v, positive = np.concatenate(decided).T
     key = u * (n + 1) + v
     order = np.argsort(key, kind="stable")

@@ -66,10 +66,13 @@ def _int_rows(rows: Rows | Iterable[Sequence[int]], width: int) -> np.ndarray:
 def _csr(num_nodes: int, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, targets) for edges src -> tgt between nodes 0..num_nodes:
     the edges out of node u are targets[offsets[u]:offsets[u + 1]], in
-    their order in ``src``."""
+    their order in ``src``.  When ``src`` is already non-decreasing,
+    ``targets`` is ``tgt`` itself, neither sorted nor copied."""
     offsets = np.zeros(num_nodes + 2, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes + 1), out=offsets[1:])
-    return offsets, tgt[np.argsort(src, kind="stable")]
+    if (src[1:] < src[:-1]).any():
+        tgt = tgt[np.argsort(src, kind="stable")]
+    return offsets, tgt
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -172,52 +175,69 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _permutation(seq: Sequence[int] | np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``seq``, a permutation of 1..n, and its inverse, as read-only int64
+    arrays of their own.  ``_int_rows`` reads a 1-D ndarray as one row of
+    width 1 per element, with no Python step per element, and any other
+    input as 1-tuples through ``zip`` (an ndarray of another shape as its
+    nested lists), so the first element that is no integer in int64 raises
+    its InputError, naming the element as given.  Anything else that is not
+    a permutation raises InputError("<what> sequence is not a permutation")."""
+    if isinstance(seq, np.ndarray) and seq.ndim == 1:
+        values = np.array(_int_rows(seq[:, None], 1)[:, 0])  # never the caller's
+    else:
+        values = _int_rows(zip(seq.tolist() if isinstance(seq, np.ndarray) else seq), 1)[:, 0]
+    n = len(values)
+    inverse = np.zeros(n, np.int64)
+    if ((values < 1) | (values > n)).any():
+        raise InputError(f"{what} sequence is not a permutation")
+    inverse[values - 1] = np.arange(1, n + 1)
+    if not inverse.all():  # a repeated value left some slot unfilled
+        raise InputError(f"{what} sequence is not a permutation")
+    return _frozen(values, inverse)
+
+
 class LinearOrder:
-    """A bijection between vertices 1..n and positions 1..n, given as
-    integers that ``_int_rows`` reads as rows of width 1."""
+    """A bijection between vertices 1..n and positions 1..n, stored only as
+    two read-only int64 arrays of its own: ``position[v - 1]`` is the
+    position of vertex v and ``vertex_at[p - 1]`` the vertex at position p.
+    Each constructor takes an integer ndarray or an iterable of integers,
+    read once by ``_permutation``."""
 
-    __slots__ = ("n", "position", "vertex_at")
+    __slots__ = ("position", "vertex_at")
 
-    def __init__(self, position: Sequence[int]):
-        # position[v-1] = position of vertex v
-        self.position = tuple(_int_rows(zip(position), 1)[:, 0].tolist())
-        self.n = len(self.position)
-        inv = [0] * self.n
-        for v, p in enumerate(self.position, start=1):
-            if not 1 <= p <= self.n or inv[p - 1]:
-                raise InputError("position sequence is not a permutation")
-            inv[p - 1] = v
-        self.vertex_at = tuple(inv)  # vertex_at[p-1] = vertex at position p
+    def __init__(self, position: Sequence[int] | np.ndarray):
+        self.position, self.vertex_at = _permutation(position, "position")
+
+    @property
+    def n(self) -> int:
+        return len(self.position)
 
     @classmethod
     def identity(cls, n: int) -> "LinearOrder":
-        return cls(range(1, n + 1))
+        return cls(np.arange(1, n + 1))
 
     @classmethod
-    def from_vertex_sequence(cls, seq: Sequence[int]) -> "LinearOrder":
+    def from_vertex_sequence(cls, seq: Sequence[int] | np.ndarray) -> "LinearOrder":
         """Build from the vertices listed left to right."""
-        seq = _int_rows(zip(seq), 1)[:, 0].tolist()
-        pos = [0] * len(seq)
-        for p, v in enumerate(seq, start=1):
-            if not 1 <= v <= len(seq):
-                raise InputError("vertex sequence is not a permutation")
-            pos[v - 1] = p
-        return cls(pos)
+        order = cls.__new__(cls)
+        order.vertex_at, order.position = _permutation(seq, "vertex")
+        return order
 
     def pos(self, v: int) -> int:
-        return self.position[v - 1]
+        return int(self.position[v - 1])
 
     def at(self, p: int) -> int:
-        return self.vertex_at[p - 1]
+        return int(self.vertex_at[p - 1])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearOrder) and self.position == other.position
+        return isinstance(other, LinearOrder) and np.array_equal(self.position, other.position)
 
     def __hash__(self) -> int:
-        return hash(self.position)
+        return hash(self.position.tobytes())
 
     def __repr__(self) -> str:
-        return f"LinearOrder({list(self.position)})"
+        return f"LinearOrder({self.position.tolist()})"
 
 
 def bfs_sssp_oracle(g: Graph, source: int) -> list[int]:

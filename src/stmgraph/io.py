@@ -222,11 +222,11 @@ def parse_ibp(text: str) -> IntervalBicliquePartition:
     if len(lines) < 2:
         raise FormatError(max(1, len(lines)), "expected header and order lines")
     n, k = _header(lines, 2)
-    seq = _read(lines[1:2], 2, n)[0][0].tolist()
+    seq = _read(lines[1:2], 2, n)[0][0]
     try:
         order = LinearOrder.from_vertex_sequence(seq)
     except ValueError:
-        raise FormatError(2, f"{seq} is not a permutation of 1..{n}") from None
+        raise FormatError(2, f"{seq.tolist()} is not a permutation of 1..{n}") from None
     if len(lines) < k + 2:
         raise FormatError(len(lines), f"expected {k} biclique lines")
     quads, _ = _read(lines[2:2 + max(k, 0)], 3, 4, rule=(
@@ -236,7 +236,7 @@ def parse_ibp(text: str) -> IntervalBicliquePartition:
 
 def format_ibp(ibp: IntervalBicliquePartition) -> str:
     """The ``parse_ibp`` format, one line per row of ``ibp.quads``."""
-    order = " ".join(map(str, ibp.order.vertex_at))
+    order = " ".join(map(str, ibp.order.vertex_at.tolist()))
     return f"{ibp.n} {len(ibp.quads)}\n{order}\n" + _format_rows("%s %s %s %s\n", ibp.quads)
 
 

@@ -189,7 +189,7 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
         raise InputError(f"matrix is not {n}x{n}")
     # row q of the kernel's operand is the caller's row rows[q], and the
     # caller's row p is the kernel's row back[p]
-    rows = np.array(order.position, dtype=np.int64)[np.array(ibp.order.vertex_at) - 1] - 1
+    rows = order.position[ibp.order.vertex_at - 1] - 1
     back = np.argsort(rows)
     if group is INT64_GROUP:
         prod = _int64_array(n_matrix).reshape(n, n)[rows]

@@ -65,6 +65,13 @@ def _sd(adj: list[set[int]], u: int, v: int) -> int:
     return len(nu ^ nv)
 
 
+def _delete(adj: list[set[int]], u: int) -> None:
+    """Delete vertex u from the adjacency sets."""
+    for w in adj[u]:
+        adj[w].discard(u)
+    adj[u] = set()
+
+
 def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, WidthReport]:
     """Randomized sd-degeneracy sequence construction.
 
@@ -106,9 +113,7 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
         if doomed:
             dead = set(doomed)
             for u in doomed:
-                for w in adj[u]:
-                    adj[w].discard(u)
-                adj[u] = set()
+                _delete(adj, u)
             alive = [v for v in alive if v not in dead]
     tail_sds: list[int] = []
     alive.sort()
@@ -116,9 +121,7 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
         u, v = alive[0], alive[1]
         tail_sds.append(_sd(adj, u, v))
         pairs.append((u, v))
-        for w in adj[u]:
-            adj[w].discard(u)
-        adj[u] = set()
+        _delete(adj, u)
         alive.pop(0)
     return SdDegenSequence(tuple(pairs)), WidthReport(tuple(loop_sds), tuple(tail_sds))
 
@@ -171,9 +174,7 @@ def sd_sequence_greedy(g: Graph) -> tuple[SdDegenSequence, WidthReport]:
         s, u, v = best
         pairs.append((u, v))
         sds.append(s)
-        for w in adj[u]:
-            adj[w].discard(u)
-        adj[u] = set()
+        _delete(adj, u)
         alive.remove(u)
     return SdDegenSequence(tuple(pairs)), WidthReport(tuple(sds))
 
@@ -186,7 +187,5 @@ def validate_sequence(g: Graph, seq: SdDegenSequence) -> WidthReport:
     sds: list[int] = []
     for u, v in seq.pairs:
         sds.append(_sd(adj, u, v))
-        for w in adj[u]:
-            adj[w].discard(u)
-        adj[u] = set()
+        _delete(adj, u)
     return WidthReport(tuple(sds))

@@ -437,7 +437,7 @@ class TestIntegerRows:
             assert SignedTreeModel(2, np.array([[3, 1, 2]], dtype), [],
                                    np.array([[1, 2]], dtype)).pairs.tolist() == [[1, 2]]
             assert DistanceModel(3, 3, np.array([[1, 3, 1]], dtype)).one[1].tolist() == [3]
-            assert LinearOrder(np.array([2, 1], dtype)).vertex_at == (2, 1)
+            assert LinearOrder(np.array([2, 1], dtype)).vertex_at.tolist() == [2, 1]
         assert DistanceModel(1, 1, np.ones((1, 3), bool)).one[1].tolist() == [1]
 
     def test_stored_rows_are_their_own(self):
@@ -509,7 +509,7 @@ class TestBalancedTreeOracle:
             order = LinearOrder(random.Random(n).sample(range(1, n + 1), n))
             tree = BalancedTree(n, leaf_id=order.at)
             assert list(tree.children) == list(range(n + 1, 2 * n)), n
-            at = np.array((0,) + order.vertex_at)
+            at = np.concatenate(([0], order.vertex_at))
             assert list(map(tuple, _skeleton(n, at).tolist())) == list(tree.children.values()), n
 
     def test_dag_and_positive_model_byte_identical(self):

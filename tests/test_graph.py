@@ -198,6 +198,78 @@ class TestLinearOrder:
         with pytest.raises(InputError):
             LinearOrder.from_vertex_sequence(seq)
 
+    @pytest.mark.parametrize("seq, shown", [
+        ([3, 1.0, 2.5], "(1.0,)"), ((2, "1"), "('1',)"), ([1, None], "(None,)"),
+        (range(2 ** 63 - 1, 2 ** 63 + 1), f"({2 ** 63},)"), ([[1], [2]], "([1],)"),
+        (np.array([[1], [2]]), "([1],)"), (np.array([[2, 1], [3, 4]]), "([2, 1],)"),
+        (np.array([2 ** 64 - 1, 1], np.uint64), f"({2 ** 64 - 1},)"),
+        (np.array([1, 2.5]), "(1.0,)")])
+    def test_names_first_non_integer(self, seq, shown):
+        for build in (LinearOrder, LinearOrder.from_vertex_sequence):
+            with pytest.raises(InputError) as e:
+                build(iter(seq) if isinstance(seq, range) else seq)
+            assert str(e.value) == f"expected rows of 1 integers, got {shown}"
+
+    def test_scalar_is_no_sequence(self):
+        for build in (LinearOrder, LinearOrder.from_vertex_sequence):
+            for scalar in (3, np.array(3)):
+                with pytest.raises(TypeError):
+                    build(scalar)
+
+    def test_against_loop_oracle(self):
+        """Both constructors against a Python loop over the integers, on
+        permutations and on sequences with a repeat, a 0, an n + 1 or a
+        negative id, in every input form."""
+        def oracle(seq):  # (seq, its inverse) as lists, or None
+            inverse = [0] * len(seq)
+            for i, p in enumerate(seq, start=1):
+                if not 1 <= p <= len(seq) or inverse[p - 1]:
+                    return None
+                inverse[p - 1] = i
+            return list(seq), inverse
+
+        rng = random.Random(23)
+        built = []
+        for n in range(65):
+            perm = rng.sample(range(1, n + 1), n)
+            seqs = [perm, list(range(n, 0, -1))]
+            if n:
+                for bad in (0, n + 1, -rng.randint(1, n), perm[rng.randrange(n)]):
+                    seqs.append(perm[:])
+                    seqs[-1][rng.randrange(n)] = bad
+            for seq in seqs:
+                forms = [seq, tuple(seq), np.array(seq, np.int64)]
+                forms += [np.array(seq, np.uint64)] if min(seq, default=0) >= 0 else []
+                forms += [range(n, 0, -1)] if seq == list(range(n, 0, -1)) else []
+                want = oracle(seq)
+                for form in forms:
+                    if want is None:
+                        for build, what in ((LinearOrder, "position"),
+                                            (LinearOrder.from_vertex_sequence, "vertex")):
+                            with pytest.raises(InputError, match=f"^{what} sequence is not "
+                                                                 "a permutation$"):
+                                build(form)
+                        continue
+                    orders = (LinearOrder(form), LinearOrder.from_vertex_sequence(form))
+                    if isinstance(form, np.ndarray):
+                        form[:] = 1  # the orders keep arrays of their own
+                    for order, arrays in zip(orders, (
+                            (orders[0].position, orders[0].vertex_at),
+                            (orders[1].vertex_at, orders[1].position))):
+                        assert [a.tolist() for a in arrays] == list(want), (n, seq)
+                        assert order.n == n
+                        assert repr(order) == f"LinearOrder({order.position.tolist()})"
+                        for a in arrays:
+                            assert a.dtype == np.int64 and not a.flags.writeable
+                        assert (order.position[order.vertex_at - 1] == np.arange(1, n + 1)).all()
+                        assert all(type(order.pos(v)) is type(order.at(v)) is int
+                                   and order.at(order.pos(v)) == v for v in range(1, n + 1))
+                    built += orders
+        for a, b in zip(built, built[1:] + built[:1]):
+            assert (a == b) == (a.position.tolist() == b.position.tolist())
+            assert a != b or hash(a) == hash(b)
+        assert len(set(built)) == len({tuple(o.position.tolist()) for o in built})
+
 
 class TestBfsOracle:
     def test_path(self):

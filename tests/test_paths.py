@@ -173,7 +173,10 @@ class TestDistanceModel:
 
     def test_csr_against_lists(self):
         """Each node's targets of each weight, in input order, against
-        Python lists: the order ``zero_one_bfs``'s parents depend on."""
+        Python lists: the order ``zero_one_bfs``'s parents depend on.  The
+        sources come in any order, or already non-decreasing (all from one
+        node, a single edge, sorted with repeats), which ``_csr`` keeps
+        without a sort."""
         rng = random.Random(21)
         for trial in range(400):
             num_nodes = rng.randint(1, 30)
@@ -184,17 +187,20 @@ class TestDistanceModel:
                      for _ in range(rng.choice([0, rng.randint(0, 4 * num_nodes)]))]
             for _ in range(len(edges) // 3):
                 edges.insert(rng.randint(0, len(edges)), rng.choice(edges))
-            want = [[[] for _ in range(num_nodes + 1)] for _ in range(2)]
-            for x, y, w in edges:
-                want[w][x].append(y)
-            for form in (edges, np.array(edges, dtype=np.int64).reshape(-1, 3)):
-                dm = DistanceModel(n, num_nodes, form)
-                for w, (offsets, targets) in enumerate((dm.zero, dm.one)):
-                    assert offsets.dtype == targets.dtype == np.int64
-                    assert len(offsets) == num_nodes + 2 and offsets[0] == 0, trial
-                    got = [targets[offsets[u]:offsets[u + 1]].tolist()
-                           for u in range(num_nodes + 1)]
-                    assert got == want[w], trial
+            hub = rng.randint(1, num_nodes)
+            for given in (edges, [(hub, y, w) for _, y, w in edges], edges[:1],
+                          sorted(edges, key=lambda e: e[0])):
+                want = [[[] for _ in range(num_nodes + 1)] for _ in range(2)]
+                for x, y, w in given:
+                    want[w][x].append(y)
+                for form in (given, np.array(given, dtype=np.int64).reshape(-1, 3)):
+                    dm = DistanceModel(n, num_nodes, form)
+                    for w, (offsets, targets) in enumerate((dm.zero, dm.one)):
+                        assert offsets.dtype == targets.dtype == np.int64
+                        assert len(offsets) == num_nodes + 2 and offsets[0] == 0, trial
+                        got = [targets[offsets[u]:offsets[u + 1]].tolist()
+                               for u in range(num_nodes + 1)]
+                        assert got == want[w], trial
 
     @pytest.mark.parametrize("n, num_nodes, edges", [
         (2, 3, [(1, -1, 0), (3, 2, 1)]),  # a negative target would wrap onto node 3
