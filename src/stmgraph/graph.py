@@ -225,9 +225,15 @@ class LinearOrder:
         return order
 
     def pos(self, v: int) -> int:
+        """The position of vertex v; InputError unless 1 <= v <= n."""
+        if not 1 <= v <= self.n:
+            raise InputError(f"vertex {v} is not in [1,{self.n}]")
         return int(self.position[v - 1])
 
     def at(self, p: int) -> int:
+        """The vertex at position p; InputError unless 1 <= p <= n."""
+        if not 1 <= p <= self.n:
+            raise InputError(f"position {p} is not in [1,{self.n}]")
         return int(self.vertex_at[p - 1])
 
     def __eq__(self, other) -> bool:

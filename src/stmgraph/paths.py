@@ -80,23 +80,36 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
     and each compressed edge {x,y} becomes bottom(x)->top(y) and
     bottom(y)->top(x) at weight 1 (both ways, the graph being undirected).
 
-    Each DAG edge gives its top then its bottom edge, and each compressed
-    edge its two, in the DAG's order; every node keeps that order."""
+    The rows reach ``DistanceModel`` grouped by weight, then by source, so
+    neither CSR needs a sort there.  A node has only top or only bottom
+    edges, so the weight-0 rows run: bottom edges out of shared vertices,
+    top edges, bottom edges out of bottom-copy internals, each run stable
+    by source over the DAG's edges.  The weight-1 rows are
+    bottom(x0)->top(y0), bottom(y0)->top(x0), ... over the compressed
+    edges, stable by source.  Every node's edges keep the DAG's order."""
     n, nn = dc.n, dc.num_nodes
+    shift = nn - n  # bottom(t) is t + shift for every t above n
     x, y = dc.edge_rows.T
     cx, cy = dc.compressed_rows.T
 
     def bottom(t: np.ndarray) -> np.ndarray:
-        return np.where(t <= n, t, t + (nn - n))
+        return np.where(t <= n, t, t + shift)
 
-    m = 2 * len(x)
-    e = np.empty((m + 2 * len(cx), 3), dtype=np.int64)  # rows (x, y, w)
-    e[:m:2, 0], e[:m:2, 1] = x, y
-    e[1:m:2, 0], e[1:m:2, 1] = bottom(y), bottom(x)
-    e[m::2, 0], e[m::2, 1] = bottom(cx), cy
-    e[m + 1::2, 0], e[m + 1::2, 1] = bottom(cy), cx
-    e[:m, 2], e[m:, 2] = 0, 1
-    return DistanceModel(n, nn + (nn - n), e)
+    m = len(x)
+    e = np.empty((2 * m + 2 * len(cx), 3), dtype=np.int64)  # rows (x, y, w)
+    e[:2 * m, 2], e[2 * m:, 2] = 0, 1
+    k = int(np.count_nonzero(y <= n))
+    order = np.argsort(y, kind="stable")
+    e[:k, 0], e[:k, 1] = y[order[:k]], x[order[:k]] + shift  # every parent x is above n
+    e[k + m:2 * m, 0], e[k + m:2 * m, 1] = y[order[k:]] + shift, x[order[k:]] + shift
+    order = np.argsort(x, kind="stable")
+    e[k:k + m, 0], e[k:k + m, 1] = x[order], y[order]
+    del order  # freed before DistanceModel allocates
+    one = e[2 * m:, :2]
+    one[::2, 0], one[::2, 1] = bottom(cx), cy
+    one[1::2, 0], one[1::2, 1] = bottom(cy), cx
+    one[:] = one[np.argsort(one[:, 0], kind="stable")]
+    return DistanceModel(n, nn + shift, e)
 
 
 @dataclass

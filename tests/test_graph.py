@@ -189,6 +189,17 @@ class TestLinearOrder:
         o = LinearOrder.from_vertex_sequence([2, 1, 3])
         assert o.pos(2) == 1 and o.at(1) == 2 and o.at(3) == 3
 
+    @pytest.mark.parametrize("i", [0, -1, -3, -4, 4, 9])
+    def test_pos_and_at_outside_1_to_n(self, i):
+        # unchecked, v - 1 indexes from the end for v <= 0
+        o = LinearOrder([2, 3, 1])
+        with pytest.raises(InputError, match=rf"^vertex {i} is not in \[1,3\]$"):
+            o.pos(i)
+        with pytest.raises(InputError, match=rf"^position {i} is not in \[1,3\]$"):
+            o.at(i)
+        assert [o.pos(v) for v in (1, 2, 3)] == [2, 3, 1]
+        assert [o.at(p) for p in (1, 2, 3)] == [3, 1, 2]
+
     def test_rejects_non_permutation(self):
         with pytest.raises(InputError):
             LinearOrder([1, 1, 3])
