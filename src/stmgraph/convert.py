@@ -251,13 +251,16 @@ def ibp_to_graph(ibp: IntervalBicliquePartition) -> Graph:
     at = _positions(ibp.order)
     # each edge's row and column vertex, then its smaller and larger end
     lo, hi = at[np.repeat(_runs(a, height), width)], at[_runs(np.repeat(c, height), width)]
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    ends = np.empty((len(lo), 2), dtype=np.int64)
+    np.minimum(lo, hi, out=ends[:, 0])
+    np.maximum(lo, hi, out=ends[:, 1])
+    del lo, hi
     # a call of its own, so that its key and sort arrays are freed before
     # the Graph is built
-    e = _first_repeat(lo * (ibp.n + 1) + hi)
+    e = _first_repeat(ends @ np.array([ibp.n + 1, 1]))
     if e >= 0:
-        raise PartitionViolation(f"edge {(int(lo[e]), int(hi[e]))} emitted by two bicliques")
-    return Graph(ibp.n, np.column_stack((lo, hi)))
+        raise PartitionViolation(f"edge {tuple(ends[e].tolist())} emitted by two bicliques")
+    return Graph(ibp.n, ends)
 
 
 # ---------------------------------------------------------------------------

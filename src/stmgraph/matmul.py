@@ -173,10 +173,13 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     partition's order, run the matvec kernel, permute back.
 
     Under INT64_GROUP, ``n_matrix`` (rows of integers or an (n, n) integer
-    array) is read once into an int64 array, wrapped as INT64_GROUP wraps,
-    the kernel runs on blocks of ``_BLOCK`` columns, and the product is an
-    (n, n) int64 array.  Any other group goes one column at a time and
-    returns a list of n lists.
+    array) is read once, already in the partition's order, into one int64
+    array, wrapped as INT64_GROUP wraps.  The kernel runs on blocks of
+    ``_BLOCK`` columns, and each block's product is written back in place,
+    into the caller's rows of the same columns; that array, (n, n) int64,
+    is the product.  Any other group goes one column at a time and returns
+    a list of n lists.  A matrix of another shape raises InputError; an
+    entry that is no integer, TypeError.
 
     The product is computed from the partition alone, which is trusted to
     decode to g; g is only checked for its size, and may be None, so the
@@ -185,20 +188,22 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     n = ibp.n
     if (g is not None and g.n != n) or order.n != n:
         raise InputError("size mismatch between graph, order, and partition")
-    if len(n_matrix) != n or any(len(row) != n for row in n_matrix):
+    if (n_matrix.shape != (n, n) if isinstance(n_matrix, np.ndarray)
+            else len(n_matrix) != n or any(len(row) != n for row in n_matrix)):
         raise InputError(f"matrix is not {n}x{n}")
-    # row q of the kernel's operand is the caller's row rows[q], and the
-    # caller's row p is the kernel's row back[p]
+    # row q of the kernel's operand is the caller's row rows[q]; for an
+    # array this gather is the one copy, so the caller's is never written
     rows = order.position[ibp.order.vertex_at - 1] - 1
-    back = np.argsort(rows)
-    if group is INT64_GROUP:
-        prod = _int64_array(n_matrix).reshape(n, n)[rows]
-        for j in range(0, n, _BLOCK):  # the kernel has read a block before it is overwritten
-            prod[:, j:j + _BLOCK] = ibp_matvec(ibp, prod[:, j:j + _BLOCK])
-        return prod[back]
-    src = [n_matrix[p] for p in rows.tolist()]
-    cols = [ibp_matvec(ibp, [row[j] for row in src], group) for j in range(n)]
-    return [[col[q] for col in cols] for q in back.tolist()]
+    src = (n_matrix[rows] if isinstance(n_matrix, np.ndarray)
+           else [n_matrix[p] for p in rows.tolist()])
+    if group is not INT64_GROUP:
+        cols = [ibp_matvec(ibp, [row[j] for row in src], group) for j in range(n)]
+        return [[col[q] for col in cols] for q in np.argsort(rows).tolist()]
+    prod = _int64_array(src).reshape(n, n)
+    del src  # an object array, or a narrower one, is freed before the kernel runs
+    for j in range(0, n, _BLOCK):  # the kernel has read a block before it is overwritten
+        prod[rows, j:j + _BLOCK] = ibp_matvec(ibp, prod[:, j:j + _BLOCK])
+    return prod
 
 
 def dense_matmul_oracle(g: Graph, order: LinearOrder, n_matrix: Sequence[Sequence],

@@ -227,13 +227,16 @@ def apsp(rep: Representation) -> np.ndarray:
     reached it, one bit per source.  Per level, each batch of newly reached
     nodes spreads its bits along the weight-0 edges, OR-ed per target, and
     keeps the bits its targets lacked (correct on any model, zero-weight
-    cycles included), so the batches only spread bits.  After the closure,
-    each shared vertex that gained sources records the level for them once:
-    its ``reached`` bits not yet ``written``.  Then the weight-1 edges are
-    crossed from the nodes that gained bits at that level.
+    cycles included), so the batches only spread bits.  Every gain is also
+    OR-ed into the node's ``gain`` row, so a node has one row of the
+    sources it gained at the level, however many batches reached it.
+    After the closure, each shared vertex records the level for the
+    sources in its row.  Then the weight-1 edges are crossed once from
+    each node that gained bits at that level, with its row, and the rows
+    are cleared.
 
     Memory: the matrix, plus per block an (n, 1024) buffer of its columns
-    and O(model) arrays of bits.
+    and two rows of bits per model node, ``reached`` and ``gain``.
 
     Like ``sssp``, rejects an invalid signed tree model with
     InvalidModelError.
@@ -244,8 +247,8 @@ def apsp(rep: Representation) -> np.ndarray:
 
     def spread(csr: tuple, nodes: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The targets of the edges out of ``nodes`` that gain sources, and
-        the bits each gains, which are added to the block's ``reached``;
-        ``bits`` holds each node's new sources."""
+        the bits each gains, which are added to the block's ``reached`` and
+        ``gain``; ``bits`` holds each node's new sources."""
         rows, tgt = _out_edges(csr, nodes)
         order = np.argsort(tgt, kind="stable")
         tgt, first = np.unique(tgt[order], return_index=True)  # each target's first edge
@@ -253,6 +256,7 @@ def apsp(rep: Representation) -> np.ndarray:
         keep = got.any(axis=1)
         tgt, got = tgt[keep], got[keep]
         reached[tgt] |= got
+        gain[tgt] |= got
         return tgt, got
 
     for lo in range(0, n, 64 * _BLOCK_WORDS):
@@ -261,24 +265,32 @@ def apsp(rep: Representation) -> np.ndarray:
         # entries sit together here, and are strided in ``dist``
         to = np.full((n, k), n, dtype=dist.dtype)
         reached = np.zeros((dm.num_nodes + 1, _BLOCK_WORDS), dtype=np.uint64)
+        gain = np.zeros_like(reached)  # the sources each node gained at this level
         new, j = np.arange(lo + 1, lo + k + 1), np.arange(k)
-        reached[new, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
-        written = np.zeros((n + 1, _BLOCK_WORDS), dtype=np.uint64)  # sources recorded
+        reached[new, j // 64] = gain[new, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
         bits, level = reached[new], 0
         while new.size:
-            gained = [(new, bits)]
+            gained = [new]
             while new.size:
                 new, bits = spread(dm.zero, new, bits)
-                gained.append((new, bits))
-            new, bits = map(np.concatenate, zip(*gained))
-            v = np.unique(new[new <= n])
-            fresh = reached[v] & ~written[v]
-            written[v] |= fresh
-            # bit j of a row is byte j // 8's bit j % 8 when read little-endian
-            hit = np.unpackbits(fresh.astype("<u8", copy=False).view(np.uint8),
+                gained.append(new)
+            # each node once; np.unique hashes (numpy >= 2.3), which made
+            # apsp 1.1-1.5 times slower
+            new = np.sort(np.concatenate(gained))
+            new = new[np.insert(new[1:] != new[:-1], 0, True)]
+            bits = gain[new]
+            gain[new] = 0
+            # the shared vertices come first; bit j of a row is byte j // 8's
+            # bit j % 8 when read little-endian
+            v = new[:np.searchsorted(new, n, side="right")]
+            hit = np.unpackbits(bits[:len(v)].astype("<u8", copy=False).view(np.uint8),
                                 axis=1, count=k, bitorder="little").view(bool)
-            # a level that does not fit the dtype raises OverflowError
-            to[v - 1] = np.where(hit, dist.dtype.type(level), to[v - 1])
+            # v's rows of ``to``; a level that does not fit the dtype raises
+            # OverflowError
+            tv = to[v - 1]
+            tv[hit] = dist.dtype.type(level)
+            to[v - 1] = tv
+            del tv, hit  # freed before the next level makes its own
             level += 1
             new, bits = spread(dm.one, new, bits)
         dist[lo:lo + k] = to.T

@@ -213,3 +213,43 @@ class TestAdjacencyMatmul:
         ibp = stm_to_ibp(p3_model)
         with pytest.raises(InputError):
             adjacency_matmul(g, LinearOrder.identity(3), [[1, 2], [3, 4]], ibp)
+
+    def test_matrix_shape(self, p3_model):
+        """An array of any shape but (n, n) raises the shape's InputError;
+        entries that are no integers raise TypeError."""
+        ibp = stm_to_ibp(p3_model)
+        order = LinearOrder.identity(3)
+        for bad in (np.arange(3), np.zeros((3, 3, 1), np.int64), np.zeros((3, 4), np.int64),
+                    np.zeros((9,), np.uint64), [[1, 2], [3, 4], [5, 6]]):
+            with pytest.raises(InputError, match="^matrix is not 3x3$"):
+                adjacency_matmul(None, order, bad, ibp)
+        for bad in (np.ones((3, 3)), [[1.5, 0, 0]] * 3):
+            with pytest.raises(TypeError):
+                adjacency_matmul(None, order, bad, ibp)
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK + 1, 150])
+    def test_blocked_permuted_product(self, n):
+        """Several column blocks, the last one partial, written back into
+        the caller's rows: the partition's order and the caller's are two
+        different random orders, and the matrix comes as rows of Python
+        ints, as int64, uint64 and object arrays; the caller's array is
+        left as it was."""
+        rng = random.Random(n)
+        model = random_stm(n, 3 * n, seed=n)
+        ibp = stm_to_ibp(model)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        order = LinearOrder.from_vertex_sequence(perm)
+        assert not np.array_equal(order.vertex_at, ibp.order.vertex_at)
+        N = [[rng.randrange(-2 ** 63, 2 ** 63) for _ in range(n)] for _ in range(n)]
+        want = dense_matmul_oracle(decode_bruteforce(model), order, N)
+        assert adjacency_matmul(None, order, N, ibp, group=GENERIC_INT64) == want
+        wide = np.array(N, dtype=object)
+        wide[n - 1, n // 2] += 3 * 2 ** 64  # beyond int64, the same entry once wrapped
+        forms = [np.array(N, np.int64), np.array(N, np.int64).view(np.uint64), wide]
+        for form in [N] + forms:
+            before = form.copy() if isinstance(form, np.ndarray) else None
+            got = adjacency_matmul(None, order, form, ibp)
+            assert got.dtype == np.int64 and got.tolist() == want
+            if before is not None:
+                assert form.dtype == before.dtype and form.tobytes() == before.tobytes()
