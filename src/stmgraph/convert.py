@@ -301,31 +301,48 @@ def _covers(n: int, intervals: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, 
     the (owner k, node id) of every cover node, grouped by the row k it
     covers and left to right within a group.  The rows of a (|B|, 4) quad
     array reshaped to (2|B|, 2) are both sides of every biclique, so
-    biclique q owns rows 2q (side I) and 2q + 1 (side J).
+    biclique q owns rows 2q (side I) and 2q + 1 (side J).  ``at`` is read
+    only at the positions of leaves in a cover set, so it may stop after
+    the largest b.
 
     All of them come out of one level-synchronous descent from the root.
     Each round emits the nodes that lie inside their interval and splits
     the rest at (lo + hi) // 2, keeping the halves that meet it; every
     interval is met by at most two nodes that it does not contain per
     level, so this takes at most ceil(log2 n) + 1 rounds of O(len(a))
-    work, and each cover set has at most 2 ceil(log2 n) nodes.
+    work, and each cover set has at most 2 ceil(log2 n) nodes.  A cover
+    node is kept as one int64 key k(n + 1) + lo beside its id, and one
+    sort of the keys orders them.
+
+    The descent runs on int32 when 2n and the row count are below 2^31:
+    no value it holds exceeds them, since positions, right-turn counts and
+    lo + hi are at most 2n - 1, an id (or n + hi on the way to one) at most
+    2n, and an owner below the row count.  ``ibp_to_dag`` always runs it
+    on int32: ``_check_dag_size`` passes only for 2n - 1 + 2|B| < 2^31.
+    Otherwise, as ``cover_set`` may ask for any n, it runs on int64.
     """
-    a, b = intervals.T
-    k = np.arange(len(a))
+    dtype = np.int32 if max(2 * n, len(intervals)) < ID_LIMIT else np.int64
+    a, b = intervals.astype(dtype, copy=False).T
+    at = at.astype(dtype, copy=False)
+    k = np.arange(len(a), dtype=dtype)
     lo, hi, r = np.ones_like(k), np.full_like(k, n), np.zeros_like(k)
-    found = [(k[:0], lo[:0], k[:0])]
+    found = [(np.zeros(0, np.int64), k[:0])]
     while k.size:
         inside = (a[k] <= lo) & (hi <= b[k])
-        found.append((k[inside], lo[inside], _node_ids(n, lo[inside], hi[inside], r[inside], at)))
+        found.append((np.multiply(k[inside], n + 1, dtype=np.int64) + lo[inside],
+                      _node_ids(n, lo[inside], hi[inside], r[inside], at)))
         k, lo, hi, r = k[~inside], lo[~inside], hi[~inside], r[~inside]
         mid = (lo + hi) // 2
         left, right = a[k] <= mid, mid < b[k]
         k, lo, hi, r = (np.concatenate(halves) for halves in (
             (k[left], k[right]), (lo[left], mid[right] + 1), (mid[left], hi[right]),
             (r[left], r[right] + 1)))
-    k, lo, ids = (np.concatenate(column) for column in zip(*found))
-    order = np.lexsort((lo, k))
-    return k[order], ids[order]
+    key, ids = (np.concatenate(column) for column in zip(*found))
+    del found
+    order = np.argsort(key)  # the keys are distinct
+    key = key[order]
+    key //= n + 1
+    return key, ids[order]
 
 
 def _positions(order: LinearOrder) -> np.ndarray:
@@ -338,23 +355,30 @@ def cover_set(n: int, a: int, b: int) -> list[int]:
     to right: at most 2*ceil(log2 n) of them, found in O(log n) steps."""
     if not 1 <= a <= b <= n:
         raise InputError(f"interval [{a},{b}] out of [1,{n}]")
-    return _covers(n, np.array([[a, b]]), np.arange(n + 1))[1].tolist()
+    return _covers(n, np.array([[a, b]]), np.arange(b + 1))[1].tolist()
 
 
 def ibp_to_dag(ibp: IntervalBicliquePartition) -> DagCompression:
     """DAG compression: balanced-tree skeleton (leaves are the vertices at
     their positions) plus, per biclique I x J, two new nodes over
     cover_set(I) and cover_set(J) joined by a compressed edge.  The cover
-    sets of all 2|B| sides come from one ``_covers`` descent.
+    sets of all 2|B| sides come from one ``_covers`` descent, on int32 as
+    the node count's bound is checked before it.  The edge rows, the
+    skeleton's and then each side's, are written into one (m, 2) array,
+    which ``DagCompression`` copies once the descent's arrays are freed.
     """
     n, k = ibp.n, len(ibp.quads)
+    num_nodes = 2 * n - 1 + 2 * k  # the nodes of biclique q are 2n + 2q and 2n + 2q + 1
+    _check_dag_size(n, num_nodes, 2 * n - 2 + 3 * k)  # each side has a cover node
     at = _positions(ibp.order)
     owner, cover = _covers(n, ibp.quads.reshape(-1, 2), at)
-    side = 2 * n + np.arange(2 * k)  # the nodes of biclique q are 2n + 2q and 2n + 2q + 1
-    edges = np.concatenate((
-        np.column_stack((np.repeat(np.arange(n + 1, 2 * n), 2), _skeleton(n, at).ravel())),
-        np.column_stack((side[owner], cover))))
-    return DagCompression(n, 2 * n - 1 + 2 * k, edges, side.reshape(-1, 2))
+    edges = np.empty((2 * n - 2 + len(cover), 2), dtype=np.int64)
+    edges[:2 * n - 2, 0] = np.arange(n + 1, 2 * n).repeat(2)
+    edges[:2 * n - 2, 1] = _skeleton(n, at).ravel()
+    np.add(owner, 2 * n, out=edges[2 * n - 2:, 0])
+    edges[2 * n - 2:, 1] = cover
+    del owner, cover
+    return DagCompression(n, num_nodes, edges, np.arange(2 * n, num_nodes + 1).reshape(-1, 2))
 
 
 def dag_to_graph(dc: DagCompression) -> Graph:

@@ -188,8 +188,13 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     n = ibp.n
     if (g is not None and g.n != n) or order.n != n:
         raise InputError("size mismatch between graph, order, and partition")
-    if (n_matrix.shape != (n, n) if isinstance(n_matrix, np.ndarray)
-            else len(n_matrix) != n or any(len(row) != n for row in n_matrix)):
+    try:  # rows: n of them, each of n entries, the first one's no sequences
+        bad = (n_matrix.shape != (n, n) if isinstance(n_matrix, np.ndarray)
+               else len(n_matrix) != n or any(len(row) != n for row in n_matrix)
+               or np.ndim(n_matrix[:1]) > 2)
+    except (TypeError, ValueError):  # a row with no length, or a ragged first row
+        bad = True
+    if bad:
         raise InputError(f"matrix is not {n}x{n}")
     # row q of the kernel's operand is the caller's row rows[q]; for an
     # array this gather is the one copy, so the caller's is never written

@@ -34,8 +34,11 @@ class DistanceModel:
     ``zero`` and ``one`` hold the weight-0 and weight-1 edges in CSR form,
     each an (offsets, targets) pair of int64 arrays: the edges of that
     weight out of node u run to targets[offsets[u]:offsets[u + 1]], in the
-    order they were given.  ``edges`` is any iterable of (x, y, w) triples,
-    an (m, 3) integer array included, read by ``_int_rows``.
+    order they were given.  That is the one stored form, and ``_store``
+    sets it.  ``edges`` is any iterable of (x, y, w) triples, an (m, 3)
+    integer array included, read by ``_int_rows``; every row is checked
+    before the CSRs are built from it.  ``dag_to_distance_model`` writes
+    the two CSRs itself and stores them through ``_store`` too.
     """
 
     __slots__ = ("n", "num_nodes", "zero", "one")
@@ -49,11 +52,14 @@ class DistanceModel:
             i = int(np.flatnonzero(bad)[0])
             raise InputError(f"edge ({x[i]},{y[i]}) of weight {w[i]} needs both ends in "
                              f"[1,{num_nodes}] and a weight in {{0,1}}")
-        self.n = n
-        self.num_nodes = num_nodes
         light = w == 0
-        self.zero = _csr(num_nodes, x[light], y[light])
-        self.one = _csr(num_nodes, x[~light], y[~light])
+        self._store(n, num_nodes, _csr(num_nodes, x[light], y[light]),
+                    _csr(num_nodes, x[~light], y[~light]))
+
+    def _store(self, n: int, num_nodes: int, zero: tuple[np.ndarray, np.ndarray],
+               one: tuple[np.ndarray, np.ndarray]) -> DistanceModel:
+        self.n, self.num_nodes, self.zero, self.one = n, num_nodes, zero, one
+        return self
 
     @property
     def num_edges(self) -> int:
@@ -80,36 +86,42 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
     and each compressed edge {x,y} becomes bottom(x)->top(y) and
     bottom(y)->top(x) at weight 1 (both ways, the graph being undirected).
 
-    The rows reach ``DistanceModel`` grouped by weight, then by source, so
-    neither CSR needs a sort there.  A node has only top or only bottom
-    edges, so the weight-0 rows run: bottom edges out of shared vertices,
-    top edges, bottom edges out of bottom-copy internals, each run stable
-    by source over the DAG's edges.  The weight-1 rows are
-    bottom(x0)->top(y0), bottom(y0)->top(x0), ... over the compressed
-    edges, stable by source.  Every node's edges keep the DAG's order."""
+    Both CSRs are written here, with no (x, y, w) rows.  A node has only
+    top or only bottom edges, so the weight-0 sources run: shared vertices
+    (their bottom edges), top internals, bottom-copy internals.  Their
+    offsets come from per-node counts, of y for the bottom edges and of x
+    for the top ones, and the targets go into one array, each run stable
+    by source over the DAG's edges.  The weight-1 CSR is built by ``_csr``
+    from the rows bottom(x0)->top(y0), bottom(y0)->top(x0), ... over the
+    compressed edges, stable by source.  Every node's edges keep the DAG's
+    order, as ``DistanceModel`` would keep them from rows in that order.
+
+    The one input is a ``DagCompression``, whose constructor checked every
+    edge, so no row is checked again; only the targets' range is, by their
+    minimum and maximum."""
     n, nn = dc.n, dc.num_nodes
     shift = nn - n  # bottom(t) is t + shift for every t above n
+    num_nodes = nn + shift
     x, y = dc.edge_rows.T
-    cx, cy = dc.compressed_rows.T
-
-    def bottom(t: np.ndarray) -> np.ndarray:
-        return np.where(t <= n, t, t + shift)
-
     m = len(x)
-    e = np.empty((2 * m + 2 * len(cx), 3), dtype=np.int64)  # rows (x, y, w)
-    e[:2 * m, 2], e[2 * m:, 2] = 0, 1
-    k = int(np.count_nonzero(y <= n))
-    order = np.argsort(y, kind="stable")
-    e[:k, 0], e[:k, 1] = y[order[:k]], x[order[:k]] + shift  # every parent x is above n
-    e[k + m:2 * m, 0], e[k + m:2 * m, 1] = y[order[k:]] + shift, x[order[k:]] + shift
-    order = np.argsort(x, kind="stable")
-    e[k:k + m, 0], e[k:k + m, 1] = x[order], y[order]
-    del order  # freed before DistanceModel allocates
-    one = e[2 * m:, :2]
-    one[::2, 0], one[::2, 1] = bottom(cx), cy
-    one[1::2, 0], one[1::2, 1] = bottom(cy), cx
-    one[:] = one[np.argsort(one[:, 0], kind="stable")]
-    return DistanceModel(n, nn + shift, e)
+    per_x, per_y = np.bincount(x, minlength=nn + 1), np.bincount(y, minlength=nn + 1)
+    offsets = np.cumsum(np.concatenate(([0], per_y[:n + 1], per_x[n + 1:], per_y[n + 1:])))
+    del per_x, per_y
+    k = int(offsets[n + 1])  # the bottom edges out of shared vertices
+    targets = np.empty(2 * m, dtype=np.int64)
+    # every bottom edge's target first, in the order of y; argsort's indices
+    # are in range, and mode "clip" writes straight into ``out``, which the
+    # default mode would buffer in a copy
+    np.take(x, np.argsort(y, kind="stable"), out=targets[:m], mode="clip")
+    targets[:m] += shift  # every parent x is above n
+    targets[k + m:] = targets[k:m]  # the bottom-copy internals' run, after the top edges
+    np.take(y, np.argsort(x, kind="stable"), out=targets[k:k + m], mode="clip")
+    c = dc.compressed_rows
+    one = _csr(num_nodes, np.where(c > n, c + shift, c).ravel(), c[:, ::-1].ravel())
+    for t in (targets, one[1]):
+        if t.size and not (1 <= t.min() and t.max() <= num_nodes):
+            raise InputError(f"a target is outside [1,{num_nodes}]")
+    return DistanceModel.__new__(DistanceModel)._store(n, num_nodes, (offsets, targets), one)
 
 
 @dataclass
@@ -235,8 +247,9 @@ def apsp(rep: Representation) -> np.ndarray:
     each node that gained bits at that level, with its row, and the rows
     are cleared.
 
-    Memory: the matrix, plus per block an (n, 1024) buffer of its columns
-    and two rows of bits per model node, ``reached`` and ``gain``.
+    Memory: the matrix, plus per block an (n, k) buffer of its k columns
+    and two rows of bits per model node, ``reached`` and ``gain``, each
+    ceil(k / 64) words wide.
 
     Like ``sssp``, rejects an invalid signed tree model with
     InvalidModelError.
@@ -264,7 +277,7 @@ def apsp(rep: Representation) -> np.ndarray:
         # to[v-1, j] is the distance from source lo+1+j to v: a vertex's
         # entries sit together here, and are strided in ``dist``
         to = np.full((n, k), n, dtype=dist.dtype)
-        reached = np.zeros((dm.num_nodes + 1, _BLOCK_WORDS), dtype=np.uint64)
+        reached = np.zeros((dm.num_nodes + 1, -(-k // 64)), dtype=np.uint64)
         gain = np.zeros_like(reached)  # the sources each node gained at this level
         new, j = np.arange(lo + 1, lo + k + 1), np.arange(k)
         reached[new, j // 64] = gain[new, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)

@@ -17,12 +17,13 @@ from stmgraph import (ConstructionSequence, DistanceModel, Graph, InputError,
                       ibp_to_graph, ibp_to_positive_model, inclusion_forest,
                       radius_r_width, sdseq_to_stm, stm_to_ibp, validate)
 from stmgraph import io as fio
-from stmgraph.convert import DagCompression, IntervalBicliquePartition, _skeleton
+from stmgraph.convert import DagCompression, IntervalBicliquePartition, _covers, _skeleton
 from stmgraph.graph import LinearOrder
 from stmgraph.stm import _checked_forest
 from stmgraph.gen import planted_sdseq, random_cseq, random_stm, random_stm_sparse
 
-from conftest import BAD_DAGS, compressions, contains, disjoint, pair_keys, perturbed_models
+from conftest import (BAD_DAGS, compressions, contains, disjoint, pair_keys, perturbed_models,
+                      traced_peak)
 
 
 def children_lists(up):
@@ -487,6 +488,11 @@ class TestCoverSet:
                         seen.extend(range(lo, hi + 1))
                     assert seen == list(range(a, b + 1))
 
+    def test_one_interval_holds_no_n_positions(self):
+        # the node over [1, 2] is internal, on the left spine: id n + 1
+        S, peak = traced_peak(lambda: cover_set(2 ** 24, 1, 3))
+        assert S == [2 ** 24 + 1, 3] and peak < 10 ** 6, peak
+
     def test_out_of_range(self):
         for n, a, b in ((8, 0, 3), (8, 4, 3), (8, 5, 9), (0, 1, 1)):
             with pytest.raises(InputError):
@@ -503,6 +509,26 @@ class TestBalancedTreeOracle:
             for a in range(1, n + 1):
                 for b in range(a, n + 1):
                     assert cover_set(n, a, b) == tree.cover_set(a, b), (n, a, b)
+
+    @pytest.mark.parametrize("n, dtype", [(2 ** 20 + 5, np.int32), (2 ** 31 + 5, np.int64)])
+    def test_covers_at_large_n(self, n, dtype):
+        """``_covers`` on every interval inside the left spine's node over
+        [1, h], four times over: no right turn leads there, so an internal
+        node's id is its id in the tree over [1, h] plus n - h; ``at``
+        stops at h.  At n = 2^20 + 5 the descent runs on int32 while the
+        sort key owner * (n + 1) + lo passes 2^31; from n = 2^31 on it runs
+        on int64."""
+        h = n
+        while h > 40:
+            h = (h + 1) // 2  # the left child of the node over [1, h]
+        tree = BalancedTree(h)
+        rows = [(a, b) for a in range(1, h + 1) for b in range(a, h + 1)] * 4
+        owner, ids = _covers(n, np.array(rows), np.arange(h + 1))
+        assert ids.dtype == dtype
+        assert len(rows) * (n + 1) > 2 ** 31
+        assert list(zip(owner.tolist(), ids.tolist())) == [
+            (q, t if t <= h else t + n - h)
+            for q, (a, b) in enumerate(rows) for t in tree.cover_set(a, b)]
 
     def test_skeleton_children(self):
         for n in range(1, 65):
@@ -551,6 +577,14 @@ class TestIbpToDag:
             ibp = stm_to_ibp(model)
             dag = ibp_to_dag(ibp)
             assert graphs_equal(dag_to_graph(dag), decode_bruteforce(model)), seed
+
+    def test_peak_memory(self):
+        """Within 2.5 times the DAG's rows: the descent runs on int32, and
+        the edge rows are written once, into the array the DAG copies."""
+        ibp = stm_to_ibp(random_stm_sparse(4096, 16384, seed=0))
+        dag, peak = traced_peak(lambda: ibp_to_dag(ibp))
+        held = dag.edge_rows.nbytes + dag.compressed_rows.nbytes
+        assert peak <= 2.5 * held, peak / held
 
     def test_edge_count_per_biclique(self):
         # each biclique contributes |cover(I)| + |cover(J)| DAG edges, which

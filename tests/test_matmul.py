@@ -215,12 +215,13 @@ class TestAdjacencyMatmul:
             adjacency_matmul(g, LinearOrder.identity(3), [[1, 2], [3, 4]], ibp)
 
     def test_matrix_shape(self, p3_model):
-        """An array of any shape but (n, n) raises the shape's InputError;
-        entries that are no integers raise TypeError."""
+        """An array or list of any shape but (n, n) raises the shape's
+        InputError; entries that are no integers raise TypeError."""
         ibp = stm_to_ibp(p3_model)
         order = LinearOrder.identity(3)
         for bad in (np.arange(3), np.zeros((3, 3, 1), np.int64), np.zeros((3, 4), np.int64),
-                    np.zeros((9,), np.uint64), [[1, 2], [3, 4], [5, 6]]):
+                    np.zeros((9,), np.uint64), [[1, 2], [3, 4], [5, 6]], [1, 2, 3],
+                    [[[0]] * 3] * 3, [[1, 2, 3], 4, [5, 6, 7]]):
             with pytest.raises(InputError, match="^matrix is not 3x3$"):
                 adjacency_matmul(None, order, bad, ibp)
         for bad in (np.ones((3, 3)), [[1.5, 0, 0]] * 3):

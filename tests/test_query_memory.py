@@ -1,8 +1,6 @@
 """The traced peak of the three output-sized query stages, each against
 what it must hold: ``apsp``, ``adjacency_matmul`` and ``ibp_to_graph``."""
 
-import tracemalloc
-
 import numpy as np
 
 from stmgraph import (LinearOrder, adjacency_matmul, apsp, dag_to_distance_model,
@@ -10,21 +8,7 @@ from stmgraph import (LinearOrder, adjacency_matmul, apsp, dag_to_distance_model
 from stmgraph.gen import random_stm_sparse
 from stmgraph.paths import _BLOCK_WORDS
 
-
-def traced_peak(call):
-    """``call()``'s result and the traced peak it reached, in bytes, over
-    what was held before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+from conftest import traced_peak
 
 
 def test_apsp_peak_memory():
