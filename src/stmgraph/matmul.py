@@ -48,9 +48,9 @@ INT64_GROUP = AdditiveGroup(
 # Columns per int64 kernel call in adjacency_matmul, picked by measurement:
 # over all blocks of a 1024 x 1024 matrix on random_stm_sparse(1024, 4096)
 # (2-CPU Xeon, best of 5) the kernel took 0.078 s at 64 columns, against
-# 0.090 s at 16, 0.083 s at 128 and 0.139 s at 1024.  Its temporaries, at
-# most three |B| x _BLOCK int64 arrays at a time (the block's biclique sums
-# and their two flat index arrays), stay small beside the n x n product.
+# 0.090 s at 16, 0.083 s at 128 and 0.139 s at 1024.  Its buffers, three
+# |B| x _BLOCK int64 arrays (the block's biclique sums and their two flat
+# index arrays) allocated once per call, stay small beside the n x n product.
 _BLOCK = 64
 
 
@@ -74,40 +74,42 @@ def _int64_array(x) -> np.ndarray:
         return np.array([_wrap(operator.index(v)) for v in entries(x)], np.int64).reshape(shape)
 
 
-def _int64_matvec(ibp: IntervalBicliquePartition, x, counters: Optional[dict]):
+def _int64_kernel(ibp: IntervalBicliquePartition, k: int) -> Callable[[np.ndarray], np.ndarray]:
     """The kernel in numpy int64 arithmetic, whose wrap-around is that of
-    INT64_GROUP; ``x`` is one vector or an (n, k) block of columns.
+    INT64_GROUP, for (n, k) blocks of columns: a function of one block that
+    returns its product.  Its buffers are allocated here, once, and every
+    call writes into them, the product it returns included.
 
     The difference rows are one flat (n + 2) * k array, entry (row, column)
     at row * k + column, so each range update is a 1-D ``add.at`` or
     ``subtract.at``, which numpy runs far faster than the 2-D form."""
-    n = ibp.n
-    xs = _int64_array(x)
-    k = xs.shape[1] if xs.ndim == 2 else 1
-    prefix = np.zeros((n + 1,) + xs.shape[1:], dtype=np.int64)
-    np.cumsum(xs, axis=0, out=prefix[1:])
-    diff = np.zeros((n + 2) * k, dtype=np.int64)
-    a, b, c, d = ibp.quads.T
-    # the two orientations of each biclique in turn, which halves the
-    # temporaries against stacking them: (a,b,c,d), then (c,d,a,b)
-    for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):
-        xbar = prefix[b2]  # a copy: fancy indexing
-        xbar -= prefix[b1 - 1]
-        lo, hi = a1, a2 + 1  # row n+1 (a2 = n) is never read
-        if k != 1:
-            lo, hi = (np.add.outer(r * k, np.arange(k)).ravel() for r in (lo, hi))
-        np.add.at(diff, lo, xbar.ravel())
-        np.subtract.at(diff, hi, xbar.ravel())
-    out = np.cumsum(diff.reshape((n + 2,) + xs.shape[1:])[1:n + 1], axis=0)
-    if counters is not None:
-        # the count the Python loop in ibp_matvec makes on the same input
-        counters["ops"] = 2 * n + 4 * len(a) + int((b < n).sum() + (d < n).sum())
-    return out if xs.ndim == 2 else out.tolist()
+    n, (a, b, c, d) = ibp.n, ibp.quads.T
+    prefix = np.zeros((n + 1, k), dtype=np.int64)  # row 0 stays 0
+    diff, out = np.empty((n + 2) * k, dtype=np.int64), np.empty((n, k), dtype=np.int64)
+    xbar, lo, hi = np.empty((3, len(a), k), dtype=np.int64)
+
+    def kernel(xs: np.ndarray) -> np.ndarray:
+        np.cumsum(xs, axis=0, out=prefix[1:])
+        diff.fill(0)
+        # the two orientations of each biclique in turn, which halves the
+        # buffers against stacking them: (a,b,c,d), then (c,d,a,b); mode
+        # "clip" writes straight into ``out``, and every row is in range
+        for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):
+            np.take(prefix, b2, axis=0, out=xbar, mode="clip")
+            # ``lo`` holds the rows subtracted until it takes its indices
+            np.subtract(xbar, np.take(prefix, b1 - 1, axis=0, out=lo, mode="clip"), out=xbar)
+            np.add.outer(a1 * k, np.arange(k), out=lo)
+            np.add.outer((a2 + 1) * k, np.arange(k), out=hi)  # row n+1 (a2 = n) is never read
+            np.add.at(diff, lo.ravel(), xbar.ravel())
+            np.subtract.at(diff, hi.ravel(), xbar.ravel())
+        return np.cumsum(diff.reshape(n + 2, k)[1:n + 1], axis=0, out=out)
+    return kernel
 
 
 def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
                group: AdditiveGroup = INT64_GROUP,
-               counters: Optional[dict] = None) -> list:
+               counters: Optional[dict] = None, *,
+               _kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> list:
     """Multiply adjacency (in the partition's order) by ``x`` in O(n + |B|)
     group operations.
 
@@ -117,14 +119,20 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
 
     Under INT64_GROUP the steps run as numpy int64 array calls; ``x`` may
     then also be an (n, k) block of columns (``adjacency_matmul`` passes
-    ``_BLOCK`` at a time), and the result is an (n, k) int64 array.  Any
-    other group runs them as a Python loop.
+    ``_BLOCK`` at a time, with ``_kernel``, the one kernel it made for them,
+    so that every block reuses its buffers), and the result is an (n, k)
+    int64 array.  Any other group runs them as a Python loop.
     """
     n = ibp.n
     if len(x) != n:
         raise InputError(f"vector length {len(x)} does not match n={n}")
     if group is INT64_GROUP:
-        return _int64_matvec(ibp, x, counters)
+        xs = _int64_array(x)
+        k = xs.shape[1] if xs.ndim == 2 else 1
+        out = (_kernel or _int64_kernel(ibp, k))(xs.reshape(n, k))
+        if counters is not None:  # the count the Python loop below makes on the same input
+            counters["ops"] = 2 * n + 4 * len(ibp.quads) + int((ibp.quads[:, [1, 3]] < n).sum())
+        return out if xs.ndim == 2 else out.ravel().tolist()
     add, sub, zero = group.add, group.sub, group.zero
     ops = 0
     prefix = [zero] * (n + 1)  # prefix[i] = sum of x[0..i-1]
@@ -175,11 +183,12 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     Under INT64_GROUP, ``n_matrix`` (rows of integers or an (n, n) integer
     array) is read once, already in the partition's order, into one int64
     array, wrapped as INT64_GROUP wraps.  The kernel runs on blocks of
-    ``_BLOCK`` columns, and each block's product is written back in place,
-    into the caller's rows of the same columns; that array, (n, n) int64,
-    is the product.  Any other group goes one column at a time and returns
-    a list of n lists.  A matrix of another shape raises InputError; an
-    entry that is no integer, TypeError.
+    ``_BLOCK`` columns, with buffers made once (and once more for a partial
+    last block), and each block's product is written back in place, into
+    the caller's rows of the same columns; that array, (n, n) int64, is the
+    product.  Any other group goes one column at a time and returns a list
+    of n lists.  A matrix of another shape, a ragged row included, raises
+    InputError; an entry that is no integer, TypeError.
 
     The product is computed from the partition alone, which is trusted to
     decode to g; g is only checked for its size, and may be None, so the
@@ -188,11 +197,10 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     n = ibp.n
     if (g is not None and g.n != n) or order.n != n:
         raise InputError("size mismatch between graph, order, and partition")
-    try:  # rows: n of them, each of n entries, the first one's no sequences
+    try:  # rows: n of them, each of n entries
         bad = (n_matrix.shape != (n, n) if isinstance(n_matrix, np.ndarray)
-               else len(n_matrix) != n or any(len(row) != n for row in n_matrix)
-               or np.ndim(n_matrix[:1]) > 2)
-    except (TypeError, ValueError):  # a row with no length, or a ragged first row
+               else len(n_matrix) != n or any(len(row) != n for row in n_matrix))
+    except TypeError:  # a row with no length
         bad = True
     if bad:
         raise InputError(f"matrix is not {n}x{n}")
@@ -204,10 +212,20 @@ def adjacency_matmul(g: Optional[Graph], order: LinearOrder, n_matrix: Sequence[
     if group is not INT64_GROUP:
         cols = [ibp_matvec(ibp, [row[j] for row in src], group) for j in range(n)]
         return [[col[q] for col in cols] for q in np.argsort(rows).tolist()]
-    prod = _int64_array(src).reshape(n, n)
+    try:
+        prod = _int64_array(src).reshape(n, n)
+    except (TypeError, ValueError):
+        # raised at the first entry that is no integer; a sequence there is a
+        # row of the wrong shape, wherever the row sits
+        entry = next((v for row in src for v in row if not hasattr(v, "__index__")), 0)
+        if np.ndim(np.asarray(entry, dtype=object)):
+            raise InputError(f"matrix is not {n}x{n}") from None
+        raise
     del src  # an object array, or a narrower one, is freed before the kernel runs
+    full = _int64_kernel(ibp, _BLOCK) if n >= _BLOCK else None
     for j in range(0, n, _BLOCK):  # the kernel has read a block before it is overwritten
-        prod[rows, j:j + _BLOCK] = ibp_matvec(ibp, prod[:, j:j + _BLOCK])
+        kernel = full if n - j >= _BLOCK else None  # a partial last block gets its own
+        prod[rows, j:j + _BLOCK] = ibp_matvec(ibp, prod[:, j:j + _BLOCK], _kernel=kernel)
     return prod
 
 

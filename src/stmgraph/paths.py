@@ -12,14 +12,14 @@ radius-r width measures construction sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, MERGE, _cseq_complete,
                       ibp_to_dag, stm_to_ibp)
-from .graph import InputError, _csr, _int_rows, _runs
+from .graph import ID_LIMIT, InputError, _csr, _int_rows, _runs
 from .stm import SignedTreeModel
 
 Representation = Union[SignedTreeModel, IntervalBicliquePartition, DagCompression]
@@ -98,12 +98,14 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
 
     The one input is a ``DagCompression``, whose constructor checked every
     edge, so no row is checked again; only the targets' range is, by their
-    minimum and maximum."""
+    minimum and maximum, and the parents' by their minimum."""
     n, nn = dc.n, dc.num_nodes
     shift = nn - n  # bottom(t) is t + shift for every t above n
     num_nodes = nn + shift
     x, y = dc.edge_rows.T
     m = len(x)
+    if m and x.min() <= n:  # the offsets count only parents above n
+        raise InputError(f"a parent is not above n={n}")
     per_x, per_y = np.bincount(x, minlength=nn + 1), np.bincount(y, minlength=nn + 1)
     offsets = np.cumsum(np.concatenate(([0], per_y[:n + 1], per_x[n + 1:], per_y[n + 1:])))
     del per_x, per_y
@@ -126,6 +128,8 @@ def dag_to_distance_model(dc: DagCompression) -> DistanceModel:
 
 @dataclass
 class ZeroOneResult:
+    """The search's arrays are int32 below 2^31 model nodes, int64 above."""
+
     dist: np.ndarray          # over model nodes, index 0 unused; INF sentinel
     parent_vertex: np.ndarray  # projected G-parent per shared vertex, index v-1
     ops: int                  # edges scanned, a machine-independent cost proxy
@@ -143,16 +147,48 @@ def _out_edges(csr: tuple[np.ndarray, np.ndarray],
     return np.repeat(np.arange(len(nodes)), counts), targets[_runs(starts, counts)]
 
 
+_CHUNK = 1 << 16  # the most edges of one batch that a search scans at once
+
+
+def _chunks(starts: np.ndarray, counts: np.ndarray, most: int) -> Iterator[tuple]:
+    """The runs starts[q], ..., starts[q] + counts[q] - 1, taken one after
+    another, cut into slices of at most ``_CHUNK`` items: per slice, the
+    q it meets and their (starts, counts) cut to it.  Runs that fit are
+    one slice, themselves; ``most`` bounds their total, which is summed
+    only when the bound does not fit."""
+    total = most if most <= _CHUNK else int(counts.sum())
+    if total <= _CHUNK:
+        yield slice(None), starts, counts
+        return
+    begin = np.cumsum(counts) - counts  # where run q begins among all items
+    for lo in range(0, total, _CHUNK):
+        q = slice(np.searchsorted(begin, lo, side="right") - 1, np.searchsorted(begin, lo + _CHUNK))
+        cut = np.maximum(begin[q], lo)
+        yield q, starts[q] + (cut - begin[q]), np.minimum(begin[q] + counts[q], lo + _CHUNK) - cut
+
+
 def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None) -> ZeroOneResult:
     """Level-synchronous 0-1 BFS (a two-bucket Dial search).
 
     Per level: close the frontier under the weight-0 edges, one batch of
     newly reached nodes at a time, then cross the weight-1 edges out of
-    every node settled at that level.  A node reached by several edges of
-    one batch takes the first of them, and the next batch scans the new
-    nodes in that order of first edges.  Each model node carries the most
-    recent shared-layer vertex on its shortest path; a shared vertex's
-    G-parent is the label carried into it.
+    every node settled at that level that has some.  A node reached by
+    several edges of one batch takes the first of them, and the next batch
+    scans the new nodes in that order of first edges.  Each model node
+    carries the most recent shared-layer vertex on its shortest path; a
+    shared vertex's G-parent is the label carried into it.
+
+    A batch's edges are scanned in their order, in slices of at most
+    ``_CHUNK`` edges.  That keeps the first-edge rule: a target reached by
+    an earlier slice is settled, so it is no longer fresh in a later one,
+    and within a slice each fresh target takes its first edge; so every
+    target takes its first edge in the batch, and the targets come out in
+    the order of those edges, slice after slice.  The labels carried are
+    those of the batch's nodes, which are settled and keep them.
+
+    Memory: ``dist``, ``label``, ``owner`` (per model node) and ``parent``
+    (per vertex), each int32 below 2^31 nodes and int64 above, plus the
+    batch's node-sized arrays and one slice's edge-sized ones.
 
     ``max_dist`` bounds the search radius (used by scattered sets): the
     search stops after the 0-closure of that level, so nodes farther away
@@ -161,29 +197,39 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
     if not 1 <= source <= dm.n:
         raise InputError(f"source {source} is not a graph vertex in [1,{dm.n}]")
     n, INF = dm.n, dm.num_nodes + 1
-    dist = np.full(dm.num_nodes + 1, INF, dtype=np.int64)
-    label = np.zeros(dm.num_nodes + 1, dtype=np.int64)
-    parent = np.zeros(n, dtype=np.int64)
-    owner = np.zeros(dm.num_nodes + 1, dtype=np.int64)  # batch edge index per target
+    dist = np.full(dm.num_nodes + 1, INF, dtype=np.int32 if INF < ID_LIMIT else np.int64)
+    label = np.zeros_like(dist)
+    parent = np.zeros(n, dtype=dist.dtype)
+    owner = np.zeros_like(dist)  # slice edge index per target
     dist[source] = 0
     label[source] = source
     level, ops = 0, 0
 
     def settle(csr: tuple[np.ndarray, np.ndarray], nodes: np.ndarray) -> np.ndarray:
         nonlocal ops
-        rows, tgt = _out_edges(csr, nodes)
-        ops += len(tgt)
-        fresh = dist[tgt] == INF
-        rows, tgt = rows[fresh], tgt[fresh]
-        k = np.arange(len(tgt))
-        owner[tgt[::-1]] = k[::-1]  # the last write wins: each target's first edge
-        first = owner[tgt] == k
-        tgt, carried = tgt[first], label[nodes[rows[first]]]
-        dist[tgt] = level
-        shared = tgt <= n
-        parent[tgt[shared] - 1] = carried[shared]
-        label[tgt] = np.where(shared, tgt, carried)
-        return tgt
+        offsets, targets = csr
+        starts = offsets[nodes]
+        counts = offsets[nodes + 1] - starts
+        labels, found = label[nodes], []
+        # a batch's nodes are distinct, so it has at most len(targets) edges
+        for q, s, c in _chunks(starts, counts, len(targets)):
+            tgt = targets[_runs(s, c)]
+            ops += len(tgt)
+            fresh = dist[tgt] == INF
+            tgt, carried = tgt[fresh], np.repeat(labels[q], c)[fresh]
+            k = np.arange(len(tgt), dtype=dist.dtype)
+            owner[tgt[::-1]] = k[::-1]  # the last write wins: each target's first edge
+            first = owner[tgt] == k
+            tgt, carried = tgt[first], carried[first]
+            dist[tgt] = level
+            shared = tgt <= n
+            parent[tgt[shared] - 1] = carried[shared]
+            # a shared vertex carries itself on; written in place, as np.where's
+            # int64 result cast into the int32 labels made the search slower
+            np.copyto(carried, tgt, where=shared)
+            label[tgt] = carried
+            found.append(tgt)
+        return found[0] if len(found) == 1 else np.concatenate(found)
 
     new = np.array([source], dtype=np.int64)
     while new.size:
@@ -194,7 +240,8 @@ def zero_one_bfs(dm: DistanceModel, source: int, max_dist: Optional[int] = None)
         if max_dist is not None and level >= max_dist:
             break
         level += 1
-        new = settle(dm.one, np.concatenate(settled))
+        settled = np.concatenate(settled)
+        new = settle(dm.one, settled[dm.one[0][settled + 1] > dm.one[0][settled]])
     return ZeroOneResult(dist, parent, ops, INF)
 
 

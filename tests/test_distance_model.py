@@ -93,11 +93,14 @@ def test_build_peak_memory():
 def test_build_checks_target_range():
     """The DAG's rows are trusted, as its constructor checked them; a DAG
     whose rows were replaced after that still gets no target outside
-    [1, num_nodes]."""
+    [1, num_nodes], and no parent at or below n, which would leave the
+    weight-0 offsets short of the targets."""
     dc = DagCompression(2, 3, [(3, 1), (3, 2)], [(1, 2)])
-    dc.edge_rows = np.array([[3, 0], [3, 2]])
-    with pytest.raises(InputError, match=r"^a target is outside \[1,4\]$"):
-        dag_to_distance_model(dc)
+    for rows, message in (([[3, 0], [3, 2]], r"^a target is outside \[1,4\]$"),
+                          ([[3, 1], [2, 1]], r"^a parent is not above n=2$")):
+        dc.edge_rows = np.array(rows)
+        with pytest.raises(InputError, match=message):
+            dag_to_distance_model(dc)
 
 
 @pytest.mark.parametrize("num_nodes, edges, named", [

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stmgraph import (INT64_GROUP, AdditiveGroup, InputError, LinearOrder,
                       adjacency_matmul, decode_bruteforce, graphs_equal,
                       ibp_matvec, ibp_to_graph, stm_to_ibp)
+from stmgraph import matmul
 from stmgraph.gen import random_stm
 from stmgraph.matmul import _BLOCK, _int64_array, dense_matmul_oracle, dense_matvec_oracle
 
@@ -216,12 +218,16 @@ class TestAdjacencyMatmul:
 
     def test_matrix_shape(self, p3_model):
         """An array or list of any shape but (n, n) raises the shape's
-        InputError; entries that are no integers raise TypeError."""
+        InputError; entries that are no integers raise TypeError.  A ragged
+        row raises InputError wherever it sits in the partition's order,
+        2, 1, 3 here: third, first (numpy's shape of it raised ValueError)
+        and second."""
         ibp = stm_to_ibp(p3_model)
         order = LinearOrder.identity(3)
         for bad in (np.arange(3), np.zeros((3, 3, 1), np.int64), np.zeros((3, 4), np.int64),
                     np.zeros((9,), np.uint64), [[1, 2], [3, 4], [5, 6]], [1, 2, 3],
-                    [[[0]] * 3] * 3, [[1, 2, 3], 4, [5, 6, 7]]):
+                    [[[0]] * 3] * 3, [[1, 2, 3], 4, [5, 6, 7]],
+                    *([[1, 2, 3]] * r + [[[1], 2, 3]] + [[1, 2, 3]] * (2 - r) for r in range(3))):
             with pytest.raises(InputError, match="^matrix is not 3x3$"):
                 adjacency_matmul(None, order, bad, ibp)
         for bad in (np.ones((3, 3)), [[1.5, 0, 0]] * 3):
@@ -254,3 +260,18 @@ class TestAdjacencyMatmul:
             assert got.dtype == np.int64 and got.tolist() == want
             if before is not None:
                 assert form.dtype == before.dtype and form.tobytes() == before.tobytes()
+
+    def test_one_kernel_for_the_blocks(self):
+        """The full blocks share one kernel and so its buffers; a partial
+        last block makes one more, of its width.  Each block still goes
+        through ``ibp_matvec``."""
+        n = 2 * _BLOCK + 1
+        ibp = stm_to_ibp(random_stm(n, 3 * n, seed=1))
+        made, blocks = [], []
+        kernel, matvec = matmul._int64_kernel, matmul.ibp_matvec
+        with mock.patch.object(matmul, "_int64_kernel",
+                               lambda ibp, k: made.append(k) or kernel(ibp, k)), \
+                mock.patch.object(matmul, "ibp_matvec",
+                                  lambda *args, **kw: blocks.append(1) or matvec(*args, **kw)):
+            adjacency_matmul(None, LinearOrder.identity(n), np.ones((n, n), np.int64), ibp)
+        assert made == [_BLOCK, 1] and len(blocks) == 3

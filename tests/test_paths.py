@@ -122,6 +122,19 @@ def check_parents(dc: DagCompression, source: int) -> None:
             assert g.has_edge(p, v) and res.dist[p] == d - 1, (source, v)
 
 
+def check_chunks(dm: DistanceModel, source: int, cuts, chunks=(1, 2, 7)) -> None:
+    """The search scanning its batches in slices of each size in ``chunks``
+    gives the dist, parents and ops it gives with the default slices, under
+    each radius cut-off in ``cuts``."""
+    for r in cuts:
+        res = zero_one_bfs(dm, source, r)
+        want = (res.dist.tolist(), res.parent_vertex.tolist(), res.ops)
+        for chunk in chunks:
+            with mock.patch.object(paths, "_CHUNK", chunk):
+                res = zero_one_bfs(dm, source, r)
+            assert (res.dist.tolist(), res.parent_vertex.tolist(), res.ops) == want, (source, r, chunk)
+
+
 @st.composite
 def raw_models(draw):
     """Raw 0-1 models: shared vertices 1..n among nodes 1..num_nodes, random
@@ -274,6 +287,31 @@ class TestZeroOneBfs:
             check_against_deque(dag_to_distance_model(dc), sources, same_ops=True)
             if model.n <= 1024:
                 check_parents(dc, sources[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_models())
+    def test_chunked_scan_raw_models(self, dm):
+        # weight-0 cycles, and batches that reach one target by several edges
+        for s in range(1, dm.n + 1):
+            check_chunks(dm, s, (None, 0, 1, 2, 3))
+
+    def test_chunked_scan_seed_family(self):
+        """Slices of 1, 2 and 7 edges on the models up to n = 256, each with
+        one of the cut-offs in turn.  Above, slices of 97 edges, and one
+        slice per batch against the default, which cuts the batches of the
+        n = 16384 model."""
+        for i, model in enumerate(seed_family_models()):
+            dm = dag_to_distance_model(ibp_to_dag(stm_to_ibp(model)))
+            source = random.Random(model.n).randint(1, model.n)
+            if model.n <= 256:
+                check_chunks(dm, source, [(None, 0, 1, 2, 3)[i % 5]])
+            else:
+                check_chunks(dm, source, (None, 2), chunks=(97, dm.num_edges))
+
+    def test_state_dtype(self):
+        """Below 2^31 nodes the search's per-node arrays are int32."""
+        res = zero_one_bfs(model_of_path(3), 1)
+        assert res.dist.dtype == res.parent_vertex.dtype == np.int32
 
 
 class TestSssp:

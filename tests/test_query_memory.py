@@ -1,10 +1,11 @@
 """The traced peak of the three output-sized query stages, each against
-what it must hold: ``apsp``, ``adjacency_matmul`` and ``ibp_to_graph``."""
+what it must hold: ``apsp``, ``adjacency_matmul`` and ``ibp_to_graph``;
+and of the search, against the model it is handed."""
 
 import numpy as np
 
 from stmgraph import (LinearOrder, adjacency_matmul, apsp, dag_to_distance_model,
-                      ibp_to_dag, ibp_to_graph, stm_to_ibp)
+                      ibp_to_dag, ibp_to_graph, stm_to_ibp, zero_one_bfs)
 from stmgraph.gen import random_stm_sparse
 from stmgraph.paths import _BLOCK_WORDS
 
@@ -42,3 +43,14 @@ def test_ibp_to_graph_peak_memory():
     g, peak = traced_peak(lambda: ibp_to_graph(ibp))
     held = g.offsets.nbytes + g.targets.nbytes
     assert peak <= 3.6 * held, peak / held
+
+
+def test_search_peak_memory():
+    """Within 1.3 times the model's CSR arrays: the search holds its int32
+    state per node, a batch's node-sized arrays and one slice of its
+    edges, with no edge-sized array of the whole batch."""
+    n = 4096
+    dm = dag_to_distance_model(ibp_to_dag(stm_to_ibp(random_stm_sparse(n, 4 * n, seed=0))))
+    _, peak = traced_peak(lambda: zero_one_bfs(dm, 1))
+    held = sum(a.nbytes for a in (*dm.zero, *dm.one))
+    assert peak <= 1.3 * held, peak / held
