@@ -10,14 +10,14 @@ from .convert import (ConstructionSequence, DagCompression,
                       IntervalBicliquePartition, PartitionViolation,
                       SdDegenSequence, SequenceError, cover_set, cseq_replay,
                       cseq_shorten, cseq_to_stm, dag_to_graph, ibp_to_dag,
-                      ibp_to_graph, ibp_to_positive_model, sdseq_to_stm,
-                      stm_to_ibp)
+                      ibp_to_graph, ibp_to_positive_model, radius_r_width,
+                      sdseq_to_stm, stm_to_ibp)
 from .graph import (Graph, InputError, LinearOrder, bfs_sssp_oracle,
                     graphs_equal, symmetric_difference)
 from .matmul import INT64_GROUP, AdditiveGroup, adjacency_matmul, ibp_matvec
 from .paths import (DistanceModel, ShortestPathTree, apsp,
-                    dag_to_distance_model, radius_r_width,
-                    scattered_maximal_subset, sssp, zero_one_bfs)
+                    dag_to_distance_model, scattered_maximal_subset, sssp,
+                    zero_one_bfs)
 from .rect import (InclusionForest, LaminarityError, complement_partition,
                    inclusion_forest)
 from .sddegen import (CapExceeded, SdConfig, WidthReport, preset_symdiff,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -172,7 +173,7 @@ def cmd_apsp(args) -> int:
     return EXIT_OK
 
 
-def _preset_config(spec: str, n: int, seed: int) -> SdConfig:
+def _preset_config(spec: str, n: int) -> SdConfig:
     try:
         name, rest = spec.split(":", 1)
         a, b = (float(x) for x in rest.split(","))
@@ -180,28 +181,24 @@ def _preset_config(spec: str, n: int, seed: int) -> SdConfig:
         raise CliError(f"bad preset {spec!r}; expected tww:f_d,c or symdiff:beta,c",
                        EXIT_IO) from None
     if name == "tww":
-        cfg = preset_twinwidth(int(a), b, n)
-    elif name == "symdiff":
-        cfg = preset_symdiff(a, b, n)
-    else:
-        raise CliError(f"unknown preset {name!r}", EXIT_IO)
-    return SdConfig(cfg.g, cfg.gamma, cfg.p_hat, cfg.cap, seed)
+        return preset_twinwidth(int(a), b, n)
+    if name == "symdiff":
+        return preset_symdiff(a, b, n)
+    raise CliError(f"unknown preset {name!r}", EXIT_IO)
 
 
 def cmd_sdseq(args) -> int:
     g = fio.parse_graph(_read(args.file))
+    # explicit flags override preset values
+    flags = {name: value for name, value in (("g", args.g), ("gamma", args.gamma),
+                                              ("p_hat", args.p), ("cap", args.cap))
+             if value is not None}
     if args.preset:
-        base = _preset_config(args.preset, g.n, args.seed)
-    elif None not in (args.g, args.gamma, args.p, args.cap):
-        base = SdConfig(args.g, args.gamma, args.p, args.cap, args.seed)
+        cfg = replace(_preset_config(args.preset, g.n), seed=args.seed, **flags)
+    elif len(flags) == 4:
+        cfg = SdConfig(seed=args.seed, **flags)
     else:
         raise CliError("need --preset or all of --g --gamma --p --cap", EXIT_IO)
-    # explicit flags override preset values
-    cfg = SdConfig(args.g if args.g is not None else base.g,
-                   args.gamma if args.gamma is not None else base.gamma,
-                   args.p if args.p is not None else base.p_hat,
-                   args.cap if args.cap is not None else base.cap,
-                   args.seed)
     try:
         seq, report = sd_sequence_randomized(g, cfg)
     except CapExceeded as e:

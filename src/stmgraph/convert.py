@@ -3,13 +3,15 @@
 Pipeline: signed tree model -> laminar rectangles, as one (p, 4) int64
 array of key rows -> interval biclique partition -> DAG compression /
 positive tree model; plus the constructions from sd-degeneracy sequences
-and merge/resolve construction sequences, and construction-sequence
-shortening.
+and merge/resolve construction sequences, construction-sequence
+shortening and the radius-r width, each sequence kind replayed by one
+walk (``_eliminate``, ``_steps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -418,6 +420,28 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
 # Sequences -> STM
 # ---------------------------------------------------------------------------
 
+def _delete(adj: list[set[int]], u: int) -> None:
+    """Delete vertex u from the adjacency sets."""
+    for w in adj[u]:
+        adj[w].discard(u)
+    adj[u] = set()
+
+
+def _eliminate(adj: list[set[int]], pairs: Iterable[tuple[int, int]]
+               ) -> Iterator[tuple[int, int, set[int], set[int]]]:
+    """Replay the eliminations ``pairs`` on the adjacency sets ``adj``.
+
+    For each step (u, v) it yields (u, v, N(u) \\ N[v], N(v) \\ N[u]) in the
+    current graph, whose sizes sum to the step's symmetric difference, while
+    u is still present; u is deleted from ``adj`` when the next step is
+    asked for, or when the walk ends.
+    """
+    for u, v in pairs:
+        nu, nv = adj[u], adj[v]
+        yield u, v, nu - nv - {v}, nv - nu - {u}
+        _delete(adj, u)
+
+
 def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
     """Build a signed tree model from an sd-degeneracy sequence.
 
@@ -435,21 +459,37 @@ def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
     children: dict[int, tuple[int, int]] = {}
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
-    next_id = n
-    for u, v in seq.pairs:
-        nu, nv = adj[u], adj[v]
-        for a in nv - nu - {u}:
-            pairs_a.append((node_of[u], node_of[a]))
-        for b in nu - nv - {v}:
-            pairs_b.append((node_of[u], node_of[b]))
-        (pairs_b if v in nu else pairs_a).append((node_of[u], node_of[v]))
-        next_id += 1
-        children[next_id] = (node_of[u], node_of[v])
-        node_of[v] = next_id
-        for w in nu:
-            adj[w].discard(u)
-        adj[u] = set()
+    for made, (u, v, only_u, only_v) in enumerate(_eliminate(adj, seq.pairs), start=n + 1):
+        x = node_of[u]
+        pairs_a += [(x, node_of[a]) for a in only_v]
+        pairs_b += [(x, node_of[b]) for b in only_u]
+        (pairs_b if v in adj[u] else pairs_a).append((x, node_of[v]))
+        children[made] = (x, node_of[v])
+        node_of[v] = made
     return SignedTreeModel(n, children, pairs_a, pairs_b)
+
+
+def _steps(n: int, ops: Iterable[tuple[str, int, int]]
+           ) -> Iterator[tuple[str, int, int, int]]:
+    """Walk ``ops`` over parts 1..n, yielding (kind, i, j, made) for each
+    op: ``made`` is the id of the last part made so far, which for a merge
+    is the part that merge makes (the k-th merge makes part n + k), and n
+    before the first merge."""
+    made = n
+    for kind, i, j in ops:
+        made += kind == MERGE
+        yield kind, i, j, made
+
+
+def _first_resolves(ops: Iterable[tuple[str, int, int]]) -> Iterator[tuple[str, int, int]]:
+    """The resolves of ``ops`` in order, each but the first on an unordered
+    part pair {i, j} left out."""
+    seen: set[tuple[int, int]] = set()
+    for kind, i, j in ops:
+        key = (min(i, j), max(i, j))
+        if kind != MERGE and key not in seen:
+            seen.add(key)
+            yield kind, i, j
 
 
 def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
@@ -460,25 +500,22 @@ def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
     of a part with itself, or an unknown op kind, naming the step.
     """
     alive = set(range(1, seq.n + 1))
-    next_id = seq.n
-    for step, (kind, i, j) in enumerate(seq.ops, start=1):
+    made = seq.n
+    for step, (kind, i, j, made) in enumerate(_steps(seq.n, seq.ops), start=1):
         if i not in alive or j not in alive:
             raise SequenceError(f"step {step}: part {i if i not in alive else j} is not alive")
         if kind == MERGE:
             if i == j:
                 raise SequenceError(f"step {step}: cannot merge a part with itself")
-            next_id += 1
             alive -= {i, j}
-            alive.add(next_id)
+            alive.add(made)
         elif kind not in (RESOLVE_POS, RESOLVE_NEG):
             raise SequenceError(f"step {step}: unknown op kind {kind!r}")
-    extra = []
-    live = sorted(alive)  # a new part's id tops every live one: appending keeps the order
-    for k in range(0, 2 * len(live) - 2, 2):
-        next_id += 1
-        extra.append((MERGE, live[k], live[k + 1]))
-        live.append(next_id)
-    return ConstructionSequence(seq.n, seq.ops + tuple(extra))
+    # the appended merges make parts made + 1, made + 2, ..., each topping
+    # every live id, so each one's part joins the sorted live list at its end
+    live = sorted(alive) + list(range(made + 1, made + len(alive)))
+    return ConstructionSequence(seq.n, seq.ops + tuple((MERGE, i, j)
+                                                       for i, j in zip(live[0::2], live[1::2])))
 
 
 def cseq_replay(seq: ConstructionSequence) -> Graph:
@@ -494,11 +531,9 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
     n = seq.n
     parts = {v: np.array([v]) for v in range(1, n + 1)}
     decided = [np.zeros((0, 3), np.int64)]  # rows (u, v, positive), in op order
-    next_id = n
-    for kind, i, j in seq.ops:
+    for kind, i, j, made in _steps(n, seq.ops):
         if kind == MERGE:
-            next_id += 1
-            parts[next_id] = np.concatenate((parts.pop(i), parts.pop(j)))
+            parts[made] = np.concatenate((parts.pop(i), parts.pop(j)))
         else:
             u, v = (a.ravel() for a in np.meshgrid(parts[i], parts[j], indexing="ij"))
             decided.append(np.column_stack((np.minimum(u, v), np.maximum(u, v),
@@ -519,24 +554,11 @@ def cseq_to_stm(seq: ConstructionSequence) -> SignedTreeModel:
     Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
     """
     seq = _cseq_complete(seq)
-    n = seq.n
-    children: dict[int, tuple[int, int]] = {}
-    paired: set[tuple[int, int]] = set()
-    pairs_a: list[tuple[int, int]] = []
-    pairs_b: list[tuple[int, int]] = []
-    next_id = n
-    for kind, i, j in seq.ops:
-        if kind == MERGE:
-            next_id += 1
-            children[next_id] = (i, j)
-        else:
-            key = (min(i, j), max(i, j))
-            if key in paired:
-                continue
-            paired.add(key)
-            (pairs_b if kind == RESOLVE_POS else pairs_a).append((i, j))
-    model = SignedTreeModel(n, children, pairs_a, pairs_b)
-    return remove_loops(model)
+    children = {made: (i, j) for kind, i, j, made in _steps(seq.n, seq.ops) if kind == MERGE}
+    resolves = list(_first_resolves(seq.ops))
+    return remove_loops(SignedTreeModel(
+        seq.n, children, [(i, j) for kind, i, j in resolves if kind == RESOLVE_NEG],
+        [(i, j) for kind, i, j in resolves if kind == RESOLVE_POS]))
 
 
 def cseq_shorten(seq: ConstructionSequence) -> ConstructionSequence:
@@ -548,26 +570,60 @@ def cseq_shorten(seq: ConstructionSequence) -> ConstructionSequence:
     Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
     """
     seq = _cseq_complete(seq)
-    n = seq.n
-    merges = [(i, j) for kind, i, j in seq.ops if kind == MERGE]
-    destroyed: dict[int, int] = {}
-    for k, (i, j) in enumerate(merges, start=1):
-        destroyed[i] = k
-        destroyed[j] = k
+    merges = [(made, i, j) for kind, i, j, made in _steps(seq.n, seq.ops) if kind == MERGE]
+    destroyed = {part: made for made, i, j in merges for part in (i, j)}
     buckets: dict[float, list[tuple[str, int, int]]] = {}
-    seen_pairs: set[tuple[int, int]] = set()
-    for kind, i, j in seq.ops:
-        if kind == MERGE:
-            continue
-        key = (min(i, j), max(i, j))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
+    for kind, i, j in _first_resolves(seq.ops):
         slot = min(destroyed.get(i, INF_STEP), destroyed.get(j, INF_STEP))
         buckets.setdefault(slot, []).append((kind, i, j))
-    ops: list[tuple[str, int, int]] = []
-    for k, (i, j) in enumerate(merges, start=1):
-        ops.extend(buckets.get(k, ()))
-        ops.append((MERGE, i, j))
-    ops.extend(buckets.get(INF_STEP, ()))
-    return ConstructionSequence(n, tuple(ops))
+    ops = [op for made, i, j in merges for op in buckets.get(made, []) + [(MERGE, i, j)]]
+    return ConstructionSequence(seq.n, tuple(ops + buckets.get(INF_STEP, [])))
+
+
+def radius_r_width(seq: ConstructionSequence, r: int = 1) -> int:
+    """Replay a construction sequence and report its radius-r width: the
+    maximum, over steps and vertices, of the number of parts met by the
+    radius-r ball of the vertex in the resolved-pairs graph.  Naive
+    re-evaluation per step; measurement tool, not a hot path.
+
+    Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
+    """
+    if r < 1:
+        raise InputError("r must be at least 1")
+    _cseq_complete(seq)  # checks every op; the replay measures seq's own ops
+    n = seq.n
+    part_of = list(range(n + 1))
+    alive: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
+    resolved_adj: list[set[int]] = [set() for _ in range(n + 1)]
+
+    def measure() -> int:
+        best = 0
+        for v in range(1, n + 1):
+            ball = {v}
+            frontier = [v]
+            for _ in range(r):
+                nxt = []
+                for u in frontier:
+                    for w in resolved_adj[u]:
+                        if w not in ball:
+                            ball.add(w)
+                            nxt.append(w)
+                frontier = nxt
+            best = max(best, len({part_of[u] for u in ball}))
+        return best
+
+    width = measure()
+    for kind, i, j, made in _steps(n, seq.ops):
+        if kind == MERGE:
+            members = alive.pop(i) + alive.pop(j)
+            alive[made] = members
+            for u in members:
+                part_of[u] = made
+        else:
+            for u in alive[i]:
+                for v in alive[j]:
+                    if u != v:
+                        resolved_adj[u].add(v)
+                        resolved_adj[v].add(u)
+        width = max(width, measure())
+    return width

@@ -193,12 +193,18 @@ def parse_stm(text: str, check_crossing: bool = True) -> SignedTreeModel:
 def stm_pair_line(text: str, message: str) -> int:
     """The 1-based line of the first "A x y" / "B x y" line of the parsed
     .stm ``text`` whose pair, in either order, is named in ``message`` as
-    "(x,y)" or "(x, y)"; 1 if none is.  Only error paths call this."""
+    "(x,y)" or "(x, y)"; 1 if none is.  Only error paths call this.
+
+    Each pair is matched by its code min * 2n + max, so the work is linear
+    in the lines and the named pairs; the model's ids are below 2n, and a
+    named pair that is not cannot match."""
     lines = text.splitlines()
     (n,) = _header(lines, 1)
     pairs, _ = _read(lines[n:], n + 1, 2, _PAIR, skip_blank=True)
-    named = np.array([sorted(map(int, p)) for p in re.findall(r"\((\d+),\s*(\d+)\)", message)])
-    hit = (np.sort(pairs, axis=1)[:, None] == named.reshape(-1, 2)).all(axis=2).any(axis=1)
+    named = (sorted(map(int, p)) for p in re.findall(r"\((\d+),\s*(\d+)\)", message))
+    pairs.sort(axis=1)
+    hit = np.isin(pairs @ np.array([2 * n, 1]),
+                  np.array([x * 2 * n + y for x, y in named if y < 2 * n], dtype=np.int64))
     if not hit.any():
         return 1
     return n + 1 + int(np.flatnonzero(list(map(str.strip, lines[n:])))[hit.argmax()])

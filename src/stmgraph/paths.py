@@ -5,8 +5,7 @@ DAG joined on the graph vertices), stored as two CSR edge arrays, one per
 weight.  One level-synchronous 0-1 BFS on it, a numpy array step per
 frontier, yields exact graph distances, shortest-path trees and scattered
 sets.  APSP runs the same loop from blocks of 1024 sources at once, each
-node carrying a uint64 bitset of the sources that reached it.  The
-radius-r width measures construction sequences.
+node carrying a uint64 bitset of the sources that reached it.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .convert import (ConstructionSequence, DagCompression,
-                      IntervalBicliquePartition, MERGE, _cseq_complete,
-                      ibp_to_dag, stm_to_ibp)
+from .convert import DagCompression, IntervalBicliquePartition, ibp_to_dag, stm_to_ibp
 from .graph import ID_LIMIT, InputError, _csr, _int_rows, _runs
 from .stm import SignedTreeModel
 
@@ -383,54 +380,3 @@ def scattered_maximal_subset(dm: DistanceModel, X: Iterable[int], c: int, r: int
         out.append(x)
         rest = rest[zero_one_bfs(dm, x, r).dist[rest] > r]
     return out
-
-
-def radius_r_width(seq: ConstructionSequence, r: int = 1) -> int:
-    """Replay a construction sequence and report its radius-r width: the
-    maximum, over steps and vertices, of the number of parts met by the
-    radius-r ball of the vertex in the resolved-pairs graph.  Naive
-    re-evaluation per step; measurement tool, not a hot path.
-
-    Raises SequenceError on an invalid sequence, as ``cseq_replay`` does.
-    """
-    if r < 1:
-        raise InputError("r must be at least 1")
-    _cseq_complete(seq)  # checks every op; the replay measures seq's own ops
-    n = seq.n
-    part_of = list(range(n + 1))
-    alive: dict[int, list[int]] = {v: [v] for v in range(1, n + 1)}
-    resolved_adj: list[set[int]] = [set() for _ in range(n + 1)]
-
-    def measure() -> int:
-        best = 0
-        for v in range(1, n + 1):
-            ball = {v}
-            frontier = [v]
-            for _ in range(r):
-                nxt = []
-                for u in frontier:
-                    for w in resolved_adj[u]:
-                        if w not in ball:
-                            ball.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            best = max(best, len({part_of[u] for u in ball}))
-        return best
-
-    width = measure()
-    next_id = n
-    for kind, i, j in seq.ops:
-        if kind == MERGE:
-            next_id += 1
-            members = alive.pop(i) + alive.pop(j)
-            alive[next_id] = members
-            for u in members:
-                part_of[u] = next_id
-        else:
-            for u in alive[i]:
-                for v in alive[j]:
-                    if u != v:
-                        resolved_adj[u].add(v)
-                        resolved_adj[v].add(u)
-        width = max(width, measure())
-    return width

@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .convert import SdDegenSequence
+from .convert import SdDegenSequence, _delete, _eliminate
 from .graph import Graph, InputError
 
 
@@ -65,13 +65,6 @@ def _sd(adj: list[set[int]], u: int, v: int) -> int:
     return len(nu ^ nv)
 
 
-def _delete(adj: list[set[int]], u: int) -> None:
-    """Delete vertex u from the adjacency sets."""
-    for w in adj[u]:
-        adj[w].discard(u)
-    adj[u] = set()
-
-
 def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, WidthReport]:
     """Randomized sd-degeneracy sequence construction.
 
@@ -115,15 +108,10 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
             for u in doomed:
                 _delete(adj, u)
             alive = [v for v in alive if v not in dead]
-    tail_sds: list[int] = []
     alive.sort()
-    while len(alive) >= 2:
-        u, v = alive[0], alive[1]
-        tail_sds.append(_sd(adj, u, v))
-        pairs.append((u, v))
-        _delete(adj, u)
-        alive.pop(0)
-    return SdDegenSequence(tuple(pairs)), WidthReport(tuple(loop_sds), tuple(tail_sds))
+    tail = list(zip(alive, alive[1:]))
+    tail_sds = tuple(len(a) + len(b) for _, _, a, b in _eliminate(adj, tail))
+    return SdDegenSequence(tuple(pairs + tail)), WidthReport(tuple(loop_sds), tail_sds)
 
 
 def preset_twinwidth(f_d: int, c: float, n: int) -> SdConfig:
@@ -183,9 +171,5 @@ def validate_sequence(g: Graph, seq: SdDegenSequence) -> WidthReport:
     """Replay the deletions, checking structure and computing every step's
     symmetric difference in the current induced subgraph."""
     seq.check_structure(g.n)
-    adj = list(map(set, g.adjacency))
-    sds: list[int] = []
-    for u, v in seq.pairs:
-        sds.append(_sd(adj, u, v))
-        _delete(adj, u)
-    return WidthReport(tuple(sds))
+    return WidthReport(tuple(len(a) + len(b) for _, _, a, b
+                             in _eliminate(list(map(set, g.adjacency)), seq.pairs)))

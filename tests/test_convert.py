@@ -704,19 +704,22 @@ class TestCseq:
         for seed in range(150):
             rng = random.Random(seed)
             n = rng.randint(2, 32)
-            seq = random_cseq(n, rng.randint(0, 3 * n), seed=seed)
-            g = cseq_replay(seq)
-            model = cseq_to_stm(seq)
-            assert graphs_equal(decode_bruteforce(model), g), seed
-            assert model.num_pairs <= seq.num_resolves + n, seed
+            full = random_cseq(n, rng.randint(0, 3 * n), seed=seed)
+            # a prefix leaves parts alive for the completion to merge
+            for seq in (full, ConstructionSequence(n, full.ops[:rng.randint(0, len(full.ops))])):
+                g = cseq_replay(seq)
+                model = cseq_to_stm(seq)
+                assert graphs_equal(decode_bruteforce(model), g), seed
+                assert model.num_pairs <= seq.num_resolves + n, seed
 
     def test_shorten_preserves_graph(self):
         for seed in range(100):
             rng = random.Random(seed)
             n = rng.randint(2, 24)
-            seq = random_cseq(n, rng.randint(0, 4 * n), seed=seed)
-            short = cseq_shorten(seq)
-            assert graphs_equal(cseq_replay(short), cseq_replay(seq)), seed
+            full = random_cseq(n, rng.randint(0, 4 * n), seed=seed)
+            for seq in (full, ConstructionSequence(n, full.ops[:rng.randint(0, len(full.ops))])):
+                short = cseq_shorten(seq)
+                assert graphs_equal(cseq_replay(short), cseq_replay(seq)), seed
 
     def test_shorten_drops_duplicates(self):
         seq = ConstructionSequence(2, (("R+", 1, 2), ("R+", 1, 2), ("M", 1, 2)))

@@ -1,21 +1,23 @@
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stmgraph.rect
 from stmgraph import io as fio
-from stmgraph import (DagCompression, IntervalBicliquePartition, LinearOrder,
-                      SdDegenSequence, adjacency_matmul, apsp, cseq_replay,
-                      dag_to_distance_model, decode_bruteforce, graphs_equal,
-                      ibp_matvec, ibp_to_dag, ibp_to_graph, remove_loops,
+from stmgraph import (DagCompression, IntervalBicliquePartition, InvalidModelError,
+                      LinearOrder, SdConfig, SdDegenSequence, adjacency_matmul,
+                      apsp, cseq_replay, dag_to_distance_model, decode_bruteforce,
+                      graphs_equal, ibp_matvec, ibp_to_dag, ibp_to_graph,
+                      preset_twinwidth, remove_loops, sd_sequence_randomized,
                       sdseq_to_stm, sssp, stm_to_ibp, validate)
 from stmgraph.cli import main
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq, random_stm,
                           random_stm_sparse)
 
-from conftest import BAD_DAGS, random_loopy
+from conftest import BAD_DAGS, random_loopy, traced_peak
 from test_matmul import GENERIC_INT64
 
 
@@ -247,6 +249,28 @@ class TestCli:
         assert main(["validate", "stm", str(tmp_path / "re.stm"),
                      "--against", str(g_f)]) == 0
 
+    def test_sdseq_config_flags(self, tmp_path, capsys):
+        """One flag overrides its preset value and the rest are the
+        preset's; without a preset all four flags are needed."""
+        g, _ = planted_sdseq(40, 2, seed=1)
+        g_f = tmp_path / "g.graph"
+        g_f.write_text(fio.format_graph(g))
+        for argv, cfg in (
+                (["--preset", "tww:2,1", "--gamma", "6"],
+                 replace(preset_twinwidth(2, 1.0, 40), gamma=6, seed=3)),
+                (["--g", "2", "--gamma", "9", "--p", "0.3", "--cap", "50"],
+                 SdConfig(2, 9, 0.3, 50, seed=3))):
+            assert main(["sdseq", str(g_f), *argv, "--seed", "3"]) == 0
+            out, err = capsys.readouterr()
+            seq, report = sd_sequence_randomized(g, cfg)
+            assert out == fio.format_sdseq(seq)
+            assert err == (f"width={report.width} max_loop_sd={report.max_loop_sd} "
+                           f"gamma={cfg.gamma}\n")
+        assert main(["sdseq", str(g_f), "--preset", "tww:2,1", "--gamma", "1"]) == 1
+        assert capsys.readouterr().err == "g=2 exceeds gamma=1\n"
+        assert main(["sdseq", str(g_f), "--g", "2", "--gamma", "9", "--p", "0.3"]) == 2
+        assert capsys.readouterr().err == "need --preset or all of --g --gamma --p --cap\n"
+
     def test_matmul(self, files, tmp_path, capsys):
         stm_f, _, _ = files
         mat_f = tmp_path / "m.mat"
@@ -436,6 +460,19 @@ class TestCliLoadPath:
         text, line = INVALID_STM[defect]
         assert main(stm_argv(tmp_path, command, text)) == 1
         assert capsys.readouterr().err.startswith(f"line {line}: ")
+
+    def test_pair_line_peak_memory(self):
+        """A loop on every node names every pair in the error: the lines
+        are found by sorted codes, not by comparing every pair with every
+        named pair (the p x k comparison peaked at 48.7 MB here)."""
+        n = 2048
+        text = (fio.format_stm(random_stm_sparse(n, 0, seed=0))
+                + "".join(f"A {t} {t}\n" for t in range(1, 2 * n)))
+        with pytest.raises(InvalidModelError) as e:
+            stm_to_ibp(fio.parse_stm(text, check_crossing=False))
+        line, peak = traced_peak(lambda: fio.stm_pair_line(text, str(e.value)))
+        assert line == n + 1
+        assert peak <= 8 * 2 ** 20, peak / 2 ** 20
 
     @pytest.fixture
     def forest_builds(self, monkeypatch):

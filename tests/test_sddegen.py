@@ -6,7 +6,7 @@ import pytest
 from stmgraph import (CapExceeded, Graph, InputError, SdConfig,
                       SdDegenSequence, SequenceError, preset_symdiff,
                       preset_twinwidth, sd_sequence_greedy,
-                      sd_sequence_randomized, validate_sequence)
+                      sd_sequence_randomized, sdseq_to_stm, validate_sequence)
 from stmgraph.gen import erdos_renyi, planted_sdseq
 
 
@@ -163,3 +163,13 @@ class TestValidateSequence:
             except CapExceeded:
                 continue
             validate_sequence(g, seq)
+
+    def test_pairs_match_sdseq_to_stm(self):
+        """Both replays measure the same eliminations: step i of
+        ``sdseq_to_stm`` makes sd_i pairs plus one to v_i."""
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 80)
+            g, seq = planted_sdseq(n, rng.randint(0, 6), seed=seed)
+            report = validate_sequence(g, seq)
+            assert sdseq_to_stm(g, seq).num_pairs == sum(report.loop_sds) + n - 1, seed
