@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse error.
 ``main`` is the one place that maps exceptions to them: ``CliError`` carries
 its code, ``FormatError`` is 2, and every other ``ValueError`` is 1.  Every
-``.stm`` input goes through ``_load_ibp``, where ``stm_to_ibp`` is the one
-check of the model.
+``.stm`` input is parsed by ``_parse_stm`` and checked by ``_to_ibp``, the
+one check of the model; ``sssp``, ``apsp`` and ``scatter`` reach their
+distance model through ``_load_dm`` from any ``--kind``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .convert import (cseq_replay, cseq_shorten, cseq_to_stm, ibp_to_dag,
 from .gen import erdos_renyi, planted_sdseq, random_cseq, random_stm
 from .graph import Graph, LinearOrder, graphs_equal
 from .matmul import adjacency_matmul
-from .paths import _as_distance_model, apsp, scattered_maximal_subset, sssp
+from .paths import apsp, dag_to_distance_model, scattered_maximal_subset, sssp
 from .sddegen import (CapExceeded, SdConfig, preset_symdiff, preset_twinwidth,
                       sd_sequence_randomized, validate_sequence)
-from .stm import InvalidModelError, remove_loops, validate
+from .stm import InvalidModelError, SignedTreeModel, remove_loops, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -55,45 +56,41 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_ibp(path: str, loops_ok: bool = False, matrix: str | None = None):
-    """The interval biclique partition of the .stm file at ``path``.
-
-    The file is parsed without the crossing check, and ``stm_to_ibp`` is the
-    one check of the model; its error is prefixed with the line of the first
-    pair it names.  ``loops_ok`` removes loop pairs first (non-strict
-    semantics, as in ``decode``).  If ``matrix`` names a matrix file, it is
-    read and parsed after the model and before the check, and
-    ``(ibp, rows)`` is returned.
-    """
+def _parse_stm(path: str) -> tuple[str, SignedTreeModel]:
+    """The text of the .stm file at ``path`` and its model, parsed without
+    the crossing check: ``_to_ibp`` checks the model."""
     text = _read(path)
-    model = fio.parse_stm(text, check_crossing=False)
-    rows = None if matrix is None else fio.parse_matrix(_read(matrix))
+    return text, fio.parse_stm(text, check_crossing=False)
+
+
+def _to_ibp(text: str, model: SignedTreeModel, loops_ok: bool = False):
+    """``stm_to_ibp`` of ``model``, parsed from ``text``: the one check of a
+    model, whose error is prefixed with the line of the first pair it names.
+    ``loops_ok`` removes loop pairs first (non-strict semantics, as in
+    ``decode``)."""
     try:
-        ibp = stm_to_ibp(remove_loops(model) if loops_ok else model)
+        return stm_to_ibp(remove_loops(model) if loops_ok else model)
     except InvalidModelError as e:
         raise CliError(f"line {fio.stm_pair_line(text, str(e))}: {e}",
                        EXIT_INVALID) from None
-    return ibp if matrix is None else (ibp, rows)
 
 
-def _load_rep(path: str, kind: str):
-    if kind == "stm":
-        return _load_ibp(path)
-    if kind == "ibp":
-        return fio.parse_ibp(_read(path))
+def _load_dm(path: str, kind: str):
+    """The distance model of the ``kind`` (stm, ibp or dag) file at ``path``;
+    a partition or DAG is trusted as parsed."""
     if kind == "dag":
-        return fio.parse_dag(_read(path))
-    raise CliError(f"unknown representation kind {kind}", EXIT_IO)
+        return dag_to_distance_model(fio.parse_dag(_read(path)))
+    ibp = _to_ibp(*_parse_stm(path)) if kind == "stm" else fio.parse_ibp(_read(path))
+    return dag_to_distance_model(ibp_to_dag(ibp))
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.file)
     decoded: Graph | None = None
     if args.kind == "stm":
-        model = fio.parse_stm(text, check_crossing=False)
+        text, model = _parse_stm(args.file)
         try:
-            ibp = stm_to_ibp(remove_loops(model) if args.loops_ok else model)
-        except InvalidModelError:
+            ibp = _to_ibp(text, model, args.loops_ok)
+        except CliError:
             # the same models fail here as in validate, which names every defect
             for msg in validate(model, strict=not args.loops_ok).messages():
                 print(msg, file=sys.stderr)
@@ -101,12 +98,14 @@ def cmd_validate(args) -> int:
         if args.against:
             decoded = ibp_to_graph(ibp)
     elif args.kind == "ibp":
-        decoded = ibp_to_graph(fio.parse_ibp(text))
+        decoded = ibp_to_graph(fio.parse_ibp(_read(args.file)))
     elif args.kind == "cseq":
+        text = _read(args.file)
         if args.n is None:
             raise CliError("validating a cseq requires --n", EXIT_IO)
         decoded = cseq_replay(fio.parse_cseq(text, args.n))
     elif args.kind == "sdseq":
+        text = _read(args.file)
         if not args.against:
             raise CliError("validating an sdseq requires --against GRAPH", EXIT_IO)
         seq = fio.parse_sdseq(text)
@@ -124,7 +123,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    graph = ibp_to_graph(_load_ibp(args.file, loops_ok=True))
+    graph = ibp_to_graph(_to_ibp(*_parse_stm(args.file), loops_ok=True))
     _write(fio.format_graph(graph), args.out)
     return EXIT_OK
 
@@ -132,9 +131,11 @@ def cmd_decode(args) -> int:
 def cmd_convert(args) -> int:
     mode = args.mode
     if mode == "stm-ibp":
-        _write(fio.format_ibp(_load_ibp(args.file)), args.out)
+        _write(fio.format_ibp(_to_ibp(*_parse_stm(args.file))), args.out)
         return EXIT_OK
     text = _read(args.file)
+    if mode.startswith("cseq") and args.n is None:
+        raise CliError(f"{mode} requires --n", EXIT_IO)
     if mode == "ibp-dag":
         out = fio.format_dag(ibp_to_dag(fio.parse_ibp(text)))
     elif mode == "ibp-ptm":
@@ -146,30 +147,22 @@ def cmd_convert(args) -> int:
         seq = fio.parse_sdseq(text)
         out = fio.format_stm(sdseq_to_stm(g, seq))
     elif mode == "cseq-stm":
-        if args.n is None:
-            raise CliError("cseq-stm requires --n", EXIT_IO)
         out = fio.format_stm(cseq_to_stm(fio.parse_cseq(text, args.n)))
-    elif mode == "cseq-shorten":
-        if args.n is None:
-            raise CliError("cseq-shorten requires --n", EXIT_IO)
+    else:  # cseq-shorten
         out = fio.format_cseq(cseq_shorten(fio.parse_cseq(text, args.n)))
-    else:
-        raise CliError(f"unknown conversion {mode}", EXIT_IO)
     _write(out, args.out)
     return EXIT_OK
 
 
 def cmd_sssp(args) -> int:
-    rep = _load_rep(args.file, args.kind)
-    n = rep.n
-    tree = sssp(rep, args.source)
-    _write(fio.format_spt(tree, n), args.out)
+    dm = _load_dm(args.file, args.kind)
+    _write(fio.format_spt(sssp(dm, args.source), dm.n), args.out)
     return EXIT_OK
 
 
 def cmd_apsp(args) -> int:
-    rep = _load_rep(args.file, args.kind)
-    _write(fio.format_distance_matrix(apsp(rep), rep.n), args.out)
+    dm = _load_dm(args.file, args.kind)
+    _write(fio.format_distance_matrix(apsp(dm), dm.n), args.out)
     return EXIT_OK
 
 
@@ -177,6 +170,8 @@ def _preset_config(spec: str, n: int) -> SdConfig:
     try:
         name, rest = spec.split(":", 1)
         a, b = (float(x) for x in rest.split(","))
+        if name == "tww" and not a.is_integer():
+            raise ValueError("f_d is an integer")
     except ValueError:
         raise CliError(f"bad preset {spec!r}; expected tww:f_d,c or symdiff:beta,c",
                        EXIT_IO) from None
@@ -211,14 +206,17 @@ def cmd_sdseq(args) -> int:
 
 
 def cmd_matmul(args) -> int:
-    ibp, rows = _load_ibp(args.file, matrix=args.matrix)
+    # a malformed matrix exits 2 even beside an invalid model
+    text, model = _parse_stm(args.file)
+    rows = fio.parse_matrix(_read(args.matrix))
+    ibp = _to_ibp(text, model)
     out = adjacency_matmul(None, LinearOrder.identity(ibp.n), rows, ibp)
     _write(fio.format_matrix(out), args.out)
     return EXIT_OK
 
 
 def cmd_scatter(args) -> int:
-    dm = _as_distance_model(_load_rep(args.file, args.kind))
+    dm = _load_dm(args.file, args.kind)
     X = ([int(x) for x in args.x.split(",")] if args.x
          else list(range(1, dm.n + 1)))
     S = scattered_maximal_subset(dm, X, args.c, args.r)
@@ -234,7 +232,7 @@ def cmd_gen(args) -> int:
         out = fio.format_graph(erdos_renyi(args.n, (args.param or 25) / 100.0, args.seed))
     elif kind == "random-cseq":
         out = fio.format_cseq(random_cseq(args.n, args.param or args.n, args.seed))
-    elif kind == "planted-sdseq":
+    else:  # planted-sdseq
         if not args.out:
             raise CliError("planted-sdseq writes two files; --out PREFIX required", EXIT_IO)
         g, seq = planted_sdseq(args.n, args.param if args.param is not None else 2,
@@ -242,8 +240,6 @@ def cmd_gen(args) -> int:
         _write(fio.format_graph(g), args.out + ".graph")
         _write(fio.format_sdseq(seq), args.out + ".sdseq")
         return EXIT_OK
-    else:
-        raise CliError(f"unknown generator kind {kind}", EXIT_IO)
     _write(out, args.out)
     return EXIT_OK
 

@@ -482,14 +482,17 @@ def _steps(n: int, ops: Iterable[tuple[str, int, int]]
 
 
 def _first_resolves(ops: Iterable[tuple[str, int, int]]) -> Iterator[tuple[str, int, int]]:
-    """The resolves of ``ops`` in order, each but the first on an unordered
-    part pair {i, j} left out."""
+    """``ops`` in order, with each resolve but the first on an unordered part
+    pair {i, j} left out: part ids are never reused, so a repeated resolve
+    meets only vertex pairs the first one decided."""
     seen: set[tuple[int, int]] = set()
     for kind, i, j in ops:
         key = (min(i, j), max(i, j))
-        if kind != MERGE and key not in seen:
+        if kind != MERGE:
+            if key in seen:
+                continue
             seen.add(key)
-            yield kind, i, j
+        yield kind, i, j
 
 
 def _cseq_complete(seq: ConstructionSequence) -> ConstructionSequence:
@@ -522,7 +525,9 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
     """Direct replay of the construction semantics (oracle): each resolve
     turns the vertex pairs across its two parts that no earlier resolve
     decided into edges (R+) or non-edges (R-); output is (V, E_final).  The
-    resolves' pairs are arrays, and a stable sort finds each pair's first.
+    resolves' pairs are arrays, and a stable sort finds each pair's first;
+    a repeated resolve on the same part pair is skipped, as it decides
+    nothing.
 
     Raises SequenceError on an op over a part that is not alive, a merge
     of a part with itself, or an unknown op kind.
@@ -531,7 +536,7 @@ def cseq_replay(seq: ConstructionSequence) -> Graph:
     n = seq.n
     parts = {v: np.array([v]) for v in range(1, n + 1)}
     decided = [np.zeros((0, 3), np.int64)]  # rows (u, v, positive), in op order
-    for kind, i, j, made in _steps(n, seq.ops):
+    for kind, i, j, made in _steps(n, _first_resolves(seq.ops)):
         if kind == MERGE:
             parts[made] = np.concatenate((parts.pop(i), parts.pop(j)))
         else:
@@ -555,10 +560,10 @@ def cseq_to_stm(seq: ConstructionSequence) -> SignedTreeModel:
     """
     seq = _cseq_complete(seq)
     children = {made: (i, j) for kind, i, j, made in _steps(seq.n, seq.ops) if kind == MERGE}
-    resolves = list(_first_resolves(seq.ops))
+    ops = list(_first_resolves(seq.ops))
     return remove_loops(SignedTreeModel(
-        seq.n, children, [(i, j) for kind, i, j in resolves if kind == RESOLVE_NEG],
-        [(i, j) for kind, i, j in resolves if kind == RESOLVE_POS]))
+        seq.n, children, [(i, j) for kind, i, j in ops if kind == RESOLVE_NEG],
+        [(i, j) for kind, i, j in ops if kind == RESOLVE_POS]))
 
 
 def cseq_shorten(seq: ConstructionSequence) -> ConstructionSequence:
@@ -574,6 +579,8 @@ def cseq_shorten(seq: ConstructionSequence) -> ConstructionSequence:
     destroyed = {part: made for made, i, j in merges for part in (i, j)}
     buckets: dict[float, list[tuple[str, int, int]]] = {}
     for kind, i, j in _first_resolves(seq.ops):
+        if kind == MERGE:
+            continue
         slot = min(destroyed.get(i, INF_STEP), destroyed.get(j, INF_STEP))
         buckets.setdefault(slot, []).append((kind, i, j))
     ops = [op for made, i, j in merges for op in buckets.get(made, []) + [(MERGE, i, j)]]

@@ -16,6 +16,8 @@ from .convert import (ConstructionSequence, MERGE, RESOLVE_NEG, RESOLVE_POS,
 from .graph import Graph, InputError
 from .stm import SignedTreeModel
 
+_TRIES_PER_PAIR = 50  # random_stm draws at most this many candidates per pair asked for
+
 
 def random_full_tree(n: int, rng: random.Random) -> dict[int, tuple[int, int]]:
     """Random full binary tree over leaves 1..n; internal ids n+1..2n-1 in
@@ -35,13 +37,13 @@ def random_full_tree(n: int, rng: random.Random) -> dict[int, tuple[int, int]]:
     return children
 
 
-def random_stm(n: int, num_pairs: int, seed: int = 0,
-               tries_per_pair: int = 50) -> SignedTreeModel:
+def random_stm(n: int, num_pairs: int, seed: int = 0) -> SignedTreeModel:
     """Random model: random tree plus rejection-sampled non-crossing pairs.
 
     Pair candidates are uniform node pairs; crossing or non-transversal
     candidates are rejected, so fewer than ``num_pairs`` pairs may result on
-    crowded trees.
+    crowded trees, where the ``_TRIES_PER_PAIR * num_pairs`` candidates run
+    out.
 
     Two transversal pairs cross iff the first endpoint of one is strictly
     above the first endpoint of the other and its second endpoint strictly
@@ -77,7 +79,7 @@ def random_stm(n: int, num_pairs: int, seed: int = 0,
                 a = parent[a]
         return False
 
-    budget = tries_per_pair * num_pairs
+    budget = _TRIES_PER_PAIR * num_pairs
     while len(accepted) < num_pairs and budget > 0:
         budget -= 1
         if num_nodes < 2:

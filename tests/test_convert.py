@@ -726,6 +726,24 @@ class TestCseq:
         short = cseq_shorten(seq)
         assert sum(1 for k, _, _ in short.ops if k != "M") == 1
 
+    def test_replay_repeated_resolve_peak_memory(self):
+        """A resolve repeated on the same part pair decides nothing, so the
+        replay keeps one set of pair rows for it: two halves of n = 512
+        resolved across 20 times (the rows of every repeat peaked at 110 MB)."""
+        n, h = 512, 256
+        ops, made, halves = [], n, []
+        for first in (1, h + 1):  # merge vertices first .. first + h - 1 into one part
+            part = first
+            for v in range(first + 1, first + h):
+                ops.append(("M", part, v))
+                made += 1
+                part = made
+            halves.append(part)
+        seq = ConstructionSequence(n, tuple(ops) + (("R+", *halves),) * 20)
+        g, peak = traced_peak(lambda: cseq_replay(seq))
+        assert g.m == h * h
+        assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
     def test_shorten_width_and_length(self):
         for seed in range(40):
             rng = random.Random(seed)

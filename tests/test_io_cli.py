@@ -11,8 +11,8 @@ from stmgraph import (DagCompression, IntervalBicliquePartition, InvalidModelErr
                       LinearOrder, SdConfig, SdDegenSequence, adjacency_matmul,
                       apsp, cseq_replay, dag_to_distance_model, decode_bruteforce,
                       graphs_equal, ibp_matvec, ibp_to_dag, ibp_to_graph,
-                      preset_twinwidth, remove_loops, sd_sequence_randomized,
-                      sdseq_to_stm, sssp, stm_to_ibp, validate)
+                      preset_twinwidth, remove_loops, scattered_maximal_subset,
+                      sd_sequence_randomized, sdseq_to_stm, sssp, stm_to_ibp, validate)
 from stmgraph.cli import main
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq, random_stm,
                           random_stm_sparse)
@@ -271,6 +271,25 @@ class TestCli:
         assert main(["sdseq", str(g_f), "--g", "2", "--gamma", "9", "--p", "0.3"]) == 2
         assert capsys.readouterr().err == "need --preset or all of --g --gamma --p --cap\n"
 
+    @pytest.mark.parametrize("spec, code, err", [
+        ("tww:2,1", 0, None), ("tww:2.0,1", 0, None),
+        ("tww:0,1", 1, "need f_d >= 1 and c > 0\n"),
+        # f_d is an integer: a fraction is a malformed preset, not truncated
+        ("tww:0.5,1", 2, "bad preset 'tww:0.5,1'; expected tww:f_d,c or symdiff:beta,c\n"),
+        ("tww:2.9,1", 2, "bad preset 'tww:2.9,1'; expected tww:f_d,c or symdiff:beta,c\n"),
+    ])
+    def test_tww_preset_f_d(self, tmp_path, capsys, spec, code, err):
+        g, _ = planted_sdseq(40, 2, seed=1)
+        g_f = tmp_path / "g.graph"
+        g_f.write_text(fio.format_graph(g))
+        assert main(["sdseq", str(g_f), "--preset", spec, "--seed", "3"]) == code
+        out = capsys.readouterr()
+        if code:
+            assert (out.out, out.err) == ("", err)
+        else:
+            seq, _ = sd_sequence_randomized(g, replace(preset_twinwidth(2, 1.0, 40), seed=3))
+            assert out.out == fio.format_sdseq(seq)
+
     def test_matmul(self, files, tmp_path, capsys):
         stm_f, _, _ = files
         mat_f = tmp_path / "m.mat"
@@ -318,6 +337,17 @@ class TestCli:
         short = fio.parse_cseq((tmp_path / "s.cseq").read_text(), 6)
         assert graphs_equal(cseq_replay(short), cseq_replay(seq))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["convert", "cseq-stm"], "cseq-stm requires --n"),
+        (["convert", "cseq-shorten"], "cseq-shorten requires --n"),
+        (["validate", "cseq"], "validating a cseq requires --n"),
+    ])
+    def test_cseq_requires_n(self, tmp_path, capsys, argv, message):
+        f = tmp_path / "c.cseq"
+        f.write_text("M 1 2\n")
+        assert main(argv + [str(f)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("text, message", [
         ("R+ 9 1\n", "step 1: part 9 is not alive"),
         ("M 1 1\n", "step 1: cannot merge a part with itself"),
@@ -356,6 +386,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(s in err for s in named), err
 
+    def test_matmul_malformed_matrix_before_model_check(self, tmp_path, capsys):
+        """The matrix is parsed before the model is checked, so a malformed
+        matrix exits 2 even beside a crossing model."""
+        f, mat_f = tmp_path / "x.stm", tmp_path / "m.mat"
+        f.write_text("4\n5 1 2\n6 3 4\n7 5 6\nB 1 6\nB 3 5\n")
+        mat_f.write_text("4\n0 0 0 0\n0 x 0 0\n0 0 0 0\n0 0 0 0\n")
+        assert main(["matmul", str(f), str(mat_f)]) == 2
+        assert capsys.readouterr().err.startswith("line 3: non-integer field ")
+
 
 # Each model has one defect, whose pair is on the given line; a valid decoy
 # pair comes first, so that the first pair line is not the answer by luck.
@@ -386,20 +425,25 @@ def stm_argv(tmp_path, command, text):
 
 
 class TestCliDag:
-    """``--kind dag`` reads a .dag file: a valid one gives the same output
-    as the model it was converted from, and a malformed one exits 2."""
+    """``--kind ibp`` and ``--kind dag`` read a .ibp or .dag file: a valid
+    one gives the same output as the model it was converted from, and a
+    malformed one exits 2."""
 
     def test_same_output_as_stm(self, tmp_path, capsys, fig1_model):
         stm_f, ibp_f, dag_f = tmp_path / "m.stm", tmp_path / "m.ibp", tmp_path / "m.dag"
         stm_f.write_text(fio.format_stm(fig1_model))
         assert main(["convert", "stm-ibp", str(stm_f), "--out", str(ibp_f)]) == 0
         assert main(["convert", "ibp-dag", str(ibp_f), "--out", str(dag_f)]) == 0
-        for argv in (["sssp", "--source", "3"], ["apsp"]):
+        dm = dag_to_distance_model(ibp_to_dag(stm_to_ibp(fig1_model)))
+        scatter = " ".join(map(str, scattered_maximal_subset(dm, [1, 5, 9], 2, 1))) + "\n"
+        for argv, want in ((["sssp", "--source", "3"], None), (["apsp"], None),
+                           (["scatter", "--x", "1,5,9", "--c", "2", "--r", "1"], scatter)):
             outs = []
-            for f, kind in ((stm_f, "stm"), (dag_f, "dag")):
+            for f, kind in ((stm_f, "stm"), (ibp_f, "ibp"), (dag_f, "dag")):
                 assert main(argv[:1] + [str(f), "--kind", kind] + argv[1:]) == 0
                 outs.append(capsys.readouterr().out)
-            assert outs[0] == outs[1], argv
+            assert outs[1:] == outs[:1] * 2, argv
+            assert want is None or outs[0] == want, argv
 
     @pytest.mark.parametrize("case", sorted(BAD_DAGS))
     def test_malformed_dag_exit2(self, tmp_path, capsys, case):
