@@ -11,11 +11,11 @@ distance model through ``_load_dm`` from any ``--kind``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import io as fio
 from .convert import (cseq_replay, cseq_shorten, cseq_to_stm, ibp_to_dag,
                       ibp_to_graph, ibp_to_positive_model, sdseq_to_stm,
@@ -170,8 +170,8 @@ def _preset_config(spec: str, n: int) -> SdConfig:
     try:
         name, rest = spec.split(":", 1)
         a, b = (float(x) for x in rest.split(","))
-        if name == "tww" and not a.is_integer():
-            raise ValueError("f_d is an integer")
+        if not (math.isfinite(a) and math.isfinite(b)) or name == "tww" and not a.is_integer():
+            raise ValueError("a value is not finite, or f_d is no integer")
     except ValueError:
         raise CliError(f"bad preset {spec!r}; expected tww:f_d,c or symdiff:beta,c",
                        EXIT_IO) from None
@@ -217,26 +217,27 @@ def cmd_matmul(args) -> int:
 
 def cmd_scatter(args) -> int:
     dm = _load_dm(args.file, args.kind)
-    X = ([int(x) for x in args.x.split(",")] if args.x
-         else list(range(1, dm.n + 1)))
+    X = args.x or list(range(1, dm.n + 1))
     S = scattered_maximal_subset(dm, X, args.c, args.r)
     _write(" ".join(str(v) for v in S) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    kind = args.kind
+    kind, n = args.kind, args.n
+    # the default applies only when --param is absent: 0 is a valid value
+    param = args.param if args.param is not None else {
+        "random-stm": 2 * n, "erdos-renyi": 25, "random-cseq": n, "planted-sdseq": 2}[kind]
     if kind == "random-stm":
-        out = fio.format_stm(random_stm(args.n, args.param or 2 * args.n, args.seed))
+        out = fio.format_stm(random_stm(n, param, args.seed))
     elif kind == "erdos-renyi":
-        out = fio.format_graph(erdos_renyi(args.n, (args.param or 25) / 100.0, args.seed))
+        out = fio.format_graph(erdos_renyi(n, param / 100.0, args.seed))
     elif kind == "random-cseq":
-        out = fio.format_cseq(random_cseq(args.n, args.param or args.n, args.seed))
+        out = fio.format_cseq(random_cseq(n, param, args.seed))
     else:  # planted-sdseq
         if not args.out:
             raise CliError("planted-sdseq writes two files; --out PREFIX required", EXIT_IO)
-        g, seq = planted_sdseq(args.n, args.param if args.param is not None else 2,
-                               args.seed)
+        g, seq = planted_sdseq(n, param, args.seed)
         _write(fio.format_graph(g), args.out + ".graph")
         _write(fio.format_sdseq(seq), args.out + ".sdseq")
         return EXIT_OK
@@ -244,11 +245,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    ns = [1 << k for k in range(args.min_exp, args.max_exp + 1)]
-    bench_mod.bench_pipeline(ns, pairs_per_n=args.pairs_per_n, seed=args.seed,
-                             out=sys.stdout)
-    return EXIT_OK
+def _integers(text: str) -> list[int]:
+    """``--x``: comma-separated integers; anything else is a parse error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, kind=True)
     sp.add_argument("--c", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--x", help="comma-separated candidate set (default: all)")
+    sp.add_argument("--x", type=_integers,
+                    help="comma-separated candidate set (default: all)")
     sp.set_defaults(fn=cmd_scatter)
 
     sp = sub.add_parser("gen", help="generate instances")
@@ -323,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_gen)
-
-    sp = sub.add_parser("bench", help="pipeline timing and op counters")
-    sp.add_argument("--min-exp", type=int, default=10)
-    sp.add_argument("--max-exp", type=int, default=13)
-    sp.add_argument("--pairs-per-n", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 

@@ -107,15 +107,14 @@ def _int64_kernel(ibp: IntervalBicliquePartition, k: int) -> Callable[[np.ndarra
 
 
 def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
-               group: AdditiveGroup = INT64_GROUP,
-               counters: Optional[dict] = None, *,
+               group: AdditiveGroup = INT64_GROUP, *,
                _kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> list:
     """Multiply adjacency (in the partition's order) by ``x`` in O(n + |B|)
     group operations.
 
     Prefix sums of x; per symmetrized biclique (a1,a2,b1,b2) add
-    xbar = X_<=b2 - X_<=b1-1 at D[a1] and subtract it at D[a2+1]; prefix-sum
-    D.  ``counters``, if given, receives the group-op count under "ops".
+    xbar = X_<=b2 - X_<=b1-1 at D[a1] and subtract it at D[a2+1];
+    prefix-sum D.
 
     Under INT64_GROUP the steps run as numpy int64 array calls; ``x`` may
     then also be an (n, k) block of columns (``adjacency_matmul`` passes
@@ -130,32 +129,23 @@ def ibp_matvec(ibp: IntervalBicliquePartition, x: Sequence,
         xs = _int64_array(x)
         k = xs.shape[1] if xs.ndim == 2 else 1
         out = (_kernel or _int64_kernel(ibp, k))(xs.reshape(n, k))
-        if counters is not None:  # the count the Python loop below makes on the same input
-            counters["ops"] = 2 * n + 4 * len(ibp.quads) + int((ibp.quads[:, [1, 3]] < n).sum())
         return out if xs.ndim == 2 else out.ravel().tolist()
     add, sub, zero = group.add, group.sub, group.zero
-    ops = 0
     prefix = [zero] * (n + 1)  # prefix[i] = sum of x[0..i-1]
     for i in range(n):
         prefix[i + 1] = add(prefix[i], x[i])
-        ops += 1
     diff = [zero] * (n + 2)
     for a, b, c, d in ibp.quads.tolist():
         for a1, a2, b1, b2 in ((a, b, c, d), (c, d, a, b)):  # both orientations
             xbar = sub(prefix[b2], prefix[b1 - 1])
             diff[a1] = add(diff[a1], xbar)
-            ops += 2
             if a2 < n:
                 diff[a2 + 1] = sub(diff[a2 + 1], xbar)
-                ops += 1
     out = [zero] * n
     acc = zero
     for i in range(1, n + 1):
         acc = add(acc, diff[i])
         out[i - 1] = acc
-        ops += 1
-    if counters is not None:
-        counters["ops"] = ops
     return out
 
 

@@ -114,10 +114,17 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
     return SdDegenSequence(tuple(pairs + tail)), WidthReport(tuple(loop_sds), tail_sds)
 
 
+def _check_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise InputError(f"{name}={v} is not finite")
+
+
 def preset_twinwidth(f_d: int, c: float, n: int) -> SdConfig:
     """Preset for graphs of bounded twin-width: g = f_d,
     gamma = 2 f_d (c+3) ln n, p_hat = 1/(2 f_d), cap = 32 (c+3) f_d ln n.
     Thresholds round up; degenerate tiny-n gamma is clamped up to g."""
+    _check_finite(c=c)
     if f_d < 1 or c <= 0:
         raise InputError("need f_d >= 1 and c > 0")
     ln = math.log(n)
@@ -130,6 +137,7 @@ def preset_symdiff(beta: float, c: float, n: int) -> SdConfig:
     """Preset for graphs of bounded symmetric difference: with s = beta n^(1/3),
     g = s + 2 n^(1/3) (rounded up), gamma = 2 (c+3) (s + 2 n^(1/3)) ln n,
     p_hat = 1/2 (s + 2 n^(1/3))^(-1), cap = 64 n^(2/3)."""
+    _check_finite(beta=beta, c=c)
     if beta < 1 or c <= 0:
         raise InputError("need beta >= 1 and c > 0")
     cbrt = n ** (1 / 3)

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import strategies as st
 
-from stmgraph import SignedTreeModel, ibp_to_dag, validate
+from stmgraph import INT64_GROUP, AdditiveGroup, SignedTreeModel, ibp_to_dag, validate
 from stmgraph.convert import DagCompression, IntervalBicliquePartition
 from stmgraph.gen import random_stm
 from stmgraph.graph import LinearOrder
@@ -35,6 +35,20 @@ def traced_peak(call):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def counting_group():
+    """INT64_GROUP's operations, each counting its calls, and the one-entry
+    list that holds the count.  The group is not INT64_GROUP itself, so
+    ``ibp_matvec`` runs it as the Python loop, one call per group operation."""
+    ops = [0]
+
+    def counted(op):
+        def call(a, b):
+            ops[0] += 1
+            return op(a, b)
+        return call
+    return AdditiveGroup(counted(INT64_GROUP.add), counted(INT64_GROUP.sub), INT64_GROUP.zero), ops
 
 
 def contains(a, b):

@@ -18,14 +18,13 @@ from stmgraph import (CapExceeded, LinearOrder, SdConfig,
                       scattered_maximal_subset, sd_sequence_randomized,
                       sdseq_to_stm, stm_to_ibp, validate,
                       validate_sequence, zero_one_bfs)
-from stmgraph.bench import fit_through_origin
 from stmgraph.gen import (planted_sdseq, random_cseq, random_stm,
                           random_stm_sparse)
 from stmgraph.matmul import dense_matmul_oracle
 from stmgraph.stm import SignedTreeModel
 
 import conftest
-from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, disjoint
+from conftest import FIG1_CHILDREN, FIG1_PAIRS_A, FIG1_PAIRS_B, counting_group, disjoint
 from test_rect import brute_forest_parents, random_laminar
 
 
@@ -193,9 +192,9 @@ def test_criterion_7_matrix_multiply():
                  for _ in range(n)]
             assert adjacency_matmul(g, order, N, ibp).tolist() == \
                 dense_matmul_oracle(g, order, N), seed
-            counters = {}
-            ibp_matvec(ibp, [1] * n, counters=counters)
-            assert counters["ops"] <= 8 * (n + len(ibp.quads)), seed
+            group, ops = counting_group()
+            ibp_matvec(ibp, [1] * n, group)
+            assert ops[0] <= 8 * (n + len(ibp.quads)), seed
 
 
 def test_criterion_8_scattered_sets():
@@ -219,6 +218,15 @@ def test_criterion_8_scattered_sets():
                 for x in X:
                     if x not in S:
                         assert any(dists[x][s - 1] <= r for s in S), (seed, x)
+
+
+def fit_through_origin(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares slope through the origin and the maximum relative
+    residual |y - s*x| / y."""
+    denom = sum(x * x for x in xs)
+    slope = sum(x * y for x, y in zip(xs, ys)) / denom if denom else 0.0
+    resid = max((abs(y - slope * x) / y for x, y in zip(xs, ys) if y), default=0.0)
+    return slope, resid
 
 
 def test_criterion_9_operation_count_scaling():

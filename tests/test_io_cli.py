@@ -277,6 +277,10 @@ class TestCli:
         # f_d is an integer: a fraction is a malformed preset, not truncated
         ("tww:0.5,1", 2, "bad preset 'tww:0.5,1'; expected tww:f_d,c or symdiff:beta,c\n"),
         ("tww:2.9,1", 2, "bad preset 'tww:2.9,1'; expected tww:f_d,c or symdiff:beta,c\n"),
+        # a value that is not finite is a malformed preset too
+        *((spec, 2, f"bad preset '{spec}'; expected tww:f_d,c or symdiff:beta,c\n")
+          for spec in ("symdiff:inf,1", "symdiff:1e400,1", "tww:2,inf", "symdiff:2,inf",
+                       "symdiff:nan,1", "tww:2,nan")),
     ])
     def test_tww_preset_f_d(self, tmp_path, capsys, spec, code, err):
         g, _ = planted_sdseq(40, 2, seed=1)
@@ -300,8 +304,33 @@ class TestCli:
 
     def test_scatter(self, files, capsys):
         stm_f, _, _ = files
-        assert main(["scatter", str(stm_f), "--c", "2", "--r", "1"]) == 0
+        argv = ["scatter", str(stm_f), "--c", "2", "--r", "1"]
+        assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "1 3"
+        assert main(argv + ["--x", "2,3"]) == 0
+        assert capsys.readouterr().out == "2\n"
+        # an id out of range is a validation failure; a malformed list, a
+        # parse error that names --x
+        assert main(argv + ["--x", "1,4"]) == 1
+        assert capsys.readouterr().err == "X contains 4, outside [1,3]\n"
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--x", "1,a"])
+        assert e.value.code == 2
+        assert "argument --x: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, n, size", [
+        ("erdos-renyi", 6, lambda out: fio.parse_graph(out).m),
+        ("random-stm", 4, lambda out: fio.parse_stm(out).num_pairs),
+        ("random-cseq", 3, lambda out: fio.parse_cseq(out, 3).num_resolves),
+    ])
+    def test_gen_param_zero(self, capsys, kind, n, size):
+        """``--param 0`` asks for zero edges, pairs or resolves, not the default
+        (which gives some on seed 1; erdos-renyi gives none on seed 0)."""
+        argv = ["gen", kind, "--n", str(n), "--seed", "1"]
+        assert main(argv + ["--param", "0"]) == 0
+        assert size(capsys.readouterr().out) == 0
+        assert main(argv) == 0
+        assert size(capsys.readouterr().out) > 0
 
     def test_gen_deterministic(self, tmp_path, capsys):
         assert main(["gen", "random-stm", "--n", "10", "--param", "15",

@@ -12,6 +12,8 @@ from stmgraph import matmul
 from stmgraph.gen import random_stm
 from stmgraph.matmul import _BLOCK, _int64_array, dense_matmul_oracle, dense_matvec_oracle
 
+from conftest import counting_group
+
 # INT64_GROUP's operations under another identity, which takes the generic
 # Python path instead of the numpy int64 kernel
 GENERIC_INT64 = AdditiveGroup(INT64_GROUP.add, INT64_GROUP.sub, INT64_GROUP.zero)
@@ -92,9 +94,9 @@ class TestIbpMatvec:
             n = rng.randint(2, 64)
             model = random_stm(n, rng.randint(0, 4 * n), seed=seed)
             ibp = stm_to_ibp(model)
-            counters = {}
-            ibp_matvec(ibp, [1] * n, counters=counters)
-            assert counters["ops"] <= 8 * (n + len(ibp.quads)), seed
+            group, ops = counting_group()
+            ibp_matvec(ibp, [1] * n, group)
+            assert ops[0] <= 8 * (n + len(ibp.quads)), seed
 
     def test_wrapping_entries(self, p3_model):
         ibp = stm_to_ibp(p3_model)
@@ -135,10 +137,8 @@ class TestIbpMatvec:
         model, _, entry = case
         ibp = stm_to_ibp(model)
         x = [entry() for _ in range(model.n)]
-        fast, slow = {}, {}
-        got = ibp_matvec(ibp, x, counters=fast)
-        assert got == ibp_matvec(ibp, x, GENERIC_INT64, counters=slow)
-        assert fast == slow
+        got = ibp_matvec(ibp, x)
+        assert got == ibp_matvec(ibp, x, GENERIC_INT64)
         assert got == dense_matvec_oracle(decode_bruteforce(model), ibp.order, x)
         block = ibp_matvec(ibp, [[v, 0] for v in x])
         assert block.dtype == np.int64 and block.shape == (model.n, 2)

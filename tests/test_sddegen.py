@@ -51,6 +51,17 @@ class TestPresets:
         assert cfg.p_hat * 2 * base == pytest.approx(1.0)
         assert cfg.cap == math.ceil(64 * 1000 ** (2 / 3))
 
+    @pytest.mark.parametrize("preset, args, named", [
+        (preset_twinwidth, (2, math.inf), "c=inf"),
+        (preset_twinwidth, (2, math.nan), "c=nan"),
+        (preset_symdiff, (math.inf, 1.0), "beta=inf"),
+        (preset_symdiff, (math.nan, 1.0), "beta=nan"),
+        (preset_symdiff, (2.0, math.inf), "c=inf"),
+    ])
+    def test_not_finite(self, preset, args, named):
+        with pytest.raises(InputError, match=f"^{named} is not finite$"):
+            preset(*args, 40)
+
 
 class TestRandomized:
     def test_k4_always_valid(self):
