@@ -5,7 +5,7 @@ array of key rows -> interval biclique partition -> DAG compression /
 positive tree model; plus the constructions from sd-degeneracy sequences
 and merge/resolve construction sequences, construction-sequence
 shortening and the radius-r width, each sequence kind replayed by one
-walk (``_eliminate``, ``_steps``).
+walk (``_eliminate``, on the bit rows of ``_bit_rows``, and ``_steps``).
 """
 
 from __future__ import annotations
@@ -394,9 +394,8 @@ def dag_to_graph(dc: DagCompression) -> Graph:
         reach[v] = 1 << v
     for x, y in zip(*dc.edge_rows[np.argsort(dc.edge_rows[:, 0])].T.tolist()):
         reach[x] |= reach[y]
-    size = dc.n // 8 + 1  # bytes of a bitset over bits 0..n
-    sinks = [np.flatnonzero(np.unpackbits(np.frombuffer(reach[x].to_bytes(size, "little"), np.uint8),
-                                          bitorder="little"))
+    size = 8 * (dc.n // 64 + 1)  # bytes of a bit row over bits 0..n
+    sinks = [_ids(np.frombuffer(reach[x].to_bytes(size, "little"), np.uint64))
              for x in dc.compressed_rows.ravel().tolist()]
     rows = np.concatenate([np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
                            for a, b in zip(sinks[0::2], sinks[1::2])] + [np.zeros((0, 2), np.int64)])
@@ -420,26 +419,76 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
 # Sequences -> STM
 # ---------------------------------------------------------------------------
 
-def _delete(adj: list[set[int]], u: int) -> None:
-    """Delete vertex u from the adjacency sets."""
-    for w in adj[u]:
-        adj[w].discard(u)
-    adj[u] = set()
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
 
 
-def _eliminate(adj: list[set[int]], pairs: Iterable[tuple[int, int]]
-               ) -> Iterator[tuple[int, int, set[int], set[int]]]:
-    """Replay the eliminations ``pairs`` on the adjacency sets ``adj``.
+def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Slices that cover range(count) in order, each of about 1 MB at
+    ``item_bytes`` per item."""
+    step = max(1, (1 << 20) // item_bytes)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _mask(ids, words: int) -> np.ndarray:
+    """A bit row of ``words`` uint64 words with the bits ``ids`` set."""
+    return np.packbits(np.isin(np.arange(64 * words), ids), bitorder="little").view(np.uint64)
+
+
+def _ids(row: np.ndarray) -> np.ndarray:
+    """The ids of the bits set in ``row``, ascending; only its nonzero
+    words are unpacked."""
+    at = np.flatnonzero(row)
+    word, bit = np.unpackbits(row[at].view(np.uint8), bitorder="little").reshape(-1, 64).nonzero()
+    return at[word] * 64 + bit
+
+
+def _bit_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The state of the sd-degeneracy walks: (n + 1) rows of n // 64 + 1
+    uint64 words, with bit w of row v (word w // 64, bit w % 64) set iff vw
+    is an edge, and the alive mask, a row with bits 1..n set.  The rows
+    take (n + 1)^2 / 8 bytes or so whatever m is, and are packed from
+    dense boolean blocks of about 1 MB, a block of rows at a time.  Each
+    bit is read through the uint8 view, so the byte order never shows."""
+    n, words = g.n, g.n // 64 + 1
+    rows = np.empty((n + 1, words), np.uint64)
+    for b in _blocks(n + 1, 64 * words):
+        at = g.offsets[b.start:b.stop + 1]
+        dense = np.zeros((len(at) - 1, 64 * words), bool)
+        dense[np.repeat(np.arange(len(at) - 1), np.diff(at)), g.targets[at[0]:at[-1]]] = True
+        rows[b] = np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
+    return rows, _mask(np.arange(1, n + 1), words)
+
+
+def _sds(rows: np.ndarray, alive: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The symmetric difference of each pair (us[i], vs[i]) of alive
+    vertices in the graph induced on ``alive``:
+    popcount((row u XOR row v) AND alive) - 2 [uv is an edge], the rows
+    gathered a block at a time."""
+    out = np.empty(len(us), np.int64)
+    for b in _blocks(len(us), rows[0].nbytes):
+        u, v = us[b], vs[b]
+        edge = rows.view(np.uint8)[u, v >> 3] >> (v & 7) & 1  # bit v of row u
+        diff = (rows[u] ^ rows[v]) & alive
+        out[b] = _POPCOUNT[diff.view(np.uint8)].sum(axis=1, dtype=np.int64) - 2 * edge
+    return out
+
+
+def _eliminate(rows: np.ndarray, alive: np.ndarray, pairs: Iterable[tuple[int, int]]
+               ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Replay the eliminations ``pairs`` on the bit rows ``rows`` and the
+    alive mask ``alive`` of ``_bit_rows``.
 
     For each step (u, v) it yields (u, v, N(u) \\ N[v], N(v) \\ N[u]) in the
-    current graph, whose sizes sum to the step's symmetric difference, while
-    u is still present; u is deleted from ``adj`` when the next step is
-    asked for, or when the walk ends.
+    graph induced on ``alive``, as ascending id arrays whose sizes sum to
+    the step's symmetric difference, while u is still alive; u's alive bit
+    clears when the next step is asked for, or when the walk ends.  The
+    rows are only read.
     """
     for u, v in pairs:
-        nu, nv = adj[u], adj[v]
-        yield u, v, nu - nv - {v}, nv - nu - {u}
-        _delete(adj, u)
+        diff = (rows[u] ^ rows[v]) & alive
+        only_u, only_v = _ids(diff & rows[u]), _ids(diff & rows[v])
+        yield u, v, only_u[only_u != v], only_v[only_v != u]
+        alive.view(np.uint8)[u >> 3] &= 255 ^ 1 << (u & 7)
 
 
 def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
@@ -454,16 +503,15 @@ def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
     if n < 1:
         raise InputError("empty graph")
     seq.check_structure(n)
-    adj = list(map(set, g.adjacency))
     node_of = list(range(n + 1))
     children: dict[int, tuple[int, int]] = {}
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
-    for made, (u, v, only_u, only_v) in enumerate(_eliminate(adj, seq.pairs), start=n + 1):
+    for made, (u, v, only_u, only_v) in enumerate(_eliminate(*_bit_rows(g), seq.pairs), n + 1):
         x = node_of[u]
-        pairs_a += [(x, node_of[a]) for a in only_v]
-        pairs_b += [(x, node_of[b]) for b in only_u]
-        (pairs_b if v in adj[u] else pairs_a).append((x, node_of[v]))
+        pairs_a += [(x, node_of[a]) for a in only_v.tolist()]
+        pairs_b += [(x, node_of[b]) for b in only_u.tolist()]
+        (pairs_b if g.has_edge(u, v) else pairs_a).append((x, node_of[v]))
         children[made] = (x, node_of[v])
         node_of[v] = made
     return SignedTreeModel(n, children, pairs_a, pairs_b)

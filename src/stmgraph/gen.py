@@ -147,18 +147,16 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
     for u in range(2, n + 1):
         v = rng.randrange(1, u)
         nb = set(adj[v])
-        nb.discard(u)
-        others = [w for w in range(1, u) if w != v]
         for _ in range(rng.randint(0, width)):
-            if not others:
+            if u == 2:  # v is the only other vertex
                 break
-            w = rng.choice(others)
-            nb.symmetric_difference_update({w})
+            # toggle the i-th of the ids 1..u-1 other than v, drawn uniformly
+            i = rng.randrange(u - 2)
+            nb.symmetric_difference_update({i + 1 + (i + 1 >= v)})
         if rng.random() < 0.5:
             nb.add(v)
-        adj[u] = set()
+        adj[u] = nb
         for w in nb:
-            adj[u].add(w)
             adj[w].add(u)
         rev_pairs.append((u, v))
     relabel = list(range(1, n + 1))
@@ -173,6 +171,8 @@ def random_cseq(n: int, num_resolves: int, seed: int = 0) -> ConstructionSequenc
     """Random merges interleaved with random (possibly self) resolves."""
     if n < 1:
         raise InputError("need at least one vertex")
+    if num_resolves < 0:
+        raise InputError("resolve count must be nonnegative")
     rng = random.Random(seed)
     alive = list(range(1, n + 1))
     next_id = n

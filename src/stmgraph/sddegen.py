@@ -1,5 +1,9 @@
 """sd-degeneracy sequences: the randomized Las Vegas construction with its
 two parameter presets, the exact greedy baseline, and a replay validator.
+
+All three work on one state, built once from the graph's CSR by
+``convert._bit_rows``: a bit row per vertex and an alive mask, so a
+deletion clears one bit and a symmetric difference is a popcount.
 """
 
 from __future__ import annotations
@@ -8,7 +12,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .convert import SdDegenSequence, _delete, _eliminate
+import numpy as np
+
+from .convert import SdDegenSequence, _bit_rows, _blocks, _eliminate, _ids, _mask, _sds
 from .graph import Graph, InputError
 
 
@@ -59,58 +65,43 @@ class CapExceeded(RuntimeError):
         self.iterations = iterations
 
 
-def _sd(adj: list[set[int]], u: int, v: int) -> int:
-    nu = adj[u] - {v}
-    nv = adj[v] - {u}
-    return len(nu ^ nv)
-
-
 def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, WidthReport]:
     """Randomized sd-degeneracy sequence construction.
 
     While more than 2g vertices remain: sample X with probability p_hat per
-    vertex, partition the vertices by their neighborhood toward X (touching
-    only each vertex's neighbor list, never ranging over X), form disjoint
-    pairs of ascending ids within each class, keep those with verified
-    sd <= gamma, and delete their first elements.  The remainder is finished
+    vertex, partition the vertices by their neighborhood toward X (the bytes
+    of each bit row AND the mask of X, a key into a dict, so the classes
+    come in the order of their least vertex), form disjoint pairs of
+    ascending ids within each class, keep those with verified
+    sd <= gamma, measured in one batched call before the round deletes
+    anything, and delete their first elements.  The remainder is finished
     with smallest-two-id pairs.  Raises CapExceeded past cfg.cap iterations.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise InputError("need at least two vertices")
     rng = random.Random(cfg.seed)
-    adj = list(map(set, g.adjacency))
-    alive = list(range(1, n + 1))
+    rows, alive = _bit_rows(g)
     pairs: list[tuple[int, int]] = []
     loop_sds: list[int] = []
     iterations = 0
-    while len(alive) > 2 * cfg.g:
+    while len(live := _ids(alive)) > 2 * cfg.g:
         iterations += 1
         if iterations > cfg.cap:
             raise CapExceeded(iterations - 1)
-        X = {v for v in alive if rng.random() < cfg.p_hat}
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for v in alive:
-            key = tuple(sorted(w for w in adj[v] if w in X))
-            buckets.setdefault(key, []).append(v)
-        doomed = []
-        for part in buckets.values():
-            part.sort()
-            for i in range(0, len(part) - 1, 2):
-                u, v = part[i], part[i + 1]
-                s = _sd(adj, u, v)
-                if s <= cfg.gamma:
-                    pairs.append((u, v))
-                    loop_sds.append(s)
-                    doomed.append(u)
-        if doomed:
-            dead = set(doomed)
-            for u in doomed:
-                _delete(adj, u)
-            alive = [v for v in alive if v not in dead]
-    alive.sort()
-    tail = list(zip(alive, alive[1:]))
-    tail_sds = tuple(len(a) + len(b) for _, _, a, b in _eliminate(adj, tail))
+        toward = _mask([v for v in live.tolist() if rng.random() < cfg.p_hat], rows.shape[1])
+        buckets: dict[bytes, list[int]] = {}
+        for b in _blocks(len(live), rows[0].nbytes):
+            for v, key in zip(live[b].tolist(), rows[live[b]] & toward):
+                buckets.setdefault(key.tobytes(), []).append(v)
+        heads = [v for part in buckets.values() for v in part[:len(part) & ~1]]
+        us, vs = np.array(heads, np.int64).reshape(-1, 2).T
+        sds = _sds(rows, alive, us, vs)
+        ok = sds <= cfg.gamma
+        pairs += zip(us[ok].tolist(), vs[ok].tolist())
+        loop_sds += sds[ok].tolist()
+        alive &= ~_mask(us[ok], rows.shape[1])
+    tail = list(zip(live.tolist(), live[1:].tolist()))
+    tail_sds = tuple(len(a) + len(b) for _, _, a, b in _eliminate(rows, alive, tail))
     return SdDegenSequence(tuple(pairs + tail)), WidthReport(tuple(loop_sds), tail_sds)
 
 
@@ -151,27 +142,20 @@ def preset_symdiff(beta: float, c: float, n: int) -> SdConfig:
 
 def sd_sequence_greedy(g: Graph) -> tuple[SdDegenSequence, WidthReport]:
     """Exact quartic baseline: repeatedly append the pair minimizing the
-    current symmetric difference (lexicographic ties) and delete its first
-    element."""
-    n = g.n
-    if n < 2:
+    current symmetric difference (lexicographic ties: the first minimum in
+    ``np.triu_indices`` order) and delete its first element."""
+    if g.n < 2:
         raise InputError("need at least two vertices")
-    adj = list(map(set, g.adjacency))
-    alive = list(range(1, n + 1))
+    rows, alive = _bit_rows(g)
     pairs: list[tuple[int, int]] = []
     sds: list[int] = []
-    while len(alive) >= 2:
-        best = None
-        for i, u in enumerate(alive):
-            for v in alive[i + 1:]:
-                s = _sd(adj, u, v)
-                if best is None or s < best[0]:
-                    best = (s, u, v)
-        s, u, v = best
-        pairs.append((u, v))
-        sds.append(s)
-        _delete(adj, u)
-        alive.remove(u)
+    for k in range(g.n, 1, -1):
+        us, vs = _ids(alive)[np.array(np.triu_indices(k, 1))]
+        at = _sds(rows, alive, us, vs)
+        best = np.argmin(at)
+        pairs.append((us[best].item(), vs[best].item()))
+        sds.append(at[best].item())
+        alive &= ~_mask(us[best], rows.shape[1])
     return SdDegenSequence(tuple(pairs)), WidthReport(tuple(sds))
 
 
@@ -179,5 +163,4 @@ def validate_sequence(g: Graph, seq: SdDegenSequence) -> WidthReport:
     """Replay the deletions, checking structure and computing every step's
     symmetric difference in the current induced subgraph."""
     seq.check_structure(g.n)
-    return WidthReport(tuple(len(a) + len(b) for _, _, a, b
-                             in _eliminate(list(map(set, g.adjacency)), seq.pairs)))
+    return WidthReport(tuple(len(a) + len(b) for *_, a, b in _eliminate(*_bit_rows(g), seq.pairs)))

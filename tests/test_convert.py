@@ -660,9 +660,10 @@ class TestSdseqToStm:
 
     def test_planted_random(self):
         from stmgraph import validate_sequence
-        for seed in range(100):
+        sizes = (63, 64, 65, 127, 128, 129)  # bit rows of one, two and three words
+        for seed in range(100 + len(sizes)):
             rng = random.Random(seed)
-            n = rng.randint(2, 32)
+            n = rng.randint(2, 32) if seed < 100 else sizes[seed - 100]
             d = rng.randint(0, 4)
             g, seq = planted_sdseq(n, d, seed=seed)
             w = validate_sequence(g, seq).width

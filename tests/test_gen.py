@@ -1,6 +1,8 @@
 import random
 
-from stmgraph import validate, validate_sequence
+import pytest
+
+from stmgraph import InputError, validate, validate_sequence
 from stmgraph.convert import cseq_replay
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq,
                           random_full_tree, random_stm, random_stm_sparse)
@@ -54,6 +56,11 @@ class TestRandomCseq:
     def test_resolve_budget(self):
         seq = random_cseq(10, 7, seed=1)
         assert seq.num_resolves == 7
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_resolve_count(self, count):
+        with pytest.raises(InputError, match="^resolve count must be nonnegative$"):
+            random_cseq(6, count, seed=1)
 
 
 class TestErdosRenyi:

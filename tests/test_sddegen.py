@@ -1,13 +1,18 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmgraph import (CapExceeded, Graph, InputError, SdConfig,
-                      SdDegenSequence, SequenceError, preset_symdiff,
-                      preset_twinwidth, sd_sequence_greedy,
+                      SdDegenSequence, SequenceError, SignedTreeModel, WidthReport,
+                      preset_symdiff, preset_twinwidth, sd_sequence_greedy,
                       sd_sequence_randomized, sdseq_to_stm, validate_sequence)
+from stmgraph import convert, sddegen
 from stmgraph.gen import erdos_renyi, planted_sdseq
+
+from conftest import traced_peak
 
 
 def complete(n):
@@ -114,23 +119,6 @@ class TestRandomized:
         b = sd_sequence_randomized(g, cfg)
         assert a == b
 
-    def test_bucketing_matches_set_comparison(self):
-        # same bucket iff same neighborhood toward X: cross-check on a fixed
-        # graph by recomputing the partition with explicit sets
-        g = erdos_renyi(16, 0.4, seed=2)
-        rng = random.Random(9)
-        X = {v for v in range(1, 17) if rng.random() < 0.4}
-        keys = {}
-        for v in range(1, 17):
-            keys[v] = tuple(sorted(w for w in g.neighbors(v) if w in X))
-        for u in range(1, 17):
-            for v in range(u + 1, 17):
-                same_key = keys[u] == keys[v]
-                same_set = ({w for w in g.neighbors(u) if w in X}
-                            == {w for w in g.neighbors(v) if w in X})
-                assert same_key == same_set
-
-
 class TestGreedy:
     def test_p3(self):
         g = Graph(3, [(1, 2), (2, 3)])
@@ -184,3 +172,165 @@ class TestValidateSequence:
             g, seq = planted_sdseq(n, rng.randint(0, 6), seed=seed)
             report = validate_sequence(g, seq)
             assert sdseq_to_stm(g, seq).num_pairs == sum(report.loop_sds) + n - 1, seed
+
+
+# -- the set-based replay: the oracle of the bit-row walks ---------------------
+
+def oracle_delete(adj, u):
+    """Delete vertex u from the adjacency sets."""
+    for w in adj[u]:
+        adj[w].discard(u)
+    adj[u] = set()
+
+
+def oracle_eliminate(adj, pairs):
+    """Replay the eliminations ``pairs`` on the adjacency sets ``adj``,
+    yielding (u, v, N(u) \\ N[v], N(v) \\ N[u]) while u is present."""
+    for u, v in pairs:
+        nu, nv = adj[u], adj[v]
+        yield u, v, nu - nv - {v}, nv - nu - {u}
+        oracle_delete(adj, u)
+
+
+def oracle_sd(adj, u, v):
+    return len((adj[u] - {v}) ^ (adj[v] - {u}))
+
+
+def oracle_randomized(g, cfg):
+    rng = random.Random(cfg.seed)
+    adj = list(map(set, g.adjacency))
+    alive = list(range(1, g.n + 1))
+    pairs, loop_sds, iterations = [], [], 0
+    while len(alive) > 2 * cfg.g:
+        iterations += 1
+        if iterations > cfg.cap:
+            raise CapExceeded(iterations - 1)
+        X = {v for v in alive if rng.random() < cfg.p_hat}
+        buckets = {}
+        for v in alive:
+            buckets.setdefault(tuple(sorted(adj[v] & X)), []).append(v)
+        doomed = []
+        for part in buckets.values():
+            for u, v in zip(part[0::2], part[1::2]):
+                s = oracle_sd(adj, u, v)
+                if s <= cfg.gamma:
+                    pairs.append((u, v))
+                    loop_sds.append(s)
+                    doomed.append(u)
+        for u in doomed:
+            oracle_delete(adj, u)
+        dead = set(doomed)
+        alive = [v for v in alive if v not in dead]
+    tail = list(zip(alive, alive[1:]))
+    tail_sds = tuple(len(a) + len(b) for _, _, a, b in oracle_eliminate(adj, tail))
+    return SdDegenSequence(tuple(pairs + tail)), WidthReport(tuple(loop_sds), tail_sds)
+
+
+def oracle_greedy(g):
+    adj = list(map(set, g.adjacency))
+    alive = list(range(1, g.n + 1))
+    pairs, sds = [], []
+    while len(alive) >= 2:
+        s, u, v = min((oracle_sd(adj, u, v), u, v) for i, u in enumerate(alive)
+                      for v in alive[i + 1:])
+        pairs.append((u, v))
+        sds.append(s)
+        oracle_delete(adj, u)
+        alive.remove(u)
+    return SdDegenSequence(tuple(pairs)), WidthReport(tuple(sds))
+
+
+def oracle_validate(g, seq):
+    return WidthReport(tuple(len(a) + len(b) for _, _, a, b
+                             in oracle_eliminate(list(map(set, g.adjacency)), seq.pairs)))
+
+
+def oracle_sdseq_to_stm(g, seq):
+    node_of = list(range(g.n + 1))
+    adj = list(map(set, g.adjacency))
+    children, pairs_a, pairs_b = {}, [], []
+    for made, (u, v, only_u, only_v) in enumerate(oracle_eliminate(adj, seq.pairs),
+                                                  start=g.n + 1):
+        x = node_of[u]
+        pairs_a += [(x, node_of[a]) for a in only_v]
+        pairs_b += [(x, node_of[b]) for b in only_u]
+        (pairs_b if v in adj[u] else pairs_a).append((x, node_of[v]))
+        children[made] = (x, node_of[v])
+        node_of[v] = made
+    return SignedTreeModel(g.n, children, pairs_a, pairs_b)
+
+
+def check_against_oracle(g, cfgs, seq=None):
+    """Every randomized run under ``cfgs``, and the replays of its sequence
+    and of ``seq``, equal the set-based oracle's."""
+    seqs = [seq] if seq is not None else []
+    for cfg in cfgs:
+        try:
+            want = oracle_randomized(g, cfg)
+        except CapExceeded as e:
+            with pytest.raises(CapExceeded) as got:
+                sd_sequence_randomized(g, cfg)
+            assert got.value.iterations == e.iterations
+            continue
+        assert sd_sequence_randomized(g, cfg) == want
+        seqs.append(want[0])
+    for s in seqs:
+        assert validate_sequence(g, s) == oracle_validate(g, s)
+        assert sdseq_to_stm(g, s) == oracle_sdseq_to_stm(g, s)
+
+
+WORD_SIZES = (63, 64, 65, 127, 128, 129)  # one, two and three 64-bit words per bit row
+
+
+class TestAgainstSetOracle:
+    @pytest.mark.parametrize("n", WORD_SIZES)
+    def test_planted(self, n):
+        for seed in range(2):
+            g, seq = planted_sdseq(n, 2 * seed + 1, seed=seed)
+            tw, sd = preset_twinwidth(2, 1.0, n), preset_symdiff(1.0, 1.0, n)
+            check_against_oracle(g, [replace(tw, seed=seed), replace(sd, seed=seed),
+                                     SdConfig(2, 2, 0.5, 2, seed)], seq)
+
+    @pytest.mark.parametrize("n", WORD_SIZES)
+    def test_erdos_renyi(self, n):
+        for seed in range(2):
+            g = erdos_renyi(n, 0.2 + 0.5 * seed, seed=seed)
+            check_against_oracle(g, [replace(preset_twinwidth(3, 1.0, n), seed=seed)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 140), st.floats(0, 1), st.integers(0, 3), st.integers(0, 40),
+           st.floats(0.05, 1), st.integers(1, 30), st.integers(0, 2 ** 16))
+    def test_random(self, n, p, g_, extra, p_hat, cap, seed):
+        g = erdos_renyi(n, p, seed=seed)
+        check_against_oracle(g, [SdConfig(g_, g_ + extra, p_hat, cap, seed)],
+                             SdDegenSequence(tuple(zip(range(1, n), range(2, n + 1)))))
+
+    def test_blocks_of_one(self, monkeypatch):
+        """Rows built, keyed and gathered one row or pair per block give
+        the outputs of one block."""
+        blocks = convert._blocks
+        for module in (convert, sddegen):
+            monkeypatch.setattr(module, "_blocks", lambda count, _: blocks(count, 1 << 30))
+        for n in (65, 129):
+            g, seq = planted_sdseq(n, 2, seed=n)
+            check_against_oracle(g, [replace(preset_twinwidth(2, 1.0, n), seed=1)], seq)
+        g = erdos_renyi(9, 0.5, seed=3)
+        assert sd_sequence_greedy(g) == oracle_greedy(g)
+
+    def test_greedy(self):
+        for seed in range(20):
+            g = erdos_renyi(random.Random(seed).randint(2, 12), 0.4, seed=seed)
+            assert sd_sequence_greedy(g) == oracle_greedy(g), seed
+
+
+def test_stages_hold_at_most_twice_the_csr():
+    """Each stage holds at most twice the graph's CSR: on these dense graphs
+    the bit rows, (n + 1)(n // 64 + 1) words whatever m is, and the blocks
+    they are built and read in are smaller than the CSR."""
+    g, seq = planted_sdseq(512, 2, seed=1)
+    csr = g.offsets.nbytes + g.targets.nbytes
+    cfg = replace(preset_twinwidth(2, 1.0, g.n), seed=1)
+    for call in (lambda: sd_sequence_randomized(g, cfg), lambda: validate_sequence(g, seq),
+                 lambda: sdseq_to_stm(g, seq)):
+        _, peak = traced_peak(call)
+        assert peak <= 2 * csr
