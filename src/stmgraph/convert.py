@@ -170,18 +170,6 @@ class SdDegenSequence:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def check_structure(self, n: int) -> None:
-        """Raise SequenceError unless this is a valid sequence for n vertices."""
-        if len(self.pairs) != n - 1:
-            raise SequenceError(f"expected {n - 1} pairs, got {len(self.pairs)}")
-        alive = set(range(1, n + 1))
-        for step, (u, v) in enumerate(self.pairs, start=1):
-            if u == v:
-                raise SequenceError(f"step {step}: pair ({u},{v}) has equal endpoints")
-            if u not in alive or v not in alive:
-                raise SequenceError(f"step {step}: pair ({u},{v}) uses a deleted vertex")
-            alive.remove(u)
-
 
 MERGE = "M"
 RESOLVE_POS = "R+"
@@ -422,11 +410,15 @@ def ibp_to_positive_model(ibp: IntervalBicliquePartition) -> SignedTreeModel:
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
 
 
-def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
-    """Slices that cover range(count) in order, each of about 1 MB at
-    ``item_bytes`` per item."""
-    step = max(1, (1 << 20) // item_bytes)
-    return (slice(i, i + step) for i in range(0, count, step))
+def _blocks(count: int, item_bytes: int, more: np.ndarray | int = 0) -> Iterator[slice]:
+    """Slices that cover range(count) in order, at ``item_bytes`` per item
+    plus, if ``more`` (count + 1 entries) is given, more[j] - more[i] bytes
+    for the items i..j-1.  A slice holds the items whose running total at
+    their start falls in one 512 KiB window, so it holds at most 512 KiB
+    beside its last item."""
+    window = (item_bytes * np.arange(count + 1) + more)[:-1] >> 19
+    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), count]
+    return map(slice, cuts[:-1], cuts[1:])
 
 
 def _mask(ids, words: int) -> np.ndarray:
@@ -446,12 +438,13 @@ def _bit_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The state of the sd-degeneracy walks: (n + 1) rows of n // 64 + 1
     uint64 words, with bit w of row v (word w // 64, bit w % 64) set iff vw
     is an edge, and the alive mask, a row with bits 1..n set.  The rows
-    take (n + 1)^2 / 8 bytes or so whatever m is, and are packed from
-    dense boolean blocks of about 1 MB, a block of rows at a time.  Each
-    bit is read through the uint8 view, so the byte order never shows."""
+    take (n + 1)^2 / 8 bytes or so whatever m is, and are packed a block
+    of rows at a time, from a dense boolean block and an int64 index of
+    its edge ends that hold about 512 KiB together.  Each bit is read
+    through the uint8 view, so the byte order never shows."""
     n, words = g.n, g.n // 64 + 1
     rows = np.empty((n + 1, words), np.uint64)
-    for b in _blocks(n + 1, 64 * words):
+    for b in _blocks(n + 1, 64 * words, 8 * g.offsets):
         at = g.offsets[b.start:b.stop + 1]
         dense = np.zeros((len(at) - 1, 64 * words), bool)
         dense[np.repeat(np.arange(len(at) - 1), np.diff(at)), g.targets[at[0]:at[-1]]] = True
@@ -474,21 +467,39 @@ def _sds(rows: np.ndarray, alive: np.ndarray, us: np.ndarray, vs: np.ndarray) ->
 
 
 def _eliminate(rows: np.ndarray, alive: np.ndarray, pairs: Iterable[tuple[int, int]]
-               ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+               ) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
     """Replay the eliminations ``pairs`` on the bit rows ``rows`` and the
     alive mask ``alive`` of ``_bit_rows``.
 
-    For each step (u, v) it yields (u, v, N(u) \\ N[v], N(v) \\ N[u]) in the
-    graph induced on ``alive``, as ascending id arrays whose sizes sum to
-    the step's symmetric difference, while u is still alive; u's alive bit
+    For each step (u, v) it yields (u, v, e, N(u) \\ N[v], N(v) \\ N[u]) in
+    the graph induced on ``alive``, with e = 1 if uv is an edge and 0 if
+    not, and the two sets as ascending id arrays whose sizes sum to the
+    step's symmetric difference, while u is still alive; u's alive bit
     clears when the next step is asked for, or when the walk ends.  The
-    rows are only read.
+    rows are only read.  A step whose ends are equal, outside [1, n] or
+    not both alive raises SequenceError naming it; the range is checked
+    before any row is indexed.
     """
-    for u, v in pairs:
+    n, bits, live = len(rows) - 1, rows.view(np.uint8), alive.view(np.uint8)
+    for step, (u, v) in enumerate(pairs, 1):
+        if u == v:
+            raise SequenceError(f"step {step}: pair ({u},{v}) has equal endpoints")
+        if not (0 < u <= n and 0 < v <= n):
+            raise SequenceError(f"step {step}: pair ({u},{v}) uses a vertex outside [1,{n}]")
+        if not live[u >> 3] >> (u & 7) & live[v >> 3] >> (v & 7) & 1:
+            raise SequenceError(f"step {step}: pair ({u},{v}) uses a deleted vertex")
         diff = (rows[u] ^ rows[v]) & alive
         only_u, only_v = _ids(diff & rows[u]), _ids(diff & rows[v])
-        yield u, v, only_u[only_u != v], only_v[only_v != u]
-        alive.view(np.uint8)[u >> 3] &= 255 ^ 1 << (u & 7)
+        yield u, v, bits[u, v >> 3] >> (v & 7) & 1, only_u[only_u != v], only_v[only_v != u]
+        live[u >> 3] &= 255 ^ 1 << (u & 7)
+
+
+def _replay(g: Graph, seq: SdDegenSequence) -> Iterator[tuple]:
+    """``_eliminate`` over all of ``seq`` on the bit rows of ``g``, once
+    ``seq`` is checked to hold n - 1 pairs; the walk checks each pair."""
+    if len(seq.pairs) != g.n - 1:
+        raise SequenceError(f"expected {g.n - 1} pairs, got {len(seq.pairs)}")
+    return _eliminate(*_bit_rows(g), seq.pairs)
 
 
 def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
@@ -502,16 +513,15 @@ def sdseq_to_stm(g: Graph, seq: SdDegenSequence) -> SignedTreeModel:
     n = g.n
     if n < 1:
         raise InputError("empty graph")
-    seq.check_structure(n)
     node_of = list(range(n + 1))
     children: dict[int, tuple[int, int]] = {}
     pairs_a: list[tuple[int, int]] = []
     pairs_b: list[tuple[int, int]] = []
-    for made, (u, v, only_u, only_v) in enumerate(_eliminate(*_bit_rows(g), seq.pairs), n + 1):
+    for made, (u, v, edge, only_u, only_v) in enumerate(_replay(g, seq), n + 1):
         x = node_of[u]
         pairs_a += [(x, node_of[a]) for a in only_v.tolist()]
         pairs_b += [(x, node_of[b]) for b in only_u.tolist()]
-        (pairs_b if g.has_edge(u, v) else pairs_a).append((x, node_of[v]))
+        (pairs_b if edge else pairs_a).append((x, node_of[v]))
         children[made] = (x, node_of[v])
         node_of[v] = made
     return SignedTreeModel(n, children, pairs_a, pairs_b)

@@ -136,35 +136,33 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
     """Graph plus sd-degeneracy sequence of width <= ``width``, planted by
     running the elimination backwards: each new vertex copies a random
     existing vertex's neighborhood with at most ``width`` toggled entries, so
-    its elimination-time symmetric difference stays bounded."""
+    its elimination-time symmetric difference stays bounded.  The graph is
+    built in one (n + 1) x (n + 1) boolean adjacency matrix: a row copy, one
+    entry per toggle and one column update per vertex."""
     if n < 2:
         raise InputError("need at least two vertices")
     if width < 0:
         raise InputError("width must be nonnegative")
     rng = random.Random(seed)
-    adj: dict[int, set[int]] = {1: set()}
+    adj = np.zeros((n + 1, n + 1), bool)
     rev_pairs: list[tuple[int, int]] = []
     for u in range(2, n + 1):
         v = rng.randrange(1, u)
-        nb = set(adj[v])
+        adj[u] = adj[v]  # v's row, which holds neither u nor v
         for _ in range(rng.randint(0, width)):
             if u == 2:  # v is the only other vertex
                 break
             # toggle the i-th of the ids 1..u-1 other than v, drawn uniformly
             i = rng.randrange(u - 2)
-            nb.symmetric_difference_update({i + 1 + (i + 1 >= v)})
-        if rng.random() < 0.5:
-            nb.add(v)
-        adj[u] = nb
-        for w in nb:
-            adj[w].add(u)
+            adj[u, i + 1 + (i + 1 >= v)] ^= True
+        adj[u, v] = rng.random() < 0.5
+        adj[adj[u], u] = True
         rev_pairs.append((u, v))
     relabel = list(range(1, n + 1))
     rng.shuffle(relabel)
     label = np.array([0] + relabel)  # label[old] = new
-    keys = np.fromiter((u * (n + 1) + w for u, nbrs in adj.items() for w in nbrs), np.int64)
     seq = SdDegenSequence(tuple((relabel[u - 1], relabel[v - 1]) for u, v in reversed(rev_pairs)))
-    return Graph(n, label[np.column_stack(np.divmod(keys, n + 1))]), seq
+    return Graph(n, label[np.argwhere(np.triu(adj))]), seq  # each edge once
 
 
 def random_cseq(n: int, num_resolves: int, seed: int = 0) -> ConstructionSequence:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import SdDegenSequence, _bit_rows, _blocks, _eliminate, _ids, _mask, _sds
+from .convert import SdDegenSequence, _bit_rows, _blocks, _eliminate, _ids, _mask, _replay, _sds
 from .graph import Graph, InputError
 
 
@@ -101,7 +101,7 @@ def sd_sequence_randomized(g: Graph, cfg: SdConfig) -> tuple[SdDegenSequence, Wi
         loop_sds += sds[ok].tolist()
         alive &= ~_mask(us[ok], rows.shape[1])
     tail = list(zip(live.tolist(), live[1:].tolist()))
-    tail_sds = tuple(len(a) + len(b) for _, _, a, b in _eliminate(rows, alive, tail))
+    tail_sds = tuple(len(a) + len(b) for *_, a, b in _eliminate(rows, alive, tail))
     return SdDegenSequence(tuple(pairs + tail)), WidthReport(tuple(loop_sds), tail_sds)
 
 
@@ -160,7 +160,6 @@ def sd_sequence_greedy(g: Graph) -> tuple[SdDegenSequence, WidthReport]:
 
 
 def validate_sequence(g: Graph, seq: SdDegenSequence) -> WidthReport:
-    """Replay the deletions, checking structure and computing every step's
+    """Replay the deletions, checking each pair, and compute every step's
     symmetric difference in the current induced subgraph."""
-    seq.check_structure(g.n)
-    return WidthReport(tuple(len(a) + len(b) for *_, a, b in _eliminate(*_bit_rows(g), seq.pairs)))
+    return WidthReport(tuple(len(a) + len(b) for *_, a, b in _replay(g, seq)))

@@ -350,6 +350,17 @@ def decode_bruteforce(stm: SignedTreeModel, validated: bool = False) -> Graph:
     return Graph(n, stm.leaf_order[np.argwhere(np.triu(sign, k=1) > 0) - 1])
 
 
+def _nearest_marked(marked: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Each index's nearest ancestor-or-self that is ``marked``, following
+    the parent pointers ``up``, by pointer jumping in O(log depth) rounds.
+    Every unmarked chain must end at a marked index or at a root that is
+    its own parent."""
+    near = np.where(marked, np.arange(len(up)), up)
+    while not np.array_equal(hop := near[near], near):
+        near = hop
+    return near
+
+
 def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
     """Replace loops by equivalent sibling pairs.
 
@@ -374,10 +385,8 @@ def remove_loops(stm: SignedTreeModel) -> SignedTreeModel:
         raise InvalidModelError(f"pair {(t, t)} is both positive and negative")
     carry = np.zeros(len(stm.parent), np.int8)
     carry[ends] = sign[loop]
-    # nearest ancestor-or-self with a loop, or 0, by pointer jumping
-    near = np.where(carry != 0, np.arange(len(carry)), stm.parent)
-    while not np.array_equal(hop := near[near], near):
-        near = hop
+    # nearest ancestor-or-self with a loop, or 0, the root's parent and its own
+    near = _nearest_marked(carry != 0, stm.parent)
     carried = carry[near[stm.n + 1:]]  # per internal node, in id order
     rest, base, add = pairs[~loop], 2 * stm.n, carried != 0
     sib = stm.kids[add]  # a left child's leaves come first: (left, right) is canonical
@@ -404,10 +413,7 @@ def clean_same_sign(stm: SignedTreeModel) -> SignedTreeModel:
         raise InvalidModelError("; ".join(m for _, m in v))
     up = forest.up
     drop = (up >= 0) & (sign[up] == sign)
-    # nearest kept ancestor-or-self, by pointer jumping along the drops
-    near = np.where(drop, up, np.arange(len(up)))
-    while not np.array_equal(hop := near[near], near):
-        near = hop
+    near = _nearest_marked(~drop, up)  # nearest kept ancestor-or-self; roots are kept
     kept = np.flatnonzero(~drop)
     kept_up = up[kept]
     new_up = np.where(kept_up >= 0, (np.cumsum(~drop) - 1)[near[kept_up]], -1)

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from stmgraph import InputError, validate, validate_sequence
+from stmgraph import Graph, InputError, SdDegenSequence, validate, validate_sequence
 from stmgraph.convert import cseq_replay
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq,
                           random_full_tree, random_stm, random_stm_sparse)
@@ -45,6 +46,52 @@ class TestPlantedSdseq:
         a = planted_sdseq(20, 3, seed=9)
         b = planted_sdseq(20, 3, seed=9)
         assert a[1] == b[1] and sorted(a[0].edges()) == sorted(b[0].edges())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 63, 64, 65, 130, 256])
+    def test_matches_set_oracle(self, n):
+        """The matrix planting gives the set planting's graph, byte for byte
+        in both CSR arrays, and its sequence."""
+        for width in range(5):
+            for seed in range(4):
+                g, seq = planted_sdseq(n, width, seed=seed)
+                want_g, want_seq = oracle_planted_sdseq(n, width, seed)
+                assert g.offsets.tobytes() == want_g.offsets.tobytes(), (width, seed)
+                assert g.targets.tobytes() == want_g.targets.tobytes(), (width, seed)
+                assert seq == want_seq, (width, seed)
+
+    def test_bad_arguments(self):
+        with pytest.raises(InputError, match="^need at least two vertices$"):
+            planted_sdseq(1, 2)
+        with pytest.raises(InputError, match="^width must be nonnegative$"):
+            planted_sdseq(5, -1)
+
+
+def oracle_planted_sdseq(n, width, seed=0):
+    """The planting on a dict of adjacency sets, with the random draws of
+    ``planted_sdseq`` in the same order: the oracle of its boolean matrix."""
+    rng = random.Random(seed)
+    adj = {1: set()}
+    rev_pairs = []
+    for u in range(2, n + 1):
+        v = rng.randrange(1, u)
+        nb = set(adj[v])
+        for _ in range(rng.randint(0, width)):
+            if u == 2:
+                break
+            i = rng.randrange(u - 2)
+            nb.symmetric_difference_update({i + 1 + (i + 1 >= v)})
+        if rng.random() < 0.5:
+            nb.add(v)
+        adj[u] = nb
+        for w in nb:
+            adj[w].add(u)
+        rev_pairs.append((u, v))
+    relabel = list(range(1, n + 1))
+    rng.shuffle(relabel)
+    label = np.array([0] + relabel)
+    keys = np.fromiter((u * (n + 1) + w for u, nbrs in adj.items() for w in nbrs), np.int64)
+    seq = SdDegenSequence(tuple((relabel[u - 1], relabel[v - 1]) for u, v in reversed(rev_pairs)))
+    return Graph(n, label[np.column_stack(np.divmod(keys, n + 1))]), seq
 
 
 class TestRandomCseq:

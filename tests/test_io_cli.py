@@ -16,6 +16,7 @@ from stmgraph import (DagCompression, IntervalBicliquePartition, InvalidModelErr
 from stmgraph.cli import main
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq, random_stm,
                           random_stm_sparse)
+from stmgraph.matmul import dense_matmul_oracle
 
 from conftest import BAD_DAGS, random_loopy, traced_peak
 from test_matmul import GENERIC_INT64
@@ -301,6 +302,21 @@ class TestCli:
         assert main(["matmul", str(stm_f), str(mat_f)]) == 0
         rows = fio.parse_matrix(capsys.readouterr().out)
         assert rows == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+    def test_matmul_entries_beyond_int64(self, tmp_path, capsys):
+        """A matrix file whose entries lie beyond int64 reads as an object
+        array; the CLI product wraps it as the oracle's INT64_GROUP does."""
+        n, rng = 70, random.Random(7)
+        model = random_stm(n, 3 * n, seed=7)
+        stm_f, mat_f = tmp_path / "m.stm", tmp_path / "m.mat"
+        stm_f.write_text(fio.format_stm(model))
+        mat_f.write_text(fio.format_matrix([[rng.randrange(-2 ** 70, 2 ** 70) for _ in range(n)]
+                                            for _ in range(n)]))
+        entries = fio.parse_matrix(mat_f.read_text())
+        assert max(abs(x) for row in entries for x in row) >= 2 ** 63
+        assert main(["matmul", str(stm_f), str(mat_f)]) == 0
+        want = dense_matmul_oracle(decode_bruteforce(model), LinearOrder.identity(n), entries)
+        assert fio.parse_matrix(capsys.readouterr().out) == want
 
     def test_scatter(self, files, capsys):
         stm_f, _, _ = files

@@ -310,7 +310,7 @@ class TestAgainstSetOracle:
         the outputs of one block."""
         blocks = convert._blocks
         for module in (convert, sddegen):
-            monkeypatch.setattr(module, "_blocks", lambda count, _: blocks(count, 1 << 30))
+            monkeypatch.setattr(module, "_blocks", lambda count, *_: blocks(count, 1 << 30))
         for n in (65, 129):
             g, seq = planted_sdseq(n, 2, seed=n)
             check_against_oracle(g, [replace(preset_twinwidth(2, 1.0, n), seed=1)], seq)
@@ -323,14 +323,103 @@ class TestAgainstSetOracle:
             assert sd_sequence_greedy(g) == oracle_greedy(g), seed
 
 
-def test_stages_hold_at_most_twice_the_csr():
-    """Each stage holds at most twice the graph's CSR: on these dense graphs
-    the bit rows, (n + 1)(n // 64 + 1) words whatever m is, and the blocks
-    they are built and read in are smaller than the CSR."""
-    g, seq = planted_sdseq(512, 2, seed=1)
+@pytest.mark.parametrize("n", [512, 1024])
+def test_stages_hold_at_most_the_csr(n):
+    """Each stage holds at most the graph's CSR: on these dense graphs the
+    bit rows, (n + 1)(n // 64 + 1) words whatever m is, and the blocks they
+    are built and read in, bounded by their dense bytes and edge ends
+    together, are smaller than the CSR."""
+    g, seq = planted_sdseq(n, 2, seed=1)
     csr = g.offsets.nbytes + g.targets.nbytes
     cfg = replace(preset_twinwidth(2, 1.0, g.n), seed=1)
     for call in (lambda: sd_sequence_randomized(g, cfg), lambda: validate_sequence(g, seq),
                  lambda: sdseq_to_stm(g, seq)):
         _, peak = traced_peak(call)
-        assert peak <= 2 * csr
+        assert peak <= csr
+
+
+# -- the pair checks of the walk, against the structure check they replaced ---
+
+def oracle_check_structure(seq, n):
+    """Raise SequenceError unless ``seq`` is a valid sequence for n vertices:
+    the structure check that ran before each replay."""
+    if len(seq.pairs) != n - 1:
+        raise SequenceError(f"expected {n - 1} pairs, got {len(seq.pairs)}")
+    alive = set(range(1, n + 1))
+    for step, (u, v) in enumerate(seq.pairs, start=1):
+        if u == v:
+            raise SequenceError(f"step {step}: pair ({u},{v}) has equal endpoints")
+        if u not in alive or v not in alive:
+            raise SequenceError(f"step {step}: pair ({u},{v}) uses a deleted vertex")
+        alive.remove(u)
+
+
+def outside_message(seq, n):
+    """The message for the first pair with an end outside [1, n], if that
+    pair is where the structure check stops: it calls such an end deleted,
+    the walk names it as outside [1, n]."""
+    for step, (u, v) in enumerate(seq.pairs, 1):
+        if u != v and not (0 < u <= n and 0 < v <= n):
+            return f"step {step}: pair ({u},{v}) uses a vertex outside [1,{n}]"
+    return None
+
+
+def mutate(seq, n, kind, rng):
+    """``seq`` with one defect of ``kind`` at a random step."""
+    pairs = list(seq.pairs)
+    i = rng.randrange(len(pairs))
+    u, v = pairs[i]
+    if kind == "equal":
+        pairs[i] = (u, u) if rng.random() < 0.5 else (v, v)
+    elif kind == "missing":
+        del pairs[i]
+    elif kind == "outside":
+        bad = rng.choice((0, -1, n + 1, 64 * (n // 64 + 1), 2 ** 70))
+        pairs[i] = (bad, v) if rng.random() < 0.5 else (u, bad)
+    elif i:  # a u of an earlier step, deleted by now
+        gone = pairs[rng.randrange(i)][0]
+        pairs[i] = (gone, v) if kind == "deleted_u" else (u, gone)
+    return SdDegenSequence(tuple(pairs))
+
+
+class TestWalkChecks:
+    @pytest.mark.parametrize("kind", [None, "equal", "deleted_u", "deleted_v", "outside",
+                                      "missing"])
+    def test_against_structure_check(self, kind):
+        """validate_sequence and sdseq_to_stm raise the structure check's
+        SequenceError, with its message and step, or else give the set
+        replay's results; only an end outside [1, n] is named anew."""
+        for seed in range(70):
+            rng = random.Random(seed)
+            n = rng.randint(2, 140)
+            g, seq = planted_sdseq(n, rng.randint(0, 4), seed=seed)
+            if kind:
+                seq = mutate(seq, n, kind, rng)
+            try:
+                oracle_check_structure(seq, n)
+            except SequenceError as e:
+                want = outside_message(seq, n) or str(e)
+                for call in (validate_sequence, sdseq_to_stm):
+                    with pytest.raises(SequenceError) as got:
+                        call(g, seq)
+                    assert str(got.value) == want, (seed, call)
+                continue
+            assert validate_sequence(g, seq) == oracle_validate(g, seq), seed
+            assert sdseq_to_stm(g, seq) == oracle_sdseq_to_stm(g, seq), seed
+
+    @pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+    def test_outside_range(self, n):
+        """An end outside [1, n] is named so, at its step, on either side of
+        the pair."""
+        seq = SdDegenSequence(tuple(zip(range(1, n), range(2, n + 1))))
+        g = erdos_renyi(n, 0.5, seed=n)
+        step = n // 2
+        u, v = seq.pairs[step - 1]
+        for bad in (0, -1, n + 1, 64 * (n // 64 + 1), 2 ** 70):
+            for pair in ((bad, v), (u, bad)):
+                bent = SdDegenSequence(seq.pairs[:step - 1] + (pair,) + seq.pairs[step:])
+                for call in (validate_sequence, sdseq_to_stm):
+                    with pytest.raises(SequenceError) as got:
+                        call(g, bent)
+                    assert str(got.value) == (f"step {step}: pair ({pair[0]},{pair[1]}) "
+                                              f"uses a vertex outside [1,{n}]"), (bad, call)
