@@ -9,15 +9,13 @@ return key rows as int64 arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from heapq import heappop, heappush
-from operator import itemgetter
+from array import array
+from bisect import bisect_left
+from itertools import islice
 
 import numpy as np
 
 from .graph import InputError, Rows, _frozen, _int_rows
-
-_last = itemgetter(-1)
 
 
 class LaminarityError(ValueError):
@@ -42,46 +40,63 @@ def _keys(rows: Rows) -> np.ndarray:
     return keys
 
 
-class _SortedList:
-    """A sorted list kept in blocks of at most 2 * LOAD items, found by
-    their last items: ``add``, ``remove`` and ``neighbours`` make O(log m)
-    comparisons and move O(LOAD + m / LOAD) references, where one Python
-    list of all m items would move O(m)."""
+class _BlockedList:
+    """A sorted list between a ``low`` and a ``high`` sentinel, which are
+    never removed, kept in blocks of at most 2 * LOAD items, and indexed by
+    ``lasts``, the list of the blocks' last items: ``locate`` is two plain
+    bisections, and an insertion or deletion moves O(LOAD + m / LOAD)
+    references, where one Python list of all m items would move O(m)."""
 
     LOAD = 512
+    __slots__ = ("blocks", "lasts")
 
-    def __init__(self):
-        self._blocks: list[list] = []
+    def __init__(self, low, high):
+        self.blocks = [[low, high]]
+        self.lasts = [high]
 
-    def add(self, item) -> None:
-        blocks = self._blocks
-        if not blocks:
-            blocks.append([item])
-            return
-        i = min(bisect_left(blocks, item, key=_last), len(blocks) - 1)
-        block = blocks[i]
-        insort(block, item)
+    def locate(self, key) -> tuple[int, int]:
+        """(i, j) with blocks[i][j] the first item >= key; low < key <= high."""
+        i = bisect_left(self.lasts, key)
+        return i, bisect_left(self.blocks[i], key)
+
+    def before(self, i: int, j: int):
+        """The item before blocks[i][j], for an item that is not ``low``."""
+        return self.blocks[i][j - 1] if j else self.lasts[i - 1]
+
+    def after(self, i: int, j: int):
+        """The item after blocks[i][j], for an item that is not ``high``."""
+        block = self.blocks[i]
+        return block[j + 1] if j + 1 < len(block) else self.blocks[i + 1][0]
+
+    def insert(self, i: int, j: int, items: tuple) -> None:
+        """Put ``items``, which sort between the item before blocks[i][j]
+        and that item, in order before it."""
+        block = self.blocks[i]
+        block[j:j] = items
         if len(block) > 2 * self.LOAD:
-            blocks.insert(i + 1, block[self.LOAD:])
-            del block[self.LOAD:]
+            self.split(i)
 
-    def remove(self, item) -> None:
-        i = bisect_left(self._blocks, item, key=_last)
-        block = self._blocks[i]
-        del block[bisect_left(block, item)]
-        if not block:
-            del self._blocks[i]
+    def split(self, i: int) -> None:
+        """Move the second half of block i into a new block after it."""
+        block = self.blocks[i]
+        half = len(block) // 2
+        self.blocks.insert(i + 1, block[half:])
+        self.lasts.insert(i, block[half - 1])
+        del block[half:]
 
-    def neighbours(self, key) -> tuple:
-        """(the last item < key, the first item >= key), None where there is none."""
-        blocks = self._blocks
-        i = bisect_left(blocks, key, key=_last)
-        if i == len(blocks):
-            return (blocks[-1][-1] if blocks else None), None
-        block = blocks[i]
-        j = bisect_left(block, key)
-        below = block[j - 1] if j else (blocks[i - 1][-1] if i else None)
-        return below, block[j]
+    def delete(self, i: int, j: int) -> None:
+        """Remove blocks[i][j], which is neither sentinel."""
+        block = self.blocks[i]
+        del block[j]
+        if j == len(block):
+            self.mend(i)
+
+    def mend(self, i: int) -> None:
+        """Drop block i if it is empty, else index its last item."""
+        if self.blocks[i]:
+            self.lasts[i] = self.blocks[i][-1]
+        else:
+            del self.blocks[i], self.lasts[i]
 
 
 class InclusionForest:
@@ -107,12 +122,20 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
     many rectangles are active.  The sweep takes the rectangles in
     (x1, -x2, y1, -y2) order (one ``np.lexsort``), which puts every
     rectangle after those that contain it and duplicates next to each
-    other.  The active rectangles are the swept ones whose x2 is not left
-    of the current x1.  Only they can meet the current rectangle
-    r = [x1,x2] x [a,b], and all of them meet its column x1.  An active
+    other; one comparison of adjacent sorted rows finds the first
+    duplicate, and the sweep stops at its rank.  The active rectangles
+    are the swept ones whose x2 is not left of the current x1.  Only they
+    can meet the current rectangle r = [x1,x2] x [a,b], and all of them
+    meet its column x1.  X2[s] < X1[t] implies that s was swept before t,
+    so the closes run in one precomputed (x2, rank) order, and one
+    ``np.searchsorted`` counts those due before each rank.  An active
     rectangle with y range [c,d] keeps two boundaries in one sorted list:
     an open (2c-1, +t) and a close (2d+1, -t), where t is its rank in the
-    sweep; each is one int that sorts as its (position, +-rank) pair.
+    sweep; each is one int that sorts as its (position, +-rank) pair.  The
+    positions use the ranks of the y values among all of them, not the
+    values, so the ints fit int64: an open of c sorts after a close of d
+    exactly when c > d, and other pairs compare as their y values, so only
+    the order of the y values counts, and their ranks keep it.
 
     While nothing has raised, the swept rectangles are laminar, so two
     active ones whose y ranges meet are nested.  A boundary inside
@@ -134,42 +157,70 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
     rectangle containing r is a link.  Otherwise Q and r properly
     overlap.  So the first rectangle swept that is a duplicate of, or
     properly overlaps, an earlier one raises.
+
+    One locate of r's own open o = (2a-1, +t) serves the query and both
+    insertions.  Every live boundary at 2a-1 sorts before o (a close, or
+    an open of an earlier rank), so the items just below and at or above o
+    are those around 2a.  Every live boundary at 2b+1 sorts after r's close
+    k = (2b+1, -t) (an open, or a close of an earlier rank), so the item
+    above lies in [2a, 2b] exactly when it is below k.  When nothing
+    raises, no live boundary lies between o and k, and both go in at the
+    located slot.
     """
     keys = _keys(rows)
     x1s, x2s, y1s, y2s = keys.T
     order = np.lexsort((-y2s, y1s, -x2s, x1s))
     m = len(order)
-    X1, X2, Y1, Y2 = ([0] + col for col in keys[order].T.tolist())  # by rank 1..m
-    up = [0] * (m + 1)  # rank of the parent, 0 for a root
+    swept = keys[order]  # by rank 1..m
+    again = np.flatnonzero((swept[1:] == swept[:-1]).all(axis=1))
+    stop = int(again[0]) + 1 if again.size else m  # the ranks before the first duplicate
+    ys, y = np.unique(swept[:, 2:], return_inverse=True)
+    y = y.reshape(m, 2) + 1  # y ranks from 1, ordered as the y values
     span = 2 * m + 1  # boundary (position, s) is the int position * span + m + s
-    bounds = _SortedList()
-    closing: list[int] = []  # heap of x2 * span + rank
-    prev = None
-    for t, x1, x2, a, b in zip(range(1, m + 1), X1[1:], X2[1:], Y1[1:], Y2[1:]):
-        if prev == (x1, x2, a, b):
-            raise LaminarityError(f"duplicate rectangle {prev}", (order[t - 2], order[t - 1]))
-        prev = (x1, x2, a, b)
-        while closing and closing[0] < x1 * span:
-            s = heappop(closing) % span
-            bounds.remove((2 * Y1[s] - 1) * span + m + s)
-            bounds.remove((2 * Y2[s] + 1) * span + m - s)
-        below, above = bounds.neighbours(2 * a * span)
-        witness = 0
-        if above is not None and above < (2 * b + 1) * span:
+    t = np.arange(1, m + 1)
+    bound = np.stack(((2 * y[:, 0] - 1) * span + m + t, (2 * y[:, 1] + 1) * span + m - t), 1)
+    shut = np.argsort(swept[:, 1], kind="stable")  # closes by (x2, rank)
+    steps = np.diff(np.searchsorted(swept[shut, 1], swept[:, 0]), prepend=0)
+    del y, t
+    X2 = array("q", [0])  # by rank
+    X2.frombytes(swept[:, 1].tobytes())
+    up = array("q", bytes(8 * (m + 1)))  # rank of the parent, 0 for a root
+    gone = iter(array("q", bound[shut].tobytes()))
+    bounds = _BlockedList(m, (2 * len(ys) + 2) * span)
+    blocks, lasts, split, mend = bounds.blocks, bounds.lasts, bounds.split, bounds.mend
+    most = 2 * bounds.LOAD
+    for t, o, c, x2, k in zip(range(1, stop + 1), array("q", bound[:, 0].tobytes()),
+                              array("q", bound[:, 1].tobytes()), X2[1:], steps.tolist()):
+        if k:
+            for v in islice(gone, 2 * k):
+                i = bisect_left(lasts, v)
+                block = blocks[i]
+                j = bisect_left(block, v)
+                del block[j]
+                if j == len(block):
+                    mend(i)
+        i = bisect_left(lasts, o)
+        block = blocks[i]
+        j = bisect_left(block, o)
+        above = block[j]
+        if above < c:
             witness = abs(above % span - m)
-        elif below is not None:
-            s = below % span - m
+        else:
+            s = (block[j - 1] if j else lasts[i - 1]) % span - m
             q = up[t] = s if s > 0 else up[-s]
-            if q and X2[q] < x2:
-                witness = q
-        if witness:
-            w = (X1[witness], X2[witness], Y1[witness], Y2[witness])
-            raise LaminarityError(f"rectangles {w} and {prev} properly overlap",
-                                  (order[witness - 1], order[t - 1]))
-        bounds.add((2 * a - 1) * span + m + t)
-        bounds.add((2 * b + 1) * span + m - t)
-        heappush(closing, x2 * span + t)
-    ranks = np.array(up[1:], dtype=np.int64)
+            if not q or X2[q] >= x2:
+                block[j:j] = o, c
+                if len(block) > most:
+                    split(i)
+                continue
+            witness = q
+        w, r = order[witness - 1], order[t - 1]
+        raise LaminarityError(f"rectangles {tuple(keys[w].tolist())} and "
+                              f"{tuple(keys[r].tolist())} properly overlap", (w, r))
+    if stop < m:
+        raise LaminarityError(f"duplicate rectangle {tuple(swept[stop].tolist())}",
+                              (order[stop - 1], order[stop]))
+    ranks = np.frombuffer(up, np.int64)[1:]
     parent = np.full(m, -1, dtype=np.int64)
     parent[order] = np.where(ranks > 0, order[ranks - 1], -1)
     return InclusionForest(keys, parent)
@@ -188,7 +239,11 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     one that ends closes those two and opens their union.  A gap closed and
     opened again at one x stays open.  So each event touches O(1) gaps and
     the sweep takes O(h log h) time; each hole boundary opens at most a
-    bounded number of pieces.
+    bounded number of pieces.  The active holes sit between two sentinel
+    rows just outside ``outer``, and one locate of the event's (y1, y2)
+    finds both its neighbours: a start goes in at that slot, and an end
+    is the located item itself.  Active holes are disjoint, so a start
+    whose neighbours reach into [y1, y2] raises.
     """
     ox1, ox2, oy1, oy2 = _keys([outer])[0].tolist()
     h = _keys(holes)
@@ -201,7 +256,9 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     ev = np.concatenate((np.column_stack((h[:, 1] + 1, 0 * h[:, :1], h[:, 2:])),
                          np.column_stack((h[:, 0], 0 * h[:, :1] + 1, h[:, 2:]))))
     ev = ev[ev[:, 0] <= ox2]
-    active = _SortedList()  # (y1, y2) of the holes meeting the sweep column
+    # (y1, y2) of the holes meeting the sweep column, between two sentinels
+    active = _BlockedList((oy1 - 1, oy1 - 1), (oy2 + 1, oy2 + 1))
+    locate, before, after = active.locate, active.before, active.after
     open_at = {(oy1, oy2): ox1}  # free y-interval -> x where its piece starts
     closed: dict[tuple[int, int], int] = {}  # the ones closed at x -> their start
     pieces: list[tuple[int, int, int, int]] = []
@@ -220,18 +277,19 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
             pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
             closed.clear()
             x = ex
-        if not starts:
-            active.remove((c, d))
-        below, above = active.neighbours((c,))
-        if starts and ((below and below[1] >= c) or (above and above[0] <= d)):
-            raise InputError("holes overlap")
-        lo, hi = below[1] + 1 if below else oy1, above[0] - 1 if above else oy2
+        i, j = locate((c, d))
+        lo = before(i, j)[1] + 1
         if starts:
+            hi = active.blocks[i][j][0] - 1
+            if lo > c or hi < d:
+                raise InputError("holes overlap")
             close(lo, hi)
             reopen(lo, c - 1)
             reopen(d + 1, hi)
-            active.add((c, d))
+            active.insert(i, j, ((c, d),))
         else:
+            hi = after(i, j)[0] - 1
+            active.delete(i, j)
             close(lo, c - 1)
             close(d + 1, hi)
             reopen(lo, hi)

@@ -1,15 +1,21 @@
 import random
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmgraph import InputError, LaminarityError, complement_partition, inclusion_forest
-from stmgraph.rect import _SortedList
+import stmgraph.convert
+import stmgraph.rect
+from stmgraph import (InputError, LaminarityError, SignedTreeModel, complement_partition,
+                      inclusion_forest, stm_to_ibp, validate)
+from stmgraph.gen import random_stm
+from stmgraph.rect import _BlockedList
 
-from conftest import area, contains, disjoint, properly_overlap
+from conftest import area, caterpillar_stm, contains, disjoint, perturbed_models, properly_overlap
+from rect_oracles import oracle_complement_partition, oracle_inclusion_forest
+from test_convert import seed_family_models
 
 
 def brute_forest_parents(rects):
@@ -81,7 +87,7 @@ def disjoint_holes(rng, outer, count, size):
 def small_blocks(monkeypatch):
     """Blocks of at most two items, so that small inputs split and empty
     blocks as large ones do."""
-    monkeypatch.setattr(_SortedList, "LOAD", 1)
+    monkeypatch.setattr(_BlockedList, "LOAD", 1)
 
 
 def random_laminar(rng, grid=64, target=60):
@@ -121,27 +127,42 @@ class TestKeyRows:
             assert out.shape == (1 if len(holes) == 0 else 4, 4), (outer, holes)
 
 
-class TestSortedList:
+class TestBlockedList:
     @pytest.mark.parametrize("load", [1, 2, 512])
     def test_matches_sorted_list(self, monkeypatch, load):
-        monkeypatch.setattr(_SortedList, "LOAD", load)
+        # inserts outweigh deletes for 3000 steps, so that blocks split
+        # (four blocks at LOAD 512); then deletes from the middle empty them
+        monkeypatch.setattr(_BlockedList, "LOAD", load)
         rng = random.Random(load)
-        got, want = _SortedList(), []
-        for _ in range(3000):
-            if want and rng.random() < 0.45:
-                item = want.pop(rng.randrange(len(want)))
-                got.remove(item)
+        got, want = _BlockedList(-1, 10 ** 6), [-1, 10 ** 6]
+        splits = emptied = 0
+        for step in range(6000):
+            count = len(got.blocks)
+            if len(want) > 2 and rng.random() < (0.2 if step < 3000 else 0.9):
+                k = rng.randrange(1, len(want) - 1) if step < 3000 else len(want) // 2
+                i, j = got.locate(want[k])
+                assert got.blocks[i][j] == want[k]
+                assert (got.before(i, j), got.after(i, j)) == (want[k - 1], want[k + 1])
+                got.delete(i, j)
+                del want[k]
+                emptied += len(got.blocks) < count
             else:
-                item = rng.randrange(200)
-                got.add(item)
-                insort(want, item)
-            key = rng.randrange(-5, 205)
-            below = [v for v in want if v < key]
-            above = [v for v in want if v >= key]
-            assert got.neighbours(key) == (below[-1] if below else None,
-                                           above[0] if above else None)
-        assert [v for block in got._blocks for v in block] == want
-        assert all(0 < len(block) <= 2 * load for block in got._blocks)
+                key = rng.randrange(10 ** 6)
+                i, j = got.locate(key)
+                k = bisect_left(want, key)
+                assert (got.before(i, j), got.blocks[i][j]) == (want[k - 1], want[k])
+                if want[k] == key:
+                    continue
+                # one item or two, as the forest puts an open and a close in one slot
+                items = (key,) if want[k] - key < 2 or rng.random() < 0.5 else (
+                    key, rng.randrange(key + 1, want[k]))
+                got.insert(i, j, items)
+                want[k:k] = items
+                splits += len(got.blocks) > count
+            assert [v for block in got.blocks for v in block] == want
+            assert got.lasts == [block[-1] for block in got.blocks]
+            assert all(0 < len(block) <= 2 * load for block in got.blocks)
+        assert splits and emptied
 
 
 class TestInclusionForest:
@@ -322,3 +343,134 @@ class TestComplementPartition:
         assert len(out) <= 3 * h + 1
         area = lambda k: (k[:, 1] - k[:, 0] + 1) * (k[:, 3] - k[:, 2] + 1)
         assert area(out).sum() + area(holes).sum() == (2 * h) * (2 * h + 1)
+
+
+def same_forest(rows):
+    """``inclusion_forest(rows)``, checked against the parent's sweep: the
+    same keys and ``up``, or the same error type, text and ``indices``,
+    which it raises again."""
+    try:
+        want = oracle_inclusion_forest(rows)
+    except (InputError, LaminarityError) as e:
+        with pytest.raises(type(e)) as info:
+            inclusion_forest(rows)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        assert getattr(info.value, "indices", None) == getattr(e, "indices", None)
+        raise info.value
+    got = inclusion_forest(rows)
+    assert got.keys.tobytes() == want.keys.tobytes() and got.up.dtype == want.up.dtype
+    assert got.up.tolist() == want.up.tolist()
+    return got
+
+
+def same_pieces(outer, holes):
+    """``complement_partition(outer, holes)``, checked against the parent's
+    sweep: the same pieces, or the same error type and text, raised again."""
+    try:
+        want = oracle_complement_partition(outer, holes)
+    except InputError as e:
+        with pytest.raises(InputError) as info:
+            complement_partition(outer, holes)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        raise info.value
+    got = complement_partition(outer, holes)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    return got
+
+
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """Every sweep the library runs is checked against the parent's; the
+    counts of calls and of errors come back."""
+    calls = {"forest": 0, "pieces": 0, "raised": 0}
+
+    def counted(check, kind):
+        def call(*args):
+            calls[kind] += 1
+            try:
+                return check(*args)
+            except (InputError, LaminarityError):
+                calls["raised"] += 1
+                raise
+        return call
+    monkeypatch.setattr(stmgraph.rect, "inclusion_forest", counted(same_forest, "forest"))
+    monkeypatch.setattr(stmgraph.convert, "complement_partition", counted(same_pieces, "pieces"))
+    return calls
+
+
+def crossing_model(seed):
+    """A random model with up to eight uniform random pairs added, which
+    often cross a pair of the model."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    model = random_stm(n, rng.randint(0, 3 * n), seed=seed)
+    extra = {tuple(sorted(rng.sample(range(1, 2 * n), 2))) for _ in range(rng.randint(1, 8))}
+    return model.with_pairs(set(model.pairs_a) | extra, set(model.pairs_b) - extra)
+
+
+class TestAgainstParentSweeps:
+    """The one-locate sweeps give what the parent's heap-and-key-function
+    sweeps gave (``rect_oracles``): ``up``, pieces, and error text and
+    ``indices``."""
+
+    def test_random_laminar_plus_one(self):
+        raised = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            rects = random_laminar(rng, grid=24, target=rng.randint(1, 30))
+            forest = same_forest(rects)
+            # the children of each rectangle are disjoint holes in it
+            up = forest.up.tolist()
+            for i in set(up) - {-1}:
+                same_pieces(rects[i], [r for r, p in zip(rects, up) if p == i])
+            x1, y1 = rng.randint(1, 24), rng.randint(1, 24)
+            rects.insert(rng.randrange(len(rects) + 1),
+                         (x1, rng.randint(x1, 24), y1, rng.randint(y1, 24)))
+            try:
+                same_forest(rects)
+            except LaminarityError:
+                raised += 1
+        assert 1000 < raised < 2500  # duplicates and overlaps both come up
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(tiny_rects(), max_size=10))
+    def test_tiny_grid(self, rects):
+        try:
+            same_forest(rects)
+        except LaminarityError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tiny_rects(grid=12), max_size=12), tiny_rects(grid=12))
+    def test_tiny_grid_holes(self, holes, outer):
+        # overlapping, escaping and touching holes
+        try:
+            same_pieces(outer, holes)
+        except InputError:
+            pass
+
+    def test_seed_family_models(self, checked_sweeps):
+        for model in seed_family_models():
+            stm_to_ibp(model)
+            assert validate(model).ok
+        assert checked_sweeps["pieces"] > 1000 and not checked_sweeps["raised"]
+
+    def test_caterpillar(self, checked_sweeps):
+        model = caterpillar_stm(2 ** 12, 2 ** 14)
+        stm_to_ibp(model)
+        assert validate(model).ok
+        assert checked_sweeps["pieces"] and not checked_sweeps["raised"]
+
+    def test_crossing_models(self, checked_sweeps):
+        crossing = 0
+        for seed in range(500):
+            crossing += any(kind == "crossing" for kind, _ in
+                            validate(crossing_model(seed)).violations)
+        assert crossing > 150 and checked_sweeps["raised"] == crossing
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_models())
+    def test_perturbed_models(self, model):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stmgraph.rect, "inclusion_forest", same_forest)
+            validate(model, strict=False)
