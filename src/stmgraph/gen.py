@@ -138,7 +138,9 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
     existing vertex's neighborhood with at most ``width`` toggled entries, so
     its elimination-time symmetric difference stays bounded.  The graph is
     built in one (n + 1) x (n + 1) boolean adjacency matrix: a row copy, one
-    entry per toggle and one column update per vertex."""
+    entry per toggle and one column update per vertex.  The matrix is
+    symmetric; relabelled, its row sums give the CSR offsets and its
+    nonzero entries, row by row, the targets."""
     if n < 2:
         raise InputError("need at least two vertices")
     if width < 0:
@@ -160,9 +162,12 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
         rev_pairs.append((u, v))
     relabel = list(range(1, n + 1))
     rng.shuffle(relabel)
-    label = np.array([0] + relabel)  # label[old] = new
+    old = np.argsort([0] + relabel)  # old[new] = old
+    adj = adj[np.ix_(old, old)]
     seq = SdDegenSequence(tuple((relabel[u - 1], relabel[v - 1]) for u, v in reversed(rev_pairs)))
-    return Graph(n, label[np.argwhere(np.triu(adj))]), seq  # each edge once
+    offsets = np.append(0, np.cumsum(adj.sum(axis=1)))
+    ends = np.flatnonzero(adj)
+    return Graph._of_csr(n, offsets, np.remainder(ends, n + 1, out=ends)), seq
 
 
 def random_cseq(n: int, num_resolves: int, seed: int = 0) -> ConstructionSequence:

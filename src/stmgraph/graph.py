@@ -137,6 +137,15 @@ class Graph:
         self.offsets, self.targets = _frozen(*_csr(n, keys // (n + 1),
                                                    np.remainder(keys, n + 1, out=keys)))
 
+    @classmethod
+    def _of_csr(cls, n: int, offsets: np.ndarray, targets: np.ndarray) -> "Graph":
+        """The graph whose int64 CSR arrays, in ``Graph``'s form (both
+        directions, each row ascending, no loop), are ``offsets`` and
+        ``targets``; unchecked, and the arrays are frozen, not copied."""
+        g = cls.__new__(cls)
+        g.n, (g.offsets, g.targets) = n, _frozen(offsets, targets)
+        return g
+
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex sorted neighbor tuples, indexed 1..n (index 0 empty),

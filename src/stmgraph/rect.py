@@ -43,53 +43,28 @@ def _keys(rows: Rows) -> np.ndarray:
 class _BlockedList:
     """A sorted list between a ``low`` and a ``high`` sentinel, which are
     never removed, kept in blocks of at most 2 * LOAD items, and indexed by
-    ``lasts``, the list of the blocks' last items: ``locate`` is two plain
-    bisections, and an insertion or deletion moves O(LOAD + m / LOAD)
-    references, where one Python list of all m items would move O(m)."""
+    ``lasts``, the list of the blocks' last items.  The sweeps locate an
+    item with two plain bisections, ``bisect_left(lasts, key)`` for its
+    block i and ``bisect_left(blocks[i], key)`` for its place j there; the
+    item before it is blocks[i][j - 1], or lasts[i - 1] when j is 0.  An
+    insertion or deletion then moves O(LOAD + m / LOAD) references, where
+    one Python list of all m items would move O(m)."""
 
     LOAD = 512
-    __slots__ = ("blocks", "lasts")
 
     def __init__(self, low, high):
         self.blocks = [[low, high]]
         self.lasts = [high]
 
-    def locate(self, key) -> tuple[int, int]:
-        """(i, j) with blocks[i][j] the first item >= key; low < key <= high."""
-        i = bisect_left(self.lasts, key)
-        return i, bisect_left(self.blocks[i], key)
-
-    def before(self, i: int, j: int):
-        """The item before blocks[i][j], for an item that is not ``low``."""
-        return self.blocks[i][j - 1] if j else self.lasts[i - 1]
-
-    def after(self, i: int, j: int):
-        """The item after blocks[i][j], for an item that is not ``high``."""
+    def fit(self, i: int) -> None:
+        """Move the second half of block i into a new block after it, if it
+        holds more than 2 * LOAD items."""
         block = self.blocks[i]
-        return block[j + 1] if j + 1 < len(block) else self.blocks[i + 1][0]
-
-    def insert(self, i: int, j: int, items: tuple) -> None:
-        """Put ``items``, which sort between the item before blocks[i][j]
-        and that item, in order before it."""
-        block = self.blocks[i]
-        block[j:j] = items
         if len(block) > 2 * self.LOAD:
-            self.split(i)
-
-    def split(self, i: int) -> None:
-        """Move the second half of block i into a new block after it."""
-        block = self.blocks[i]
-        half = len(block) // 2
-        self.blocks.insert(i + 1, block[half:])
-        self.lasts.insert(i, block[half - 1])
-        del block[half:]
-
-    def delete(self, i: int, j: int) -> None:
-        """Remove blocks[i][j], which is neither sentinel."""
-        block = self.blocks[i]
-        del block[j]
-        if j == len(block):
-            self.mend(i)
+            half = len(block) // 2
+            self.blocks.insert(i + 1, block[half:])
+            self.lasts.insert(i, block[half - 1])
+            del block[half:]
 
     def mend(self, i: int) -> None:
         """Drop block i if it is empty, else index its last item."""
@@ -168,8 +143,7 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
     located slot.
     """
     keys = _keys(rows)
-    x1s, x2s, y1s, y2s = keys.T
-    order = np.lexsort((-y2s, y1s, -x2s, x1s))
+    order = np.lexsort((-keys[:, 3], keys[:, 2], -keys[:, 1], keys[:, 0]))
     m = len(order)
     swept = keys[order]  # by rank 1..m
     again = np.flatnonzero((swept[1:] == swept[:-1]).all(axis=1))
@@ -177,18 +151,16 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
     ys, y = np.unique(swept[:, 2:], return_inverse=True)
     y = y.reshape(m, 2) + 1  # y ranks from 1, ordered as the y values
     span = 2 * m + 1  # boundary (position, s) is the int position * span + m + s
-    t = np.arange(1, m + 1)
-    bound = np.stack(((2 * y[:, 0] - 1) * span + m + t, (2 * y[:, 1] + 1) * span + m - t), 1)
+    # rank t opens at 2c - 1 with +t and closes at 2d + 1 with -t
+    bound = (2 * y + [-1, 1]) * span + m + np.arange(1, m + 1)[:, None] * [1, -1]
     shut = np.argsort(swept[:, 1], kind="stable")  # closes by (x2, rank)
     steps = np.diff(np.searchsorted(swept[shut, 1], swept[:, 0]), prepend=0)
-    del y, t
-    X2 = array("q", [0])  # by rank
-    X2.frombytes(swept[:, 1].tobytes())
+    del y
+    X2 = array("q", np.append(0, swept[:, 1]).tobytes())  # by rank
     up = array("q", bytes(8 * (m + 1)))  # rank of the parent, 0 for a root
     gone = iter(array("q", bound[shut].tobytes()))
     bounds = _BlockedList(m, (2 * len(ys) + 2) * span)
-    blocks, lasts, split, mend = bounds.blocks, bounds.lasts, bounds.split, bounds.mend
-    most = 2 * bounds.LOAD
+    blocks, lasts, fit, mend = bounds.blocks, bounds.lasts, bounds.fit, bounds.mend
     for t, o, c, x2, k in zip(range(1, stop + 1), array("q", bound[:, 0].tobytes()),
                               array("q", bound[:, 1].tobytes()), X2[1:], steps.tolist()):
         if k:
@@ -210,8 +182,7 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
             q = up[t] = s if s > 0 else up[-s]
             if not q or X2[q] >= x2:
                 block[j:j] = o, c
-                if len(block) > most:
-                    split(i)
+                fit(i)
                 continue
             witness = q
         w, r = order[witness - 1], order[t - 1]
@@ -220,9 +191,8 @@ def inclusion_forest(rows: Rows) -> InclusionForest:
     if stop < m:
         raise LaminarityError(f"duplicate rectangle {tuple(swept[stop].tolist())}",
                               (order[stop - 1], order[stop]))
-    ranks = np.frombuffer(up, np.int64)[1:]
-    parent = np.full(m, -1, dtype=np.int64)
-    parent[order] = np.where(ranks > 0, order[ranks - 1], -1)
+    parent = np.empty_like(order)
+    parent[order] = np.append(-1, order)[np.frombuffer(up, np.int64)[1:]]
     return InclusionForest(keys, parent)
 
 
@@ -256,9 +226,11 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     ev = np.concatenate((np.column_stack((h[:, 1] + 1, 0 * h[:, :1], h[:, 2:])),
                          np.column_stack((h[:, 0], 0 * h[:, :1] + 1, h[:, 2:]))))
     ev = ev[ev[:, 0] <= ox2]
-    # (y1, y2) of the holes meeting the sweep column, between two sentinels
-    active = _BlockedList((oy1 - 1, oy1 - 1), (oy2 + 1, oy2 + 1))
-    locate, before, after = active.locate, active.before, active.after
+    # y1 of the holes meeting the sweep column, between two sentinels just
+    # outside ``outer``; ``top`` maps each to its hole's y2
+    active = _BlockedList(oy1 - 1, oy2 + 1)
+    blocks, lasts, fit, mend = active.blocks, active.lasts, active.fit, active.mend
+    top = {oy1 - 1: oy1 - 1, oy2 + 1: oy2 + 1}
     open_at = {(oy1, oy2): ox1}  # free y-interval -> x where its piece starts
     closed: dict[tuple[int, int], int] = {}  # the ones closed at x -> their start
     pieces: list[tuple[int, int, int, int]] = []
@@ -277,19 +249,25 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
             pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
             closed.clear()
             x = ex
-        i, j = locate((c, d))
-        lo = before(i, j)[1] + 1
+        i = bisect_left(lasts, c)
+        block = blocks[i]
+        j = bisect_left(block, c)
+        lo = top[block[j - 1] if j else lasts[i - 1]] + 1
         if starts:
-            hi = active.blocks[i][j][0] - 1
+            hi = block[j] - 1
             if lo > c or hi < d:
                 raise InputError("holes overlap")
             close(lo, hi)
             reopen(lo, c - 1)
             reopen(d + 1, hi)
-            active.insert(i, j, ((c, d),))
+            block.insert(j, c)
+            top[c] = d
+            fit(i)
         else:
-            hi = after(i, j)[0] - 1
-            active.delete(i, j)
+            del block[j]
+            hi = (block[j] if j < len(block) else blocks[i + 1][0]) - 1
+            if j == len(block):
+                mend(i)
             close(lo, c - 1)
             close(d + 1, hi)
             reopen(lo, hi)

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -35,6 +36,29 @@ def traced_peak(call):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def bfs_all_sources(g):
+    """The (n, n) int64 matrix of BFS distances between the vertices of
+    ``g``, row s - 1 from source s, n where unreachable, as
+    ``bfs_sssp_oracle`` gives them: a level-synchronous BFS from every
+    source at once.  Each level is one product of the 0/1 frontier matrix
+    with the dense float32 adjacency matrix, built from the CSR alone; the
+    sums stay below n < 2^24, so float32 holds them exactly."""
+    n = g.n
+    adj = np.zeros((n, n), np.float32)
+    adj[np.repeat(np.arange(n), np.diff(g.offsets)[1:]), g.targets - 1] = 1
+    dist = np.full((n, n), n, np.int64)
+    frontier = np.eye(n, dtype=np.float32)
+    seen = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        dist[frontier > 0] = level
+        level += 1
+        reached = (frontier @ adj > 0) & ~seen
+        seen |= reached
+        frontier = reached.astype(np.float32)
+    return dist
 
 
 def counting_group():

@@ -8,6 +8,8 @@ from stmgraph.convert import cseq_replay
 from stmgraph.gen import (erdos_renyi, planted_sdseq, random_cseq,
                           random_full_tree, random_stm, random_stm_sparse)
 
+from conftest import traced_peak
+
 
 class TestRandomStm:
     def test_valid(self):
@@ -58,6 +60,13 @@ class TestPlantedSdseq:
                 assert g.offsets.tobytes() == want_g.offsets.tobytes(), (width, seed)
                 assert g.targets.tobytes() == want_g.targets.tobytes(), (width, seed)
                 assert seq == want_seq, (width, seed)
+
+    def test_peak_within_csr_and_a_half(self):
+        # the CSR is written from the relabelled matrix: no edge list and no
+        # sort keys, which held 3.6 times the CSR
+        (g, _), peak = traced_peak(lambda: planted_sdseq(1024, 2, seed=1))
+        csr = g.offsets.nbytes + g.targets.nbytes
+        assert g.targets.size > 200_000 and peak <= 1.6 * csr, (peak, csr)
 
     def test_bad_arguments(self):
         with pytest.raises(InputError, match="^need at least two vertices$"):

@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 
 from stmgraph import (Graph, InputError, LinearOrder, bfs_sssp_oracle,
                       graphs_equal, symmetric_difference)
+from stmgraph.gen import erdos_renyi
+
+from conftest import bfs_all_sources
 
 
 def path(n):
@@ -293,6 +296,24 @@ class TestBfsOracle:
     def test_source_out_of_range(self):
         with pytest.raises(InputError):
             bfs_sssp_oracle(path(3), 4)
+
+    @given(st.integers(1, 24), st.data())
+    def test_all_sources_matches(self, n, data):
+        # the array oracle of criterion 4 against the textbook BFS
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1]),
+            max_size=3 * n))
+        g = Graph(n, edges)
+        want = [bfs_sssp_oracle(g, s) for s in range(1, n + 1)]
+        assert bfs_all_sources(g).tolist() == want
+
+    def test_all_sources_matches_seeded(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 90)
+            g = erdos_renyi(n, rng.choice([0.0, 0.02, 0.05, 0.2, 0.8]), seed=seed)
+            want = [bfs_sssp_oracle(g, s) for s in range(1, n + 1)]
+            assert bfs_all_sources(g).tolist() == want, seed
 
     @given(st.integers(2, 20), st.data())
     def test_triangle_property(self, n, data):
