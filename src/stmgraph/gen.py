@@ -162,8 +162,8 @@ def planted_sdseq(n: int, width: int, seed: int = 0) -> tuple[Graph, SdDegenSequ
         rev_pairs.append((u, v))
     relabel = list(range(1, n + 1))
     rng.shuffle(relabel)
-    old = np.argsort([0] + relabel)  # old[new] = old
-    adj = adj[np.ix_(old, old)]
+    unlabel = np.argsort([0] + relabel)  # unlabel[new] = old
+    adj = adj[np.ix_(unlabel, unlabel)]
     seq = SdDegenSequence(tuple((relabel[u - 1], relabel[v - 1]) for u, v in reversed(rev_pairs)))
     offsets = np.append(0, np.cumsum(adj.sum(axis=1)))
     ends = np.flatnonzero(adj)

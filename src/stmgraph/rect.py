@@ -209,11 +209,12 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     one that ends closes those two and opens their union.  A gap closed and
     opened again at one x stays open.  So each event touches O(1) gaps and
     the sweep takes O(h log h) time; each hole boundary opens at most a
-    bounded number of pieces.  The active holes sit between two sentinel
-    rows just outside ``outer``, and one locate of the event's (y1, y2)
-    finds both its neighbours: a start goes in at that slot, and an end
-    is the located item itself.  Active holes are disjoint, so a start
-    whose neighbours reach into [y1, y2] raises.
+    bounded number of pieces.  Active holes are disjoint, so they sort by
+    y1 alone: the blocked list holds their y1 values between two sentinels
+    just outside ``outer``, and a dict maps each to its hole's y2.  One
+    locate of the event's y1 finds both its neighbours: a start goes in
+    at that slot, and an end is the located item itself.  A start whose
+    neighbours reach into [y1, y2] raises.
     """
     ox1, ox2, oy1, oy2 = _keys([outer])[0].tolist()
     h = _keys(holes)

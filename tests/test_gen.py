@@ -62,8 +62,8 @@ class TestPlantedSdseq:
                 assert seq == want_seq, (width, seed)
 
     def test_peak_within_csr_and_a_half(self):
-        # the CSR is written from the relabelled matrix: no edge list and no
-        # sort keys, which held 3.6 times the CSR
+        # the CSR is written from the relabelled matrix, so at its peak the
+        # planting holds two n^2 boolean matrices and the targets
         (g, _), peak = traced_peak(lambda: planted_sdseq(1024, 2, seed=1))
         csr = g.offsets.nbytes + g.targets.nbytes
         assert g.targets.size > 200_000 and peak <= 1.6 * csr, (peak, csr)
