@@ -210,11 +210,13 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     opened again at one x stays open.  So each event touches O(1) gaps and
     the sweep takes O(h log h) time; each hole boundary opens at most a
     bounded number of pieces.  Active holes are disjoint, so they sort by
-    y1 alone: the blocked list holds their y1 values between two sentinels
-    just outside ``outer``, and a dict maps each to its hole's y2.  One
-    locate of the event's y1 finds both its neighbours: a start goes in
-    at that slot, and an end is the located item itself.  A start whose
-    neighbours reach into [y1, y2] raises.
+    y1 alone: the blocked list holds each as one int, (y1 - low) * w +
+    (y2 - low) with low = outer's y1 - 1 and w = its height + 2, between
+    two sentinels just outside ``outer``; the int sorts as its y1, and
+    ``% w`` and ``// w`` give back its y2 and y1.  One locate of the
+    event's y1 finds both its neighbours: a start goes in at that slot,
+    and an end is the located item itself.  A start whose neighbours
+    reach into [y1, y2] raises.
     """
     ox1, ox2, oy1, oy2 = _keys([outer])[0].tolist()
     h = _keys(holes)
@@ -227,11 +229,11 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
     ev = np.concatenate((np.column_stack((h[:, 1] + 1, 0 * h[:, :1], h[:, 2:])),
                          np.column_stack((h[:, 0], 0 * h[:, :1] + 1, h[:, 2:]))))
     ev = ev[ev[:, 0] <= ox2]
-    # y1 of the holes meeting the sweep column, between two sentinels just
-    # outside ``outer``; ``top`` maps each to its hole's y2
-    active = _BlockedList(oy1 - 1, oy2 + 1)
+    # the holes meeting the sweep column as ints (y1 - low) * w + y2 - low,
+    # which sort as their y1, between two sentinels just outside ``outer``
+    low, w = oy1 - 1, oy2 - oy1 + 3
+    active = _BlockedList(0, w * w - 1)
     blocks, lasts, fit, mend = active.blocks, active.lasts, active.fit, active.mend
-    top = {oy1 - 1: oy1 - 1, oy2 + 1: oy2 + 1}
     open_at = {(oy1, oy2): ox1}  # free y-interval -> x where its piece starts
     closed: dict[tuple[int, int], int] = {}  # the ones closed at x -> their start
     pieces: list[tuple[int, int, int, int]] = []
@@ -250,23 +252,23 @@ def complement_partition(outer: Rows, holes: Rows) -> np.ndarray:
             pieces += [(start, x - 1, lo, hi) for (lo, hi), start in closed.items()]
             closed.clear()
             x = ex
-        i = bisect_left(lasts, c)
+        key = (c - low) * w
+        i = bisect_left(lasts, key)
         block = blocks[i]
-        j = bisect_left(block, c)
-        lo = top[block[j - 1] if j else lasts[i - 1]] + 1
+        j = bisect_left(block, key)
+        lo = (block[j - 1] if j else lasts[i - 1]) % w + low + 1
         if starts:
-            hi = block[j] - 1
+            hi = block[j] // w + low - 1
             if lo > c or hi < d:
                 raise InputError("holes overlap")
             close(lo, hi)
             reopen(lo, c - 1)
             reopen(d + 1, hi)
-            block.insert(j, c)
-            top[c] = d
+            block.insert(j, key + d - low)
             fit(i)
         else:
             del block[j]
-            hi = (block[j] if j < len(block) else blocks[i + 1][0]) - 1
+            hi = (block[j] if j < len(block) else blocks[i + 1][0]) // w + low - 1
             if j == len(block):
                 mend(i)
             close(lo, c - 1)

@@ -452,6 +452,21 @@ class TestAgainstParentSweeps:
         except InputError:
             pass
 
+    def test_coordinates_near_int64_limits(self):
+        # complement_partition's ints for the active holes exceed int64 here
+        raised = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            xs, ys = (sorted({rng.randrange(-2 ** 62, 2 ** 62) for _ in range(12)}) for _ in "xy")
+            holes = [(xs[k], xs[k + 1], ys[k], ys[k + 1]) for k in (1, 4, 7)]
+            if seed % 3 == 0:
+                holes.append((xs[1], xs[5], ys[2], ys[4]))  # meets the first hole
+            try:
+                same_pieces((xs[0], xs[-1], ys[0], ys[-1]), holes)
+            except InputError:
+                raised += 1
+        assert raised == 100
+
     def test_seed_family_models(self, checked_sweeps):
         for model in seed_family_models():
             stm_to_ibp(model)
