@@ -357,9 +357,9 @@ class TestComplementPartition:
 
 
 def same_forest(rows):
-    """``inclusion_forest(rows)``, checked against the parent's sweep: the
-    same keys and ``up``, or the same error type, text and ``indices``,
-    which it raises again."""
+    """``inclusion_forest(rows)``, checked against the oracle sweep of
+    ``rect_oracles``: the same keys and ``up``, or the same error type,
+    text and ``indices``, which it raises again."""
     try:
         want = oracle_inclusion_forest(rows)
     except (InputError, LaminarityError) as e:
@@ -375,8 +375,9 @@ def same_forest(rows):
 
 
 def same_pieces(outer, holes):
-    """``complement_partition(outer, holes)``, checked against the parent's
-    sweep: the same pieces, or the same error type and text, raised again."""
+    """``complement_partition(outer, holes)``, checked against the oracle
+    sweep of ``rect_oracles``: the same pieces, or the same error type and
+    text, raised again."""
     try:
         want = oracle_complement_partition(outer, holes)
     except InputError as e:
@@ -391,7 +392,7 @@ def same_pieces(outer, holes):
 
 @pytest.fixture
 def checked_sweeps(monkeypatch):
-    """Every sweep the library runs is checked against the parent's; the
+    """Every sweep the library runs is checked against its oracle; the
     counts of calls and of errors come back."""
     calls = {"forest": 0, "pieces": 0, "raised": 0}
 
@@ -419,8 +420,8 @@ def crossing_model(seed):
     return model.with_pairs(set(model.pairs_a) | extra, set(model.pairs_b) - extra)
 
 
-class TestAgainstParentSweeps:
-    """The one-locate sweeps give what the parent's heap-and-key-function
+class TestAgainstOracleSweeps:
+    """The one-locate sweeps give what the earlier heap-and-key-function
     sweeps gave (``rect_oracles``): ``up``, pieces, and error text and
     ``indices``."""
 
